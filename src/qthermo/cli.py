@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .chain import (
+    DEFAULT_TUNNELING_SWEEP,
     ChainSpec,
     ExplicitProfile,
     LinearProfile,
@@ -49,6 +50,7 @@ from .three_level import (
     ThreeLevelParams,
     dufour_currents,
     finite_capacity_heating,
+    occupation_temperature,
     populations_from_state,
     thermo_diagnostics,
     three_level_system,
@@ -226,9 +228,10 @@ def _reject_unknown(mapping: dict[str, str], experiment: str) -> None:
 
 
 def _occupation_to_temperature(n: float, omega: float) -> float:
-    if n < 0:
-        raise ConfigError(f"occupation must be >= 0, got {n}")
-    return 0.0 if n == 0 else omega / math.log1p(1.0 / n)
+    try:
+        return occupation_temperature(n, omega)
+    except InvariantViolationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_config(
@@ -312,7 +315,7 @@ def _apply_defaults(config: RunConfig) -> None:
                 _default(config, "T_L", 0.8 * h)
                 _default(config, "T_R", 0.4 * h)
         if experiment == "sweep":
-            _default(config, "g_list", tuple(g * h for g in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3)))
+            _default(config, "g_list", tuple(g * h for g in DEFAULT_TUNNELING_SWEEP))
     elif experiment == "dufour":
         _default(config, "n", 1.0)
         _default(config, "P_1", 0.2)

@@ -2,11 +2,29 @@
 
 The generator is built in the eigenbasis of the system Hamiltonian: every
 bath coupling operator is decomposed into components oscillating at a single
-transition frequency, each component gets a thermal rate set by the bath's
-spectral density and temperature, and the resulting dissipators are assembled
-into one superoperator together with the coherent commutator.  At a uniform
-temperature this construction relaxes any system to its Gibbs state, which
-the test suite uses as an independent equilibrium oracle.
+transition frequency, and each component gets a thermal rate set by the
+bath's spectral density and temperature.  At a uniform temperature this
+construction relaxes any system to its Gibbs state, which the test suite uses
+as an independent equilibrium oracle.
+
+Sector construction.  One eigendecomposition H = U diag(E) U^dagger gives
+every bath coupling in the eigenbasis, C_k = U^dagger V_k U, the frequency
+group G[i, j] of every difference E_j - E_i, and the rate R_k[i, j] of bath k
+at that group.  Acting on the column-stacked eigenbasis state U^dagger rho U,
+the generator has the entries
+
+    L[(i, i'), (j, j')] = sum_k R_k[i, j] C_k[i, j] conj(C_k[i', j']) [G[i, j] = G[i', j']]
+                          - (M[i, j] delta(i', j') + delta(i, j) M[j', i']) / 2
+                          - i (E_i - E_i') delta(i, j) delta(i', j'),
+
+with M = sum_k sum_w rate A_w^dagger A_w.  The secular generator commutes with
+[H, .], so no entry couples two Bohr-frequency sectors, a sector being the
+pairs (i, i') with one group label G[i, i'] (Davies, Commun. Math. Phys. 39,
+91 (1974); Breuer & Petruccione, The Theory of Open Quantum Systems, section
+3.3).  The generator is therefore held as one dense block per sector: the
+steady state is the null vector of the zero sector, found from an SVD of
+every block at a cost of sum n_w^3 instead of (d^2)^3, and the lab-basis
+superoperator is formed only when time stepping or a caller reads it.
 
 Sign and rate conventions:
 
@@ -20,7 +38,7 @@ Sign and rate conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -28,6 +46,7 @@ import numpy as np
 from .errors import (
     AccuracyError,
     AmbiguousGroupingError,
+    DimensionMismatchError,
     InvariantViolationError,
     NonUniqueSteadyStateError,
     NumericalConsistencyError,
@@ -91,6 +110,12 @@ class OhmicDensity:
 SpectralDensity = Union[FlatDensity, OhmicDensity]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    copy = a.copy()
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """One thermal reservoir: coupling operator, spectral density, temperature."""
@@ -100,20 +125,27 @@ class BathSpec:
     temperature: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coupling", require_hermitian(self.coupling, name="bath coupling"))
+        coupling = _frozen(require_hermitian(self.coupling, name="bath coupling"))
+        object.__setattr__(self, "coupling", coupling)
         if self.temperature < 0:
             raise InvariantViolationError(f"bath temperature must be >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)
 class OpenSystem:
-    """System Hamiltonian plus an ordered list of baths."""
+    """System Hamiltonian plus an ordered list of baths.
+
+    The arrays are read-only copies, so the eigenbasis models kept in
+    ``_models`` (one per grouping tolerance, built on first use) cannot go
+    stale.
+    """
 
     hamiltonian: np.ndarray
     baths: tuple[BathSpec, ...]
+    _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = require_hermitian(self.hamiltonian, name="hamiltonian")
+        h = _frozen(require_hermitian(self.hamiltonian, name="hamiltonian"))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "baths", tuple(self.baths))
         for k, bath in enumerate(self.baths):
@@ -190,22 +222,16 @@ def _frequency_groups(energies: np.ndarray, freq_tol: float) -> list[_FrequencyG
                 f"beyond the grouping tolerance {freq_tol:.3e}"
             )
         groups.append(_FrequencyGroup(float(chunk.mean()), float(chunk[0]), float(chunk[-1])))
-    # The spectrum of differences is exactly symmetric; force representatives
-    # to be exactly closed under negation.
+    # Float subtraction is antisymmetric, so the sorted differences and their
+    # clusters mirror exactly under negation: group n pairs with group
+    # len - 1 - n.  Force representatives to be exactly closed under negation.
     symmetrized: list[_FrequencyGroup] = []
-    for grp in groups:
+    for grp, partner in zip(groups, reversed(groups)):
         if abs(grp.frequency) <= freq_tol:
-            symmetrized.append(_FrequencyGroup(0.0, grp.lo, grp.hi))
-        elif grp.frequency > 0:
-            partner = min(groups, key=lambda g: abs(g.frequency + grp.frequency))
-            symmetrized.append(
-                _FrequencyGroup(0.5 * (grp.frequency - partner.frequency), grp.lo, grp.hi)
-            )
+            frequency = 0.0
         else:
-            partner = min(groups, key=lambda g: abs(g.frequency + grp.frequency))
-            symmetrized.append(
-                _FrequencyGroup(-0.5 * (partner.frequency - grp.frequency), grp.lo, grp.hi)
-            )
+            frequency = 0.5 * (grp.frequency - partner.frequency)
+        symmetrized.append(_FrequencyGroup(frequency, grp.lo, grp.hi))
     return symmetrized
 
 
@@ -235,6 +261,93 @@ def bohr_frequencies(eig: EigenDecomposition, freq_tol: float = DEFAULT_FREQ_TOL
 
 
 @dataclass(frozen=True)
+class _EigenModel:
+    """An open system in the eigenbasis of its Hamiltonian, at one grouping
+    tolerance; the generator, the jump operators and the heat currents all
+    read it.
+
+    ``labels[i, j]`` indexes ``groups`` with the group of E_j - E_i and
+    ``zero`` marks the pairs of the zero group.  Per bath k: ``couplings[k]``
+    is C_k = U^dagger V_k U, ``group_rates[k][n]`` the rate of group n,
+    ``weighted[k]`` is R_k * C_k with R_k = group_rates[k][labels], and
+    ``decay[k]`` is sum_w rate A_w^dagger A_w in the eigenbasis.
+    """
+
+    energies: np.ndarray
+    states: np.ndarray
+    groups: list[_FrequencyGroup]
+    labels: np.ndarray
+    zero: np.ndarray
+    couplings: tuple[np.ndarray, ...]
+    group_rates: tuple[np.ndarray, ...]
+    weighted: tuple[np.ndarray, ...]
+    decay: tuple[np.ndarray, ...]
+
+
+def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
+    """The system's eigenbasis model, built on first use and kept on the system."""
+    model = system._models.get(freq_tol)
+    if model is None:
+        model = system._models[freq_tol] = _build_eigen_model(system, freq_tol)
+    return model
+
+
+def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
+    """Decompose every bath coupling by transition frequency and attach rates.
+
+    The zero-frequency component is always examined: if it vanishes its rate
+    is zero, if not the rate is slope * T for an ohmic density while a flat
+    density makes the zero-frequency rate diverge and raises
+    UnsupportedModelError.
+    """
+    eig = eigh(system.hamiltonian)
+    energies, states = eig.energies, eig.states
+    _check_grouping_tolerance(energies, freq_tol)
+    groups = _frequency_groups(energies, freq_tol)
+    # every difference is one of the clustered values, so it lies in
+    # [lo, hi] of exactly one group
+    diffs = energies[None, :] - energies[:, None]
+    labels = np.searchsorted([grp.lo for grp in groups], diffs, side="right") - 1
+    zero_label = next(n for n, grp in enumerate(groups) if grp.frequency == 0.0)
+    zero = labels == zero_label
+
+    couplings, group_rates, weighted, decay = [], [], [], []
+    for k, bath in enumerate(system.baths):
+        coupling = states.conj().T @ bath.coupling @ states
+        rates = np.zeros(len(groups))
+        for n, grp in enumerate(groups):
+            if n != zero_label:
+                rates[n] = thermal_rate(bath.spectral, grp.frequency, bath.temperature)
+        magnitude = float(np.max(np.abs(coupling[zero]))) if coupling.size else 0.0
+        if magnitude > ZERO_COMPONENT_ATOL:
+            if not isinstance(bath.spectral, OhmicDensity):
+                raise UnsupportedModelError(
+                    f"bath {k}: zero-frequency coupling component of magnitude "
+                    f"{magnitude:.3e} with a flat spectral density has a diverging rate; "
+                    "use an ohmic density or a model whose zero-frequency component vanishes"
+                )
+            rates[zero_label] = bath.spectral.slope * bath.temperature
+        weight = rates[labels] * coupling
+        couplings.append(coupling)
+        group_rates.append(rates)
+        weighted.append(weight)
+        # (A_w^dagger A_w)[i, i'] pairs (j, i) and (j, i') of one group, which
+        # happens exactly when (i, i') lies in the zero group
+        decay.append(np.where(zero, weight.conj().T @ coupling, 0.0))
+    return _EigenModel(
+        energies=energies,
+        states=states,
+        groups=groups,
+        labels=labels,
+        zero=zero,
+        couplings=tuple(couplings),
+        group_rates=tuple(group_rates),
+        weighted=tuple(weighted),
+        decay=tuple(decay),
+    )
+
+
+@dataclass(frozen=True)
 class JumpTerm:
     """One single-frequency component of a bath coupling, with its thermal rate."""
 
@@ -256,85 +369,133 @@ class JumpOperatorSet:
 
 
 def jump_operators(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> JumpOperatorSet:
-    """Decompose every bath coupling into eigenbasis components per transition
-    frequency and attach thermal rates.
+    """Every bath coupling split into lab-basis components per transition
+    frequency, with thermal rates: a view of the eigenbasis model the
+    generator is built from.
 
-    The zero-frequency component is always computed: if it vanishes it is kept
-    with rate zero, if not the rate is slope * T for an ohmic density while a
-    flat density makes the zero-frequency rate diverge and raises
-    UnsupportedModelError.
+    The zero-frequency component is always present: with rate zero if it
+    vanishes, slope * T for an ohmic density otherwise, while a flat density
+    with a nonvanishing zero-frequency component raises UnsupportedModelError.
     """
-    eig = eigh(system.hamiltonian)
-    _check_grouping_tolerance(eig.energies, freq_tol)
-    groups = _frequency_groups(eig.energies, freq_tol)
-    diff_matrix = eig.energies[None, :] - eig.energies[:, None]
-    states = eig.states
-
-    all_terms: list[tuple[JumpTerm, ...]] = []
-    for k, bath in enumerate(system.baths):
-        coupling_eig = states.conj().T @ bath.coupling @ states
-        bath_terms: list[JumpTerm] = []
-        for grp in groups:
-            mask = (diff_matrix >= grp.lo) & (diff_matrix <= grp.hi)
-            component_eig = np.where(mask, coupling_eig, 0.0)
-            operator = states @ component_eig @ states.conj().T
-            if grp.frequency == 0.0:
-                magnitude = float(np.max(np.abs(component_eig))) if component_eig.size else 0.0
-                if magnitude <= ZERO_COMPONENT_ATOL:
-                    rate = 0.0
-                elif isinstance(bath.spectral, OhmicDensity):
-                    rate = bath.spectral.slope * bath.temperature
-                else:
-                    raise UnsupportedModelError(
-                        f"bath {k}: zero-frequency coupling component of magnitude "
-                        f"{magnitude:.3e} with a flat spectral density has a diverging rate; "
-                        "use an ohmic density or a model whose zero-frequency component vanishes"
-                    )
-            else:
-                rate = thermal_rate(bath.spectral, grp.frequency, bath.temperature)
-            bath_terms.append(JumpTerm(grp.frequency, operator, rate))
-        all_terms.append(tuple(bath_terms))
+    model = _eigen_model(system, freq_tol)
+    states = model.states
+    all_terms = []
+    for coupling, rates in zip(model.couplings, model.group_rates):
+        all_terms.append(tuple(
+            JumpTerm(
+                grp.frequency,
+                states @ np.where(model.labels == n, coupling, 0.0) @ states.conj().T,
+                float(rates[n]),
+            )
+            for n, grp in enumerate(model.groups)
+        ))
     return JumpOperatorSet(terms=tuple(all_terms), freq_tol=freq_tol)
 
 
-@dataclass(frozen=True)
 class Liouvillian:
-    """Column-stacking superoperator of the full master equation."""
+    """Generator of the master equation, held as one dense block per sector.
 
-    matrix: np.ndarray
-    dim: int
-    default_dt: float
+    ``blocks[s]`` is the generator restricted to ``sectors[s]``, the
+    column-stacked indices of the matrix entries it couples, with matrices
+    written in the orthonormal ``basis`` (column i is basis vector i); no
+    entry couples two sectors.  ``matrix`` is the column-stacking
+    superoperator in the lab basis, formed from the blocks when first read.
+    A bare ``matrix`` is held as a single sector in the identity basis.
+    """
+
+    def __init__(
+        self,
+        matrix=None,
+        *,
+        dim: int,
+        default_dt: float,
+        basis: np.ndarray | None = None,
+        sectors: tuple[np.ndarray, ...] = (),
+        blocks: tuple[np.ndarray, ...] = (),
+    ):
+        if matrix is not None:
+            matrix = np.asarray(matrix, dtype=complex)
+            if matrix.shape != (dim * dim, dim * dim):
+                raise DimensionMismatchError(
+                    f"generator of shape {matrix.shape} does not act on dimension {dim}"
+                )
+            basis = np.eye(dim, dtype=complex)
+            sectors = (np.arange(dim * dim),)
+            blocks = (matrix,)
+        elif basis is None:
+            raise TypeError("Liouvillian needs a matrix, or a basis with sectors and blocks")
+        self.dim = dim
+        self.default_dt = default_dt
+        self.basis = basis
+        self.sectors = tuple(sectors)
+        self.blocks = tuple(blocks)
+        self._matrix = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            size = self.dim * self.dim
+            in_basis = np.zeros((size, size), dtype=complex)
+            for pairs, block in zip(self.sectors, self.blocks):
+                in_basis[np.ix_(pairs, pairs)] = block
+            # vec(U X U^dagger) = (conj(U) kron U) vec(X)
+            change = np.kron(self.basis.conj(), self.basis)
+            self._matrix = change @ in_basis @ change.conj().T
+        return self._matrix
 
     def apply(self, m) -> np.ndarray:
         """Action on a matrix: devectorize(matrix @ vectorize(m))."""
         return devectorize(self.matrix @ vectorize(m))
 
 
-def _dissipator_super(operator: np.ndarray, identity: np.ndarray) -> np.ndarray:
-    sandwich = np.kron(operator.conj(), operator)
-    norm_op = operator.conj().T @ operator
-    return sandwich - 0.5 * (np.kron(identity, norm_op) + np.kron(norm_op.T, identity))
-
-
 def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouvillian:
-    """Assemble the full generator: coherent commutator plus one dissipator per
-    bath and transition frequency."""
-    jumps = jump_operators(system, freq_tol)
-    h = system.hamiltonian
+    """Build the generator, coherent commutator plus one dissipator per bath
+    and transition frequency, block by Bohr-frequency sector in the
+    eigenbasis (see the module docstring)."""
+    model = _eigen_model(system, freq_tol)
     dim = system.dim
-    identity = np.eye(dim, dtype=complex)
-    matrix = -1j * (np.kron(identity, h) - np.kron(h.T, identity))
+    energies = model.energies
+    decay = sum(model.decay, np.zeros((dim, dim), dtype=complex)).reshape(-1)
+
+    # sector of the pair (i, i'), stored at the column-stacked index i + dim i':
+    # the group of E_i' - E_i
+    sector_of = model.labels.reshape(-1, order="F")
+    order = np.argsort(sector_of, kind="stable")
+    sectors = np.split(order, np.flatnonzero(np.diff(sector_of[order])) + 1)
+    # every entry ((i, i'), (j, j')) of every block, row-major within each block
+    rows = np.concatenate([np.repeat(pairs, pairs.size) for pairs in sectors])
+    cols = np.concatenate([np.tile(pairs, pairs.size) for pairs in sectors])
+    i, i_ = rows % dim, rows // dim
+    j, j_ = cols % dim, cols // dim
+    left, right = i * dim + j, i_ * dim + j_  # flat indices of [i, j] and [i', j']
+    # within one sector G[i, j] = G[i', j'] always holds: the two differences
+    # lie within freq_tol of each other, so they share a group
+    entries = np.zeros(rows.size, dtype=complex)
+    for weight, coupling in zip(model.weighted, model.couplings):
+        entries += weight.reshape(-1)[left] * coupling.conj().reshape(-1)[right]
+    entries -= 0.5 * (decay[left] * (i_ == j_) + decay[j_ * dim + i_] * (i == j))
+    entries -= 1j * (energies[i] - energies[i_]) * (rows == cols)
+    sizes = [pairs.size for pairs in sectors]
+    blocks = [
+        part.reshape(n, n)
+        for part, n in zip(np.split(entries, np.cumsum([n * n for n in sizes])[:-1]), sizes)
+    ]
+
+    # the largest rate of a component above the zero-component threshold
     max_rate = 0.0
-    for bath_terms in jumps.terms:
-        for term in bath_terms:
-            if term.rate == 0.0 or float(np.max(np.abs(term.operator))) <= ZERO_COMPONENT_ATOL:
-                continue
-            matrix = matrix + term.rate * _dissipator_super(term.operator, identity)
-            max_rate = max(max_rate, term.rate)
-    spectral_norm_h = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if dim else 0.0
+    for coupling, rates in zip(model.couplings, model.group_rates):
+        present = np.abs(coupling) > ZERO_COMPONENT_ATOL
+        max_rate = max(max_rate, float(np.max(rates[model.labels][present], initial=0.0)))
+    spectral_norm_h = float(np.max(np.abs(energies))) if dim else 0.0
     scale = max_rate + spectral_norm_h
     default_dt = 0.01 / scale if scale > 0 else math.inf
-    return Liouvillian(matrix=matrix, dim=dim, default_dt=default_dt)
+    return Liouvillian(
+        dim=dim,
+        default_dt=default_dt,
+        basis=model.states,
+        sectors=tuple(sectors),
+        blocks=tuple(blocks),
+    )
 
 
 def evolve(
@@ -405,59 +566,71 @@ def evolve(
 def steady_state(liouv: Liouvillian, null_rtol: float = NULL_SPACE_RTOL) -> np.ndarray:
     """Stationary state from the singular-value null space of the generator.
 
-    Exactly one singular value may sit below ``null_rtol`` times the largest;
-    zero raises SolverFailureError and more than one raises
-    NonUniqueSteadyStateError reporting the dimension found.
+    The singular values of the generator are those of its sector blocks
+    taken together.  Exactly one may sit below ``null_rtol`` times the
+    largest; zero raises SolverFailureError and more than one raises
+    NonUniqueSteadyStateError reporting the dimension found.  The state is
+    the null vector of the block that holds it, mapped back to the lab basis.
     """
-    _, singulars, vh = np.linalg.svd(liouv.matrix)
-    top = float(singulars[0]) if singulars.size else 0.0
+    decompositions = [np.linalg.svd(block) for block in liouv.blocks]
+    singulars = [s for _, s, _ in decompositions]
+    top = max((float(s[0]) for s in singulars if s.size), default=0.0)
     if top == 0.0:
         raise SolverFailureError("generator is identically zero; every state is stationary")
-    null_dim = int(np.count_nonzero(singulars <= null_rtol * top))
+    null_counts = [int(np.count_nonzero(s <= null_rtol * top)) for s in singulars]
+    null_dim = sum(null_counts)
     if null_dim == 0:
+        smallest = min(float(s[-1]) for s in singulars if s.size)
         raise SolverFailureError(
             f"no singular value below {null_rtol:.0e} of the largest; smallest ratio "
-            f"{float(singulars[-1]) / top:.3e}"
+            f"{smallest / top:.3e}"
         )
     if null_dim > 1:
         raise NonUniqueSteadyStateError(
             f"steady state is not unique: null space has dimension {null_dim}", null_dim
         )
-    candidate = devectorize(vh[-1].conj())
-    candidate = hermitize(candidate)
+    sector = null_counts.index(1)
+    null_vector = np.zeros(liouv.dim * liouv.dim, dtype=complex)
+    null_vector[liouv.sectors[sector]] = decompositions[sector][2][-1].conj()
+    candidate = hermitize(devectorize(null_vector))
     trace = complex(np.trace(candidate)).real
     if abs(trace) < 1e-12:
         raise SolverFailureError("null vector is traceless; no normalizable stationary state")
-    rho = candidate / trace
-    residual = float(np.linalg.norm(liouv.matrix @ vectorize(rho)))
+    rho_in_basis = candidate / trace
+    stacked = vectorize(rho_in_basis)
+    residual = math.sqrt(sum(
+        float(np.linalg.norm(block @ stacked[pairs])) ** 2
+        for pairs, block in zip(liouv.sectors, liouv.blocks)
+    ))
     if residual > STEADY_RESIDUAL_RTOL * top:
         raise SolverFailureError(
             f"stationary residual {residual:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
             f"{STEADY_RESIDUAL_RTOL * top:.3e}"
         )
+    basis = liouv.basis
+    rho = hermitize(basis @ rho_in_basis @ basis.conj().T)
     return require_density_matrix(rho, name="steady state")
-
-
-def _bath_dissipator_action(bath_terms: tuple[JumpTerm, ...], rho: np.ndarray) -> np.ndarray:
-    action = np.zeros_like(rho)
-    for term in bath_terms:
-        if term.rate == 0.0:
-            continue
-        a = term.operator
-        norm_op = a.conj().T @ a
-        action += term.rate * (a @ rho @ a.conj().T - 0.5 * (norm_op @ rho + rho @ norm_op))
-    return action
 
 
 def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -> np.ndarray:
     """Per-bath heat currents, positive when energy flows from the system into
-    the bath.  At any stationary state the currents sum to zero."""
+    the bath.  At any stationary state the currents sum to zero.
+
+    The current of bath k is -Tr[D_k(rho) H], evaluated in the eigenbasis
+    model the generator is built from.
+    """
     state = require_density_matrix(rho)
-    jumps = jump_operators(system, freq_tol)
-    h = system.hamiltonian
+    model = _eigen_model(system, freq_tol)
+    states = model.states
+    state_eig = states.conj().T @ state @ states
+    # the diagonal of A_w rho A_w^dagger pairs rho[j, j'] with (i, j) and
+    # (i, j') in one group, which happens exactly when (j, j') is in the zero group
+    zero_part = np.where(model.zero, state_eig, 0.0)
     currents = []
-    for bath_terms in jumps.terms:
-        value = -complex(np.trace(_bath_dissipator_action(bath_terms, state) @ h))
+    for weight, coupling, decay in zip(model.weighted, model.couplings, model.decay):
+        gained = np.einsum("ij,jl,il->i", weight, zero_part, coupling.conj())
+        lost = 0.5 * ((decay @ state_eig).diagonal() + (state_eig @ decay).diagonal())
+        value = -complex(model.energies @ (gained - lost))
         if abs(value.imag) > 1e-10:
             raise NumericalConsistencyError(
                 f"heat current has imaginary residue {value.imag:.3e} above 1e-10"

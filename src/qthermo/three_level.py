@@ -67,20 +67,25 @@ class ThreeLevelParams:
         d: float = 1.0,
     ) -> "ThreeLevelParams":
         """Build parameters from target bath occupations at a common transition
-        frequency (T = omega / ln(1 + 1/n), T = 0 for n = 0)."""
-        if n_1 < 0 or n_2 < 0:
-            raise InvariantViolationError("occupations must be >= 0")
-        temp = lambda n: 0.0 if n == 0 else omega / math.log1p(1.0 / n)
+        frequency (see :func:`occupation_temperature`)."""
         return cls(
             configuration=configuration,
             omega_1=omega,
             omega_2=omega,
             gamma_1=gamma,
             gamma_2=gamma,
-            temp_1=temp(n_1),
-            temp_2=temp(n_2),
+            temp_1=occupation_temperature(n_1, omega),
+            temp_2=occupation_temperature(n_2, omega),
             d=d,
         )
+
+
+def occupation_temperature(n: float, omega: float) -> float:
+    """Bath temperature at which the mode ``omega`` holds the mean occupation
+    ``n``: T = omega / ln(1 + 1/n), and T = 0 for n = 0."""
+    if n < 0:
+        raise InvariantViolationError(f"occupation must be >= 0, got {n}")
+    return 0.0 if n == 0 else omega / math.log1p(1.0 / n)
 
 
 def occupations(params: ThreeLevelParams) -> tuple[float, float]:

@@ -28,7 +28,8 @@ from qthermo.errors import (
     NonUniqueSteadyStateError,
     UnsupportedModelError,
 )
-from qthermo.linalg import eigh, hermitize, trace_distance, vectorize
+from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system
+from qthermo.linalg import devectorize, eigh, hermitize, trace_distance, vectorize
 from qthermo.three_level import ThreeLevelParams, lambda_system
 
 
@@ -36,16 +37,73 @@ def lambda_params(n_1: float, n_2: float, gamma: float = 1.0) -> ThreeLevelParam
     return ThreeLevelParams.from_occupations("lambda", n_1, n_2, gamma=gamma)
 
 
-def random_open_system(seed: int, dim: int, n_baths: int = 2) -> OpenSystem:
+def random_open_system(seed: int, dim: int, n_baths: int = 2, t_min: float = 0.0) -> OpenSystem:
     """Random Hamiltonian with ohmic baths (ohmic so a nonzero zero-frequency
-    coupling component stays integrable)."""
+    coupling component stays integrable), temperatures drawn from [t_min, 2)."""
     rng = np.random.default_rng(seed)
     h = hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     baths = []
     for _ in range(n_baths):
         coupling = hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        baths.append(BathSpec(coupling, OhmicDensity(rng.uniform(0.1, 1.0)), rng.uniform(0.0, 2.0)))
+        baths.append(BathSpec(coupling, OhmicDensity(rng.uniform(0.1, 1.0)), rng.uniform(t_min, 2.0)))
     return OpenSystem(h, tuple(baths))
+
+
+def degenerate_open_system(seed: int, dim: int, n_baths: int = 2) -> OpenSystem:
+    """Random system whose levels sit on the integers 0, 1, 2 in a random
+    eigenbasis, so levels and transition frequencies are degenerate."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    levels = rng.integers(0, 3, size=dim).astype(float)
+    h = hermitize(basis @ np.diag(levels) @ basis.conj().T)
+    baths = []
+    for _ in range(n_baths):
+        coupling = hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        baths.append(BathSpec(coupling, OhmicDensity(rng.uniform(0.1, 1.0)), rng.uniform(0.2, 2.0)))
+    return OpenSystem(h, tuple(baths))
+
+
+def random_state(seed: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_generator(system: OpenSystem) -> np.ndarray:
+    """Dense column-stacking generator summed term by term from np.kron:
+    the commutator plus rate * (A* kron A - (1 kron A^dagger A + (A^dagger A)^T
+    kron 1) / 2) for every jump component above the zero-component threshold."""
+    h = system.hamiltonian
+    identity = np.eye(system.dim, dtype=complex)
+    matrix = -1j * (np.kron(identity, h) - np.kron(h.T, identity))
+    for bath_terms in jump_operators(system).terms:
+        for term in bath_terms:
+            a = term.operator
+            if term.rate == 0.0 or np.max(np.abs(a)) <= 1e-10:
+                continue
+            norm_op = a.conj().T @ a
+            matrix = matrix + term.rate * (
+                np.kron(a.conj(), a) - 0.5 * (np.kron(identity, norm_op) + np.kron(norm_op.T, identity))
+            )
+    return matrix
+
+
+def gradient_chain(n_sites: int, tunneling: float, t_left: float, t_right: float) -> OpenSystem:
+    return chain_system(ChainSpec(n_sites, 1.0, tunneling, 0.02, LinearProfile(t_left, t_right)))
+
+
+def entropy_production(system: OpenSystem, currents: np.ndarray) -> float:
+    """sum_k J_k / T_k: the entropy the baths gain per unit time."""
+    return float(sum(j / bath.temperature for j, bath in zip(currents, system.baths)))
+
+
+chain_cases = dict(
+    n_sites=st.integers(3, 6),
+    tunneling=st.sampled_from(DEFAULT_TUNNELING_SWEEP),
+    t_left=st.floats(0.3, 1.2),
+    t_right=st.floats(0.3, 1.2),
+)
 
 
 class TestBoseOccupation:
@@ -234,6 +292,48 @@ class TestLiouvillian:
         assert np.max(np.abs(liouv.apply(m.conj().T) - image.conj().T)) < 1e-10
 
 
+class TestDenseReference:
+    """The sector-block generator against the dense Kronecker-sum generator
+    built above; evolve and apply read the same matrix."""
+
+    @staticmethod
+    def check(system: OpenSystem) -> None:
+        reference = reference_generator(system)
+        liouv = liouvillian(system)
+        assert np.max(np.abs(liouv.matrix - reference)) <= 1e-12
+        _, singulars, vh = np.linalg.svd(reference)
+        null_dim = int(np.count_nonzero(singulars <= 1e-10 * singulars[0]))
+        if null_dim > 1:
+            with pytest.raises(NonUniqueSteadyStateError) as excinfo:
+                steady_state(liouv)
+            assert excinfo.value.dimension == null_dim
+            return
+        null_state = hermitize(devectorize(vh[-1].conj()))
+        null_state /= np.trace(null_state).real
+        assert np.max(np.abs(steady_state(liouv) - null_state)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_random_ohmic_systems(self, dim, n_baths, seed):
+        self.check(random_open_system(seed, dim, n_baths))
+
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_degenerate_random_systems(self, dim, n_baths, seed):
+        self.check(degenerate_open_system(seed, dim, n_baths))
+
+    @settings(max_examples=10, deadline=None)
+    @given(**chain_cases)
+    def test_chains(self, n_sites, tunneling, t_left, t_right):
+        self.check(gradient_chain(n_sites, tunneling, t_left, t_right))
+
+    def test_blocks_cover_every_entry_once(self):
+        liouv = liouvillian(gradient_chain(4, 1.3, 0.8, 0.4))
+        covered = np.sort(np.concatenate(liouv.sectors))
+        assert np.array_equal(covered, np.arange(liouv.dim**2))
+        assert max(block.shape[0] for block in liouv.blocks) == 4 * 4 + 4  # zero sector
+
+
 class TestEvolve:
     def test_commuting_setup_is_constant(self):
         system = OpenSystem(np.diag([0.0, 1.0]), ())
@@ -396,6 +496,40 @@ class TestHeatCurrents:
         system = chain_system(spec)
         currents = heat_currents(system, steady_state(liouvillian(system)))
         assert np.max(np.abs(currents)) > 1e-6  # genuinely out of equilibrium
+        assert abs(currents.sum()) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_any_state_matches_the_dissipator_trace(self, dim, n_baths, seed):
+        # J_k = -Tr[D_k(rho) H] with D_k summed over the lab-basis jump
+        # operators, at a state with coherences between all levels
+        system = degenerate_open_system(seed, dim, n_baths)
+        rho = random_state(seed + 1, dim)
+        expected = []
+        for bath_terms in jump_operators(system).terms:
+            action = np.zeros((dim, dim), dtype=complex)
+            for term in bath_terms:
+                a = term.operator
+                norm_op = a.conj().T @ a
+                action += term.rate * (a @ rho @ a.conj().T - 0.5 * (norm_op @ rho + rho @ norm_op))
+            expected.append(-np.trace(action @ system.hamiltonian).real)
+        assert np.max(np.abs(heat_currents(system, rho) - np.array(expected))) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_second_law_on_random_ohmic_systems(self, dim, n_baths, seed):
+        # Spohn: at the steady state the baths gain entropy and no energy is lost
+        system = random_open_system(seed, dim, n_baths, t_min=0.2)
+        currents = heat_currents(system, steady_state(liouvillian(system)))
+        assert entropy_production(system, currents) >= -1e-12
+        assert abs(currents.sum()) <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(**chain_cases)
+    def test_second_law_on_gradient_chains(self, n_sites, tunneling, t_left, t_right):
+        system = gradient_chain(n_sites, tunneling, t_left, t_right)
+        currents = heat_currents(system, steady_state(liouvillian(system)))
+        assert entropy_production(system, currents) >= -1e-12
         assert abs(currents.sum()) <= 1e-9
 
 
