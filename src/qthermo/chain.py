@@ -16,8 +16,6 @@ the middle of the chain) or mixed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -36,6 +34,7 @@ from .linalg import require_density_matrix
 
 POPULATION_TOL = 1e-6
 SYMMETRY_THRESHOLD = 0.95
+ARGMAX_TIE_ATOL = 1e-12
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -198,8 +197,12 @@ def classify(
     n = p.size
     if n < 3:
         raise InvariantViolationError("classification needs at least 3 sites")
+    if not np.all(np.isfinite(p)):
+        raise InvariantViolationError("site populations must be finite")
     temps = profile.temperatures(n)
-    argmax_site = int(np.argmax(p)) + 1
+    # the lowest site within ARGMAX_TIE_ATOL of the maximum, so mirror-symmetric
+    # profiles do not pick a site by rounding
+    argmax_site = int(np.flatnonzero(p >= p.max() - ARGMAX_TIE_ATOL)[0]) + 1
     symmetry = 1.0 - 0.5 * float(np.abs(p - p[::-1]).sum())
 
     if abs(float(temps[0]) - float(temps[-1])) == 0.0:
@@ -269,27 +272,18 @@ def population_sweep(
     tunneling_values,
     temperature_pairs,
     freq_tol: float = DEFAULT_FREQ_TOL,
-    max_workers: int | None = None,
 ) -> list[SweepPoint]:
     """Steady-state solve over a (temperature pair) x (tunneling) grid.
 
     Rows come back in deterministic order: temperature pairs outermost, then
     tunneling values.  Failing grid points are annotated and do not abort the
-    sweep.  Grid points are independent pure solves, so they fan out across
-    worker threads (``max_workers`` caps the pool; default machine width).
+    sweep.
     """
-    grid = [
-        (float(g), (float(pair[0]), float(pair[1])))
+    return [
+        _solve_point(base, float(g), (float(pair[0]), float(pair[1])), freq_tol)
         for pair in temperature_pairs
         for g in tunneling_values
     ]
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    max_workers = max(1, min(max_workers, len(grid) or 1))
-    if max_workers == 1:
-        return [_solve_point(base, g, pair, freq_tol) for g, pair in grid]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda item: _solve_point(base, item[0], item[1], freq_tol), grid))
 
 
 DEFAULT_TUNNELING_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3)

@@ -76,8 +76,6 @@ SOLVER_ERRORS = (
     NumericalConsistencyError,
 )
 
-THREADS_ENV = "QTHERMO_THREADS"
-
 EXPERIMENTS = ("lambda", "vee", "chain", "dufour", "sweep", "figure2")
 
 GLOBAL_KEYS = {
@@ -665,19 +663,6 @@ def _sweep_table(config: RunConfig, points) -> ResultTable:
     return table
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 def _run_sweep(config: RunConfig) -> ResultTable:
     values = config.values
     base = _chain_spec(config, tunneling=values["h"])  # tunneling replaced per point
@@ -686,7 +671,6 @@ def _run_sweep(config: RunConfig) -> ResultTable:
         values["g_list"],
         [(values["T_L"], values["T_R"])],
         freq_tol=config.eps_omega,
-        max_workers=_max_workers(),
     )
     return _sweep_table(config, points)
 
@@ -702,9 +686,7 @@ def _run_figure2(config: RunConfig) -> list[tuple[str, ResultTable]]:
     )
     outputs = []
     for panel, (g_values, pairs) in default_survey_panels(values["h"]).items():
-        points = population_sweep(
-            base, g_values, pairs, freq_tol=config.eps_omega, max_workers=_max_workers()
-        )
+        points = population_sweep(base, g_values, pairs, freq_tol=config.eps_omega)
         table = _sweep_table(config, points)
         table.metadata["panel"] = panel
         outputs.append((f"panel_{panel}", table))

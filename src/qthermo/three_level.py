@@ -24,10 +24,12 @@ import numpy as np
 
 from .davies import BathSpec, FlatDensity, OpenSystem, bose_occupation
 from .errors import DegenerateInputError, InvariantViolationError
-from .linalg import require_density_matrix
+from .linalg import require_density_matrix, screen_states
 
 LAMBDA = "lambda"
 VEE = "vee"
+# slack of the range [0, 1] and of the unit sum of LevelPopulations
+POPULATION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ class LevelPopulations:
     def __post_init__(self):
         for name in ("p_1", "p_2", "p_shared"):
             value = getattr(self, name)
-            if not -1e-12 <= value <= 1.0 + 1e-12:
+            if not -POPULATION_ATOL <= value <= 1.0 + POPULATION_ATOL:
                 raise InvariantViolationError(f"{name} = {value} outside [0, 1]")
         total = self.p_1 + self.p_2 + self.p_shared
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > POPULATION_ATOL:
             raise InvariantViolationError(f"populations sum to {total}, not 1")
 
     @classmethod
@@ -280,23 +282,17 @@ def rate_matrix(params: ThreeLevelParams, spontaneous: bool = True) -> np.ndarra
     n_1, n_2 = occupations(params)
     s = 1.0 if spontaneous else 0.0
     g1, g2 = params.gamma_1, params.gamma_2
-    if params.configuration == LAMBDA:
-        down_1, down_2 = g1 * (n_1 + s), g2 * (n_2 + s)
-        up_1, up_2 = g1 * n_1, g2 * n_2
-        return np.array(
-            [
-                [-up_1, 0.0, down_1],
-                [0.0, -up_2, down_2],
-                [up_1, up_2, -(down_1 + down_2)],
-            ]
-        )
-    down_1, down_2 = g1 * (n_1 + s), g2 * (n_2 + s)
-    up_1, up_2 = g1 * n_1, g2 * n_2
+    # rates out of the position levels (1, 2) into the shared level and back:
+    # absorption out and emission back for lambda, the reverse for vee
+    leave_1, leave_2 = g1 * n_1, g2 * n_2
+    enter_1, enter_2 = g1 * (n_1 + s), g2 * (n_2 + s)
+    if params.configuration == VEE:
+        leave_1, leave_2, enter_1, enter_2 = enter_1, enter_2, leave_1, leave_2
     return np.array(
         [
-            [-down_1, 0.0, up_1],
-            [0.0, -down_2, up_2],
-            [down_1, down_2, -(up_1 + up_2)],
+            [-leave_1, 0.0, enter_1],
+            [0.0, -leave_2, enter_2],
+            [leave_1, leave_2, -(enter_1 + enter_2)],
         ]
     )
 
@@ -326,6 +322,36 @@ def populations_from_state(rho, params: ThreeLevelParams) -> LevelPopulations:
 def mean_position(pops: LevelPopulations, params: ThreeLevelParams) -> float:
     """(d/2)(P_2 - P_1); the shared level sits at the symmetric midpoint."""
     return 0.5 * params.d * pops.unbalance
+
+
+def _trajectory_positions(params: ThreeLevelParams, trajectory, times: np.ndarray) -> np.ndarray:
+    """Mean position of every state of a trajectory.  Each state is checked as
+    :func:`populations_from_state` checks it, in one batched pass, and the
+    first state that fails raises that check's error naming its grid time."""
+    states = np.asarray(trajectory, dtype=complex)
+    if states.ndim != 3 or states.shape[1:] != (3, 3):
+        raise InvariantViolationError(f"expected a stack of 3x3 states, got shape {states.shape}")
+    if states.shape[0] != times.size:
+        raise ValueError(f"trajectory has {states.shape[0]} states for {times.size} grid times")
+    diag = states.diagonal(axis1=1, axis2=2).real
+    if params.configuration == LAMBDA:
+        p_1, p_2, p_shared = diag[:, 0], diag[:, 1], diag[:, 2]
+    else:
+        p_1, p_2, p_shared = diag[:, 1], diag[:, 2], diag[:, 0]
+    # the range and normalization checks of LevelPopulations
+    outside = np.zeros(times.size, dtype=bool)
+    for p in (p_1, p_2, p_shared):
+        outside |= ~((p >= -POPULATION_ATOL) & (p <= 1.0 + POPULATION_ATOL))
+    outside |= ~(np.abs(p_1 + p_2 + p_shared - 1.0) <= POPULATION_ATOL)
+
+    def recheck(i: int) -> None:
+        try:
+            populations_from_state(states[i], params)
+        except InvariantViolationError as exc:
+            raise InvariantViolationError(f"state at t = {times[i]:g}: {exc}") from exc
+
+    screen_states(states, recheck, flagged=outside)
+    return 0.5 * params.d * (p_2 - p_1)
 
 
 @dataclass(frozen=True)
@@ -372,9 +398,7 @@ def mean_position_trajectory(
         raise ValueError("mean_position_trajectory needs a uniform time grid of >= 4 points")
     dt = float(steps[0])
     coeff = oscillator_coefficients(params)
-    position = np.array(
-        [mean_position(populations_from_state(rho, params), params) for rho in trajectory]
-    )
+    position = _trajectory_positions(params, trajectory, times)
     velocity, acceleration = _derivatives(position, dt)
     residual = (
         coeff.mass * acceleration
@@ -476,9 +500,7 @@ def overdamped_ratio(
     if n_mean == 0:
         return OverdampedResult(ratio=math.nan, spread=math.nan, applicable=False, n_mean=0.0)
 
-    position = np.array(
-        [mean_position(populations_from_state(rho, params), params) for rho in trajectory]
-    )
+    position = _trajectory_positions(params, trajectory, times)
     velocity, acceleration = _derivatives(position, dt)
 
     eigenvalues = np.linalg.eigvals(rate_matrix(params))

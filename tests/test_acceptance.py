@@ -215,6 +215,7 @@ def test_criterion_12_dufour_effect():
 
 def test_criterion_13_conservation_suite(warm_chain_strong, cold_chain_strong):
     worst_sum = 0.0
+    worst_production = math.inf
     lam = occ_params("lambda", 2.0, 1.0)
     vee = occ_params("vee", 2.0, 1.0)
     for system, rho in (
@@ -223,8 +224,13 @@ def test_criterion_13_conservation_suite(warm_chain_strong, cold_chain_strong):
         (warm_chain_strong[1], warm_chain_strong[2]),
         (cold_chain_strong[1], cold_chain_strong[2]),
     ):
-        worst_sum = max(worst_sum, abs(float(heat_currents(system, rho).sum())))
+        currents = heat_currents(system, rho)
+        worst_sum = max(worst_sum, abs(float(currents.sum())))
+        # second law: the baths gain entropy sum_k J_k / T_k >= 0
+        production = float(sum(j / bath.temperature for j, bath in zip(currents, system.baths)))
+        worst_production = min(worst_production, production)
     assert worst_sum <= 1e-9
+    assert worst_production >= -1e-12
 
     worst_trace = 0.0
     worst_eig = 0.0
@@ -242,7 +248,8 @@ def test_criterion_13_conservation_suite(warm_chain_strong, cold_chain_strong):
     assert worst_eig >= -1e-7
     print(
         "criterion 13 PASS: current sums within "
-        f"{worst_sum:.2e}, trace drift {worst_trace:.2e}, lowest eigenvalue {worst_eig:.2e}"
+        f"{worst_sum:.2e}, entropy production at least {worst_production:.2e}, "
+        f"trace drift {worst_trace:.2e}, lowest eigenvalue {worst_eig:.2e}"
     )
 
 

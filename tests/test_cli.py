@@ -274,16 +274,3 @@ class TestMainExitCodes:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["panel_b.csv", "panel_c.csv", "panel_d.csv", "panel_e.csv"]
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QTHERMO_THREADS", "1")
-        single = tmp_path / "single.csv"
-        assert main(["sweep", "--set", "N=4", "--out", str(single), "--quiet"]) == EXIT_OK
-        monkeypatch.setenv("QTHERMO_THREADS", "3")
-        multi = tmp_path / "multi.csv"
-        assert main(["sweep", "--set", "N=4", "--out", str(multi), "--quiet"]) == EXIT_OK
-        assert single.read_bytes() == multi.read_bytes()
-
-    def test_bad_thread_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("QTHERMO_THREADS", "zero")
-        assert main(["sweep", "--set", "N=4", "--quiet"]) == EXIT_VALIDATION
-        capsys.readouterr()

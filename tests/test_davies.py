@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from qthermo.davies import (
     BathSpec,
     FlatDensity,
+    Liouvillian,
     OhmicDensity,
     OpenSystem,
     bohr_frequencies,
@@ -25,6 +26,7 @@ from qthermo.davies import (
 from qthermo.errors import (
     AccuracyError,
     AmbiguousGroupingError,
+    InvariantViolationError,
     NonUniqueSteadyStateError,
     UnsupportedModelError,
 )
@@ -393,6 +395,116 @@ class TestEvolve:
             evolve(liouv, rho0, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             evolve(liouv, rho0, np.array([-1.0, 1.0]))
+
+
+def rk4_loop(liouv, rho0, times, dt=None):
+    """Classic RK4 stepped one substep at a time on the lab-basis generator,
+    each interval cut into ceil(span / dt) equal steps.  Returns the states up
+    to the first grid time whose state has a non-finite entry or a trace
+    drift above 1e-7, and the index of that time (None if every state passes)."""
+    matrix = liouv.matrix
+    step = liouv.default_dt if dt is None else dt
+    vec = vectorize(rho0)
+    states = [np.asarray(rho0, dtype=complex)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(times)):
+            span = times[i] - times[i - 1]
+            n_sub = max(1, math.ceil(span / step))
+            h = span / n_sub
+            for _ in range(n_sub):
+                k1 = matrix @ vec
+                k2 = matrix @ (vec + 0.5 * h * k1)
+                k3 = matrix @ (vec + 0.5 * h * k2)
+                k4 = matrix @ (vec + h * k3)
+                vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            state = devectorize(vec)
+            if not np.all(np.isfinite(state)) or abs(np.trace(state) - 1.0) > 1e-7:
+                return np.array(states), i
+            states.append(state)
+    return np.array(states), None
+
+
+def four_site_chain():
+    return liouvillian(chain_system(ChainSpec(4, 1.0, 0.5, 0.05, LinearProfile(0.8, 0.4))))
+
+
+class TestEvolveAgainstStepLoop:
+    """The propagator per interval length is the same integrator as stepping
+    RK4 substep by substep; only the rounding order differs."""
+
+    def assert_agrees(self, liouv, rho0, times, dt=None):
+        expected, failed = rk4_loop(liouv, rho0, times, dt)
+        assert failed is None
+        trajectory = evolve(liouv, rho0, times, dt=dt, validate=False)
+        assert trajectory.shape == expected.shape
+        assert np.max(np.abs(trajectory - expected)) <= 1e-12
+
+    def test_lambda_oscillator_grid(self):
+        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        self.assert_agrees(liouv, rho0, np.arange(0.0, 4.0 + 5e-4, 1e-3))
+
+    def test_four_site_chain(self):
+        self.assert_agrees(four_site_chain(), np.eye(8, dtype=complex) / 8.0, np.linspace(0.0, 30.0, 31))
+
+    def test_geometric_grid(self):
+        # every interval has its own length, so every interval builds a propagator
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
+        self.assert_agrees(four_site_chain(), random_state(3, 8), times)
+        liouv = liouvillian(lambda_system(lambda_params(1.5, 0.5)))
+        self.assert_agrees(liouv, np.full((3, 3), 1.0 / 3.0, dtype=complex), times[:25])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_ohmic_systems(self, seed):
+        dim = 2 + seed % 3
+        system = random_open_system(seed, dim, n_baths=1 + seed % 2, t_min=0.2)
+        times = np.array([0.0, 0.05, 0.3, 0.35, 1.0, 1.05, 2.5])
+        self.assert_agrees(liouvillian(system), random_state(seed + 100, dim), times)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("lambda", np.linspace(0.0, 400.0, 11), 1.0),
+            ("lambda", np.array([0.0, 0.1, 0.2, 0.3, 40.0, 41.0]), 1.0),
+            ("chain", np.linspace(0.0, 300.0, 31), 10.0),
+        ],
+    )
+    def test_unstable_step_names_the_same_time(self, case):
+        name, times, dt = case
+        if name == "lambda":
+            liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+            rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        else:
+            liouv = four_site_chain()
+            rho0 = np.full((8, 8), 1.0 / 8.0, dtype=complex)
+        _, failed = rk4_loop(liouv, rho0, times, dt)
+        assert failed is not None
+        with pytest.raises(AccuracyError, match=f"at t = {times[failed]:g};"):
+            evolve(liouv, rho0, times, dt=dt, validate=False)
+
+    def test_validate_names_the_first_bad_state(self):
+        # a trace-preserving but not positive generator: populations move at
+        # a constant rate, p(t) = (1 - t, t), so p_0 < 0 after t = 1
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[0, 0] = matrix[0, 3] = -1.0
+        matrix[3, 0] = matrix[3, 3] = 1.0
+        liouv = Liouvillian(matrix, dim=2, default_dt=0.01)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        times = np.linspace(0.0, 2.0, 5)
+        trajectory = evolve(liouv, rho0, times, validate=False)
+        assert np.allclose(trajectory[3].diagonal(), [-0.5, 1.5])
+        with pytest.raises(InvariantViolationError, match=r"state at t = 1.5 has eigenvalue"):
+            evolve(liouv, rho0, times)
+
+    def test_non_hermitian_state_named(self):
+        # a generator that feeds a coherence from the ground population only
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[1, 0] = 7e-10
+        liouv = Liouvillian(matrix, dim=2, default_dt=0.01)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(InvariantViolationError, match=r"state at t = 0.2 is not Hermitian"):
+            evolve(liouv, rho0, times)
 
 
 class TestSteadyState:

@@ -159,7 +159,39 @@ class TestOscillatorCoefficients:
         assert oscillator_coefficients(occ_params(config, n_1, n_2)).omega_sq >= 0.0
 
 
+def two_branch_rate_matrix(params: ThreeLevelParams, spontaneous: bool) -> np.ndarray:
+    """The rate matrix written out separately for each configuration."""
+    n_1, n_2 = occupations(params)
+    s = 1.0 if spontaneous else 0.0
+    g1, g2 = params.gamma_1, params.gamma_2
+    down_1, down_2 = g1 * (n_1 + s), g2 * (n_2 + s)
+    up_1, up_2 = g1 * n_1, g2 * n_2
+    if params.configuration == "lambda":
+        return np.array(
+            [[-up_1, 0.0, down_1], [0.0, -up_2, down_2], [up_1, up_2, -(down_1 + down_2)]]
+        )
+    return np.array(
+        [[-down_1, 0.0, up_1], [0.0, -down_2, up_2], [down_1, down_2, -(up_1 + up_2)]]
+    )
+
+
 class TestRateEquations:
+    @pytest.mark.parametrize("config", ["lambda", "vee"])
+    @pytest.mark.parametrize("spontaneous", [True, False])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        t_1=st.floats(0.0, 5.0),
+        t_2=st.floats(0.0, 5.0),
+        gamma_1=st.floats(0.1, 3.0),
+        gamma_2=st.floats(0.1, 3.0),
+    )
+    def test_bit_identical_to_the_two_branch_form(self, config, spontaneous, t_1, t_2, gamma_1, gamma_2):
+        params = ThreeLevelParams(
+            config, gamma_1=gamma_1, gamma_2=gamma_2, temp_1=t_1, temp_2=t_2
+        )
+        expected = two_branch_rate_matrix(params, spontaneous)
+        assert rate_matrix(params, spontaneous).tobytes() == expected.tobytes()
+
     def test_stationary_input_has_zero_derivative(self):
         params = occ_params("lambda", 2.0, 1.0)
         stationary = stationary_populations_oracle(rate_matrix(params))
@@ -267,6 +299,59 @@ class TestMeanPositionTrajectory:
         grid, trajectory = self._trajectory(0.2, horizon=3.0)
         with pytest.warns(UserWarning, match="refine"):
             mean_position_trajectory(self.params, trajectory, grid)
+
+
+def corrupt(state: np.ndarray, kind: str) -> np.ndarray:
+    bad = state.copy()
+    if kind == "negative":
+        bad[0, 0] += 0.5
+        bad[1, 1] -= 0.5
+    elif kind == "asymmetric":
+        bad[0, 1] += 1e-6
+    elif kind == "non-finite":
+        bad[2, 2] = np.nan
+    elif kind == "trace":
+        bad[2, 2] += 1e-3
+    elif kind == "unnormalized":
+        bad[2, 2] += 1e-11  # inside the density-matrix trace check, outside LevelPopulations
+    return bad
+
+
+class TestTrajectoryReaders:
+    """Both readers check every state as populations_from_state does and
+    name the grid time of the first state that fails."""
+
+    @pytest.mark.parametrize("kind", ["negative", "asymmetric", "non-finite", "trace", "unnormalized"])
+    @pytest.mark.parametrize("reader", [mean_position_trajectory, overdamped_ratio])
+    def test_bad_state_mid_trajectory(self, reader, kind):
+        params = occ_params("lambda", 2.0, 1.0)
+        grid = np.linspace(0.0, 1.0, 201)
+        trajectory = evolve(liouvillian(lambda_system(params)), np.diag([1.0, 0.0, 0.0]).astype(complex), grid)
+        trajectory[120] = corrupt(trajectory[120], kind)
+        trajectory[150] = corrupt(trajectory[150], "negative")
+        with pytest.raises(InvariantViolationError) as single:
+            populations_from_state(trajectory[120], params)
+        with pytest.raises(InvariantViolationError) as batched:
+            reader(params, trajectory, grid)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == f"state at t = 0.6: {single.value}"
+
+    def test_positions_match_the_per_state_reading(self):
+        for config in ("lambda", "vee"):
+            params = occ_params(config, 2.0, 1.0)
+            system = lambda_system(params) if config == "lambda" else vee_system(params)
+            grid = np.linspace(0.0, 2.0, 2001)
+            trajectory = evolve(liouvillian(system), np.full((3, 3), 1.0 / 3.0, dtype=complex), grid)
+            check = mean_position_trajectory(params, trajectory, grid)
+            expected = [mean_position(populations_from_state(rho, params), params) for rho in trajectory]
+            assert check.position.tobytes() == np.array(expected).tobytes()
+
+    def test_trajectory_and_grid_lengths_must_match(self):
+        params = occ_params("lambda", 2.0, 1.0)
+        grid = np.linspace(0.0, 1.0, 11)
+        stationary = steady_state(liouvillian(lambda_system(params)))
+        with pytest.raises(ValueError):
+            mean_position_trajectory(params, [stationary] * 10, grid)
 
 
 class TestOverdampedRatio:
