@@ -30,10 +30,11 @@ Time stepping.  One classic RK4 step of length h of the linear equation
 d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
 + (hL)^4/24, the stability function of the method (Hairer & Wanner, Solving
 Ordinary Differential Equations II, section IV.2).  ``evolve`` cuts a
-grid interval into n equal steps, exactly as a step-by-step loop would, and
-applies the propagator R(hL)^n, built once per distinct interval length, so
-each interval costs one matrix-vector product.  The states are then checked in
-one batched pass (:func:`qthermo.linalg.screen_states`).
+grid interval into n equal steps, exactly as a step-by-step loop would.  For
+an interval length used often enough that it pays (a uniform grid) it builds
+the propagator R(hL)^n once, and each interval then costs one matrix-vector
+product; other lengths are stepped on the vector.  The states are then
+checked in one batched pass (:func:`qthermo.linalg.screen_states`).
 
 Sign and rate conventions:
 
@@ -509,6 +510,26 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     )
 
 
+def _rk4_step(matrix: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """R(hL) x for one classic RK4 step of length h, by Horner's rule:
+    x + hL (x + hL/2 (x + hL/3 (x + hL/4 x))).  With x a state vector this is
+    one step; with x the identity it is the matrix R(hL)."""
+    stage = x + (h / 4.0) * (matrix @ x)
+    for divisor in (3.0, 2.0, 1.0):
+        stage = x + (h / divisor) * (matrix @ stage)
+    return stage
+
+
+def _propagator_pays(n_sub: int, uses: int, size: int) -> bool:
+    """Whether R(hL)^n_sub takes fewer multiply-adds to build and apply than
+    stepping the vector.  The power costs 4 products of size x size matrices
+    for R(hL), floor(log2 n) squarings and popcount(n) - 1 further products,
+    then one matrix-vector product per use; stepping costs four
+    matrix-vector products per substep per use."""
+    products = 4 + (n_sub.bit_length() - 1) + (n_sub.bit_count() - 1)
+    return products * size + uses <= 4 * n_sub * uses
+
+
 def evolve(
     liouv: Liouvillian,
     rho0,
@@ -523,12 +544,15 @@ def evolve(
     step exceeds ``dt`` (default chosen at generator build time from the
     largest rate and the Hamiltonian norm).  One RK4 step of length h maps the
     state through R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so an
-    interval of n equal steps is the propagator R(hL)^n, built once per
-    distinct interval length; each interval then costs one matrix-vector
-    product, and each new length a few products of d^2 x d^2 matrices, so
-    grids with few distinct lengths (uniform ones) are the cheapest.  Trace
-    drift beyond 1e-7 or non-finite entries raise AccuracyError suggesting a
-    smaller step, naming the first grid time that fails.
+    interval of n equal steps is the propagator R(hL)^n.  An interval length
+    whose uses cost more step by step than building R(hL)^n does (counted in
+    multiply-adds: uniform grids, small systems) gets the propagator, built
+    once and applied with one matrix-vector product per interval; any other
+    length is stepped on the vector, four matrix-vector products per step.
+    Trace drift beyond 1e-7, an entry of magnitude above 1 + 1e-7 (which no
+    density matrix has, so an unstable step shows before its trace drifts) or
+    non-finite entries raise AccuracyError suggesting a smaller step, naming
+    the first grid time that fails.
     """
     rho = require_density_matrix(rho0)
     if rho.shape[0] != liouv.dim:
@@ -544,27 +568,40 @@ def evolve(
 
     matrix = liouv.matrix
     dim = liouv.dim
-    identity = np.eye(dim * dim, dtype=complex)
-    propagators: dict[float, np.ndarray] = {}
+    spans = np.diff(times)
+    lengths, uses = np.unique(spans, return_counts=True)
+    use_count = dict(zip(lengths.tolist(), uses.tolist()))
+    propagators: dict[float, np.ndarray | None] = {}
     vec = vectorize(rho)
     out = np.empty((times.size, dim, dim), dtype=complex)
     out[0] = rho
     # an unstable step overflows; the screen below reports it as AccuracyError
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, span in enumerate(np.diff(times).tolist(), start=1):
-            propagator = propagators.get(span)
+        for i, span in enumerate(spans.tolist(), start=1):
+            n_sub = max(1, math.ceil(span / step)) if math.isfinite(step) else 1
+            h = span / n_sub
+            if span not in propagators:
+                propagators[span] = None
+                if _propagator_pays(n_sub, use_count[span], dim * dim):
+                    one_step = _rk4_step(matrix, h, np.eye(dim * dim, dtype=complex))
+                    propagators[span] = np.linalg.matrix_power(one_step, n_sub)
+            propagator = propagators[span]
             if propagator is None:
-                n_sub = max(1, math.ceil(span / step)) if math.isfinite(step) else 1
-                scaled = (span / n_sub) * matrix
-                # R(hL) by Horner's rule: 1 + hL (1 + hL/2 (1 + hL/3 (1 + hL/4)))
-                stage = identity + scaled / 4.0
-                for divisor in (3.0, 2.0, 1.0):
-                    stage = identity + (scaled @ stage) / divisor
-                propagator = propagators[span] = np.linalg.matrix_power(stage, n_sub)
-            vec = propagator @ vec
+                for _ in range(n_sub):
+                    vec = _rk4_step(matrix, h, vec)
+            else:
+                vec = propagator @ vec
             out[i] = vec.reshape((dim, dim), order="F")
 
-    def check(i: int) -> None:
+    # rho0 passed stricter checks than these, so out[0] never fails
+    failed = screen_states(
+        out,
+        trace_atol=TRACE_DRIFT_TOL,
+        herm_atol=EVOLUTION_HERMITICITY_ATOL,
+        eig_floor=EVOLUTION_POSITIVITY_FLOOR,
+        spectrum=validate,
+    )
+    for i in np.flatnonzero(failed):
         t = float(times[i])
         snapshot = out[i]
         if not np.all(np.isfinite(snapshot)):
@@ -582,16 +619,11 @@ def evolve(
                 eig_floor=EVOLUTION_POSITIVITY_FLOOR,
                 name=f"state at t = {t:g}",
             )
-
-    # rho0 passed stricter checks than these, so out[0] never fails
-    screen_states(
-        out,
-        check,
-        trace_atol=TRACE_DRIFT_TOL,
-        herm_atol=EVOLUTION_HERMITICITY_ATOL,
-        eig_floor=EVOLUTION_POSITIVITY_FLOOR,
-        spectrum=validate,
-    )
+        peak = float(np.max(np.abs(snapshot)))
+        if peak > 1.0 + TRACE_DRIFT_TOL:
+            raise AccuracyError(
+                f"entry of magnitude {peak:.3e} above 1 at t = {t:g}; use a smaller dt"
+            )
     return out
 
 

@@ -82,41 +82,39 @@ SCREEN_CHUNK_ENTRIES = 4096
 
 def screen_states(
     states: np.ndarray,
-    recheck,
     trace_atol: float = TRACE_ATOL,
     herm_atol: float = HERMITICITY_ATOL,
     eig_floor: float = POSITIVITY_FLOOR,
     spectrum: bool = True,
-    flagged: np.ndarray | None = None,
-) -> None:
-    """Check a stack of square matrices in one batched pass and hand each
-    state that fails to ``recheck``.
+) -> np.ndarray:
+    """Check a stack of square matrices in one batched pass and return the
+    mask of the states that fail.
 
-    The screen flags non-finite entries and a trace off 1 by more than
-    ``trace_atol``; with ``spectrum`` it also flags an asymmetry above
-    ``herm_atol`` and a lowest eigenvalue below ``eig_floor``, computed as
-    :func:`require_density_matrix` computes them.  ``flagged`` marks further
-    states the caller wants rechecked.  ``recheck(i)`` is called in order of
-    i: it runs the caller's own check of state i and raises the caller's
-    error, or returns when the state passes, and the screen goes on.
+    The screen flags non-finite entries, a trace off 1 by more than
+    ``trace_atol`` and an entry of magnitude above 1 + ``trace_atol``, which
+    no density matrix has (|rho_ij|^2 <= rho_ii rho_jj); with ``spectrum`` it
+    also flags an asymmetry above ``herm_atol`` and a lowest eigenvalue below
+    ``eig_floor``, computed as :func:`require_density_matrix` computes them.
+    Callers run their own scalar check on each flagged state, in order, so
+    errors keep their type and message.
     """
     count, dim = states.shape[0], states.shape[-1]
+    failed = np.zeros(count, dtype=bool)
     chunk = max(1, SCREEN_CHUNK_ENTRIES // max(dim * dim, 1))
     for start in range(0, count, chunk):
         block = states[start:start + chunk]
         finite = np.isfinite(block).all(axis=(1, 2))
         good = block if finite.all() else block[finite]
         bad = np.abs(np.trace(good, axis1=1, axis2=2) - 1.0) > trace_atol
+        bad |= np.abs(good).max(axis=(1, 2), initial=0.0) > 1.0 + trace_atol
         if spectrum:
             adjoint = good.conj().swapaxes(1, 2)
             bad |= np.abs(good - adjoint).max(axis=(1, 2), initial=0.0) > herm_atol
             bad |= np.linalg.eigvalsh(0.5 * (good + adjoint))[:, 0] < eig_floor
-        failed = ~finite
-        failed[finite] = bad
-        if flagged is not None:
-            failed |= flagged[start:start + chunk]
-        for i in np.flatnonzero(failed):
-            recheck(start + int(i))
+        window = failed[start:start + chunk]
+        window[~finite] = True
+        window[finite] = bad
+    return failed
 
 
 @dataclass(frozen=True)

@@ -344,13 +344,11 @@ def _trajectory_positions(params: ThreeLevelParams, trajectory, times: np.ndarra
         outside |= ~((p >= -POPULATION_ATOL) & (p <= 1.0 + POPULATION_ATOL))
     outside |= ~(np.abs(p_1 + p_2 + p_shared - 1.0) <= POPULATION_ATOL)
 
-    def recheck(i: int) -> None:
+    for i in np.flatnonzero(screen_states(states) | outside):
         try:
             populations_from_state(states[i], params)
         except InvariantViolationError as exc:
             raise InvariantViolationError(f"state at t = {times[i]:g}: {exc}") from exc
-
-    screen_states(states, recheck, flagged=outside)
     return 0.5 * params.d * (p_2 - p_1)
 
 

@@ -14,6 +14,7 @@ from qthermo.davies import (
     Liouvillian,
     OhmicDensity,
     OpenSystem,
+    _propagator_pays,
     bohr_frequencies,
     bose_occupation,
     evolve,
@@ -400,8 +401,9 @@ class TestEvolve:
 def rk4_loop(liouv, rho0, times, dt=None):
     """Classic RK4 stepped one substep at a time on the lab-basis generator,
     each interval cut into ceil(span / dt) equal steps.  Returns the states up
-    to the first grid time whose state has a non-finite entry or a trace
-    drift above 1e-7, and the index of that time (None if every state passes)."""
+    to the first grid time whose state has a non-finite entry, a trace drift
+    above 1e-7 or an entry of magnitude above 1 + 1e-7, and the index of that
+    time (None if every state passes)."""
     matrix = liouv.matrix
     step = liouv.default_dt if dt is None else dt
     vec = vectorize(rho0)
@@ -418,7 +420,11 @@ def rk4_loop(liouv, rho0, times, dt=None):
                 k4 = matrix @ (vec + h * k3)
                 vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             state = devectorize(vec)
-            if not np.all(np.isfinite(state)) or abs(np.trace(state) - 1.0) > 1e-7:
+            if (
+                not np.all(np.isfinite(state))
+                or abs(np.trace(state) - 1.0) > 1e-7
+                or np.max(np.abs(state)) > 1.0 + 1e-7
+            ):
                 return np.array(states), i
             states.append(state)
     return np.array(states), None
@@ -448,7 +454,8 @@ class TestEvolveAgainstStepLoop:
         self.assert_agrees(four_site_chain(), np.eye(8, dtype=complex) / 8.0, np.linspace(0.0, 30.0, 31))
 
     def test_geometric_grid(self):
-        # every interval has its own length, so every interval builds a propagator
+        # every interval has its own length, used once, so every interval is
+        # stepped on the vector
         times = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
         self.assert_agrees(four_site_chain(), random_state(3, 8), times)
         liouv = liouvillian(lambda_system(lambda_params(1.5, 0.5)))
@@ -465,6 +472,9 @@ class TestEvolveAgainstStepLoop:
         "case",
         [
             ("lambda", np.linspace(0.0, 400.0, 11), 1.0),
+            # R(hL) has spectral radius 48.8 but preserves the trace to
+            # rounding, so only the entry bound sees the blow-up early
+            ("lambda", np.linspace(0.0, 40.0, 41), 1.0),
             ("lambda", np.array([0.0, 0.1, 0.2, 0.3, 40.0, 41.0]), 1.0),
             ("chain", np.linspace(0.0, 300.0, 31), 10.0),
         ],
@@ -482,6 +492,22 @@ class TestEvolveAgainstStepLoop:
         with pytest.raises(AccuracyError, match=f"at t = {times[failed]:g};"):
             evolve(liouv, rho0, times, dt=dt, validate=False)
 
+    def test_propagator_only_where_it_pays(self):
+        # the 4-site chain (64 x 64) over linspace(0, 30, 31): 30 uses of 205 steps
+        assert _propagator_pays(205, 30, 64)
+        # a length used once on the 12-site chain (576 x 576) is stepped
+        assert not _propagator_pays(50, 1, 576)
+        # single steps on the lambda system (9 x 9): 4 * 9 + 12 <= 4 * 12
+        assert _propagator_pays(1, 12, 9) and not _propagator_pays(1, 11, 9)
+
+    def test_unstable_step_caught_before_its_trace_drifts(self):
+        # the step-by-step loop keeps the trace to rounding until t = 6, with
+        # populations near 1e9 by then; the entry bound stops it at t = 1
+        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(AccuracyError, match=r"entry of magnitude .* above 1 at t = 1;"):
+            evolve(liouv, rho0, np.linspace(0.0, 40.0, 41), dt=1.0, validate=False)
+
     def test_validate_names_the_first_bad_state(self):
         # a trace-preserving but not positive generator: populations move at
         # a constant rate, p(t) = (1 - t, t), so p_0 < 0 after t = 1
@@ -491,10 +517,12 @@ class TestEvolveAgainstStepLoop:
         liouv = Liouvillian(matrix, dim=2, default_dt=0.01)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 2.0, 5)
-        trajectory = evolve(liouv, rho0, times, validate=False)
-        assert np.allclose(trajectory[3].diagonal(), [-0.5, 1.5])
+        # validate=True names the negative eigenvalue; without it the entry
+        # 1.5, which no density matrix has, still stops the trajectory
         with pytest.raises(InvariantViolationError, match=r"state at t = 1.5 has eigenvalue"):
             evolve(liouv, rho0, times)
+        with pytest.raises(AccuracyError, match=r"entry of magnitude 1.500e\+00 above 1 at t = 1.5;"):
+            evolve(liouv, rho0, times, validate=False)
 
     def test_non_hermitian_state_named(self):
         # a generator that feeds a coherence from the ground population only
