@@ -263,6 +263,13 @@ class TestMainExitCodes:
         assert code == EXIT_SOLVER
         assert "grouping" in capsys.readouterr().err
 
+    def test_zero_temperature_chain_is_a_solver_failure(self, capsys):
+        # no bath absorbs, so the 10 ground populations and the coherences
+        # between them are all stationary
+        code = main(["chain", "--set", "T_L=0", "--set", "T_R=0", "--quiet"])
+        assert code == EXIT_SOLVER
+        assert "null space has dimension 100" in capsys.readouterr().err
+
     def test_bad_set_syntax(self, capsys):
         assert main(["chain", "--set", "oops"]) == EXIT_VALIDATION
         assert "key=value" in capsys.readouterr().err

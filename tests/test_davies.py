@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qthermo.davies import (
+    DEFAULT_FREQ_TOL,
     BathSpec,
     FlatDensity,
     Liouvillian,
     OhmicDensity,
     OpenSystem,
+    _eigen_model,
+    _frequency_groups,
     _propagator_pays,
+    _thermal_rates,
     bohr_frequencies,
     bose_occupation,
     evolve,
@@ -23,12 +27,14 @@ from qthermo.davies import (
     jump_operators,
     liouvillian,
     steady_state,
+    thermal_rate,
 )
 from qthermo.errors import (
     AccuracyError,
     AmbiguousGroupingError,
     InvariantViolationError,
     NonUniqueSteadyStateError,
+    SolverFailureError,
     UnsupportedModelError,
 )
 from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system
@@ -96,6 +102,41 @@ def gradient_chain(n_sites: int, tunneling: float, t_left: float, t_right: float
     return chain_system(ChainSpec(n_sites, 1.0, tunneling, 0.02, LinearProfile(t_left, t_right)))
 
 
+def rotated_chain(n_sites: int, tunneling: float, t_left: float, t_right: float, seed: int,
+                  ground_only: bool) -> OpenSystem:
+    """Gradient chain seen through a random unitary W: H and every coupling
+    become W X W^dagger.  With ``ground_only`` W mixes the ground levels alone,
+    which leaves H unchanged (its ground block is zero) and couples each bath
+    to a random mixture of ground levels; the exact zeros between two ground
+    levels or two band levels remain.  A unitary over the whole space leaves
+    no exact zero in the eigenbasis couplings, only rounding."""
+    system = gradient_chain(n_sites, tunneling, t_left, t_right)
+    rng = np.random.default_rng(seed)
+    dim = system.dim
+    rotation = np.eye(dim, dtype=complex)
+    mixed = np.arange(0, dim, 2) if ground_only else np.arange(dim)
+    unitary, _ = np.linalg.qr(rng.normal(size=(mixed.size,) * 2) + 1j * rng.normal(size=(mixed.size,) * 2))
+    rotation[np.ix_(mixed, mixed)] = unitary
+    def turn(x):
+        return hermitize(rotation @ x @ rotation.conj().T)
+    baths = tuple(BathSpec(turn(b.coupling), b.spectral, b.temperature) for b in system.baths)
+    return OpenSystem(turn(system.hamiltonian), baths)
+
+
+def block_labels(liouv) -> np.ndarray:
+    """The block of every column-stacked index, checking that no index lies
+    in two blocks or in none."""
+    label = np.full(liouv.dim**2, -1)
+    count = 0
+    for index in liouv.indices:
+        for members in index:
+            assert np.all(label[members] == -1)
+            label[members] = count
+            count += 1
+    assert np.all(label >= 0)
+    return label
+
+
 def entropy_production(system: OpenSystem, currents: np.ndarray) -> float:
     """sum_k J_k / T_k: the entropy the baths gain per unit time."""
     return float(sum(j / bath.temperature for j, bath in zip(currents, system.baths)))
@@ -124,6 +165,101 @@ class TestBoseOccupation:
     def test_domain_error(self, omega):
         with pytest.raises(ValueError):
             bose_occupation(omega, 1.0)
+
+
+class TestVectorRates:
+    """The array form of the rates against thermal_rate and bose_occupation.
+    np.expm1 and math.expm1 may differ in the last bit, so the comparison is
+    to 1e-15 relative, not bit for bit; an exact zero must stay exact."""
+
+    @pytest.mark.parametrize("spectral", [FlatDensity(0.3), OhmicDensity(0.7)])
+    @pytest.mark.parametrize("temperature", [0.0, 1e-3, 0.4, 2.0, 1e3])
+    def test_matches_the_scalar_rates(self, spectral, temperature):
+        # at T = 1e-3 the frequencies from 1 up have x = omega / T > 700
+        omega = np.array([1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 40.0])
+        emission, absorption = _thermal_rates(spectral, omega, temperature)
+        for w, up, down in zip(omega.tolist(), emission.tolist(), absorption.tolist()):
+            assert up == pytest.approx(thermal_rate(spectral, w, temperature), rel=1e-15, abs=0.0)
+            assert down == pytest.approx(thermal_rate(spectral, -w, temperature), rel=1e-15, abs=0.0)
+            occupation = bose_occupation(w, temperature)
+            assert down == pytest.approx(spectral.value(w) * occupation, rel=1e-15, abs=0.0)
+
+    def test_beyond_the_overflow_cut_the_occupation_is_zero(self):
+        emission, absorption = _thermal_rates(FlatDensity(0.5), np.array([0.71, 0.8, 5.0]), 1e-3)
+        assert absorption.tolist() == [0.0, 0.0, 0.0]
+        assert emission.tolist() == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            random_open_system(5, 6, n_baths=3),  # ohmic, zero-frequency components present
+            gradient_chain(5, 1.3, 0.8, 0.0),  # flat, one bath at T = 0
+        ],
+        ids=["ohmic", "flat-chain"],
+    )
+    def test_group_rates_of_the_model(self, system):
+        # every group gets thermal_rate at its frequency; the zero group gets
+        # slope * T where an ohmic bath has a zero-frequency component, else 0
+        model = _eigen_model(system, DEFAULT_FREQ_TOL)
+        zero = model.frequencies.size // 2
+        assert model.frequencies[zero] == 0.0
+        for k, (bath, rates) in enumerate(zip(system.baths, model.group_rates)):
+            for frequency, rate in zip(model.frequencies.tolist(), rates.tolist()):
+                if frequency != 0.0:
+                    expected = thermal_rate(bath.spectral, frequency, bath.temperature)
+                elif np.max(np.abs(model.couplings[k][model.zero])) > 1e-10:
+                    expected = bath.spectral.slope * bath.temperature
+                else:
+                    expected = 0.0
+                assert rate == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def loop_frequency_groups(energies: np.ndarray, freq_tol: float):
+    """Group representatives and labels by a loop over the sorted differences:
+    a new group after every gap above freq_tol, each represented by its mean,
+    then made antisymmetric with its mirror group."""
+    diffs = energies[None, :] - energies[:, None]
+    ranked = np.sort(diffs.reshape(-1))
+    groups = [[ranked[0]]]
+    for previous, value in zip(ranked[:-1], ranked[1:]):
+        if value - previous > freq_tol:
+            groups.append([])
+        groups[-1].append(value)
+    means = [float(np.mean(g)) for g in groups]
+    frequencies = np.array([0.5 * (m - p) for m, p in zip(means, reversed(means))])
+    labels = np.searchsorted([g[0] for g in groups], diffs, side="right") - 1
+    return frequencies, labels
+
+
+class TestFrequencyGroups:
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 10), seed=st.integers(0, 2**31 - 1), degenerate=st.booleans())
+    def test_matches_the_loop(self, dim, seed, degenerate):
+        # the group means may differ in the last bits: np.add.reduceat and
+        # np.mean sum in different orders
+        system = (degenerate_open_system if degenerate else random_open_system)(seed, dim, 1)
+        energies = eigh(system.hamiltonian).energies
+        frequencies, labels = _frequency_groups(energies, DEFAULT_FREQ_TOL)
+        expected, expected_labels = loop_frequency_groups(energies, DEFAULT_FREQ_TOL)
+        assert np.array_equal(labels, expected_labels)
+        assert np.max(np.abs(frequencies - expected)) <= 1e-15 * max(1.0, np.max(np.abs(expected)))
+        assert np.array_equal(frequencies, -frequencies[::-1])
+        assert frequencies[frequencies.size // 2] == 0.0
+
+    def test_chained_cluster_wider_than_the_tolerance(self):
+        # level spacings of about 1 pass the spacing check, but the
+        # differences 1, 1 + 0.8e-8 and 1 + 1.6e-8 form one cluster of spread
+        # 1.6e-8, wider than the 1e-8 tolerance
+        energies = np.array([0.0, 1.0, 2.0 + 0.8e-8, 3.0 + 2.4e-8])
+        with pytest.raises(AmbiguousGroupingError, match="spread"):
+            _frequency_groups(energies, 1e-8)
+
+    def test_chain_levels(self):
+        energies = eigh(gradient_chain(10, 0.1, 0.8, 0.4).hamiltonian).energies
+        frequencies, labels = _frequency_groups(energies, DEFAULT_FREQ_TOL)
+        expected, expected_labels = loop_frequency_groups(energies, DEFAULT_FREQ_TOL)
+        assert np.array_equal(labels, expected_labels)
+        assert np.max(np.abs(frequencies - expected)) <= 1e-15
 
 
 class TestBohrFrequencies:
@@ -296,8 +432,8 @@ class TestLiouvillian:
 
 
 class TestDenseReference:
-    """The sector-block generator against the dense Kronecker-sum generator
-    built above; evolve and apply read the same matrix."""
+    """The block generator against the dense Kronecker-sum generator built
+    above; evolve and apply read the same matrix."""
 
     @staticmethod
     def check(system: OpenSystem) -> None:
@@ -331,10 +467,57 @@ class TestDenseReference:
         self.check(gradient_chain(n_sites, tunneling, t_left, t_right))
 
     def test_blocks_cover_every_entry_once(self):
-        liouv = liouvillian(gradient_chain(4, 1.3, 0.8, 0.4))
-        covered = np.sort(np.concatenate(liouv.sectors))
-        assert np.array_equal(covered, np.arange(liouv.dim**2))
-        assert max(block.shape[0] for block in liouv.blocks) == 4 * 4 + 4  # zero sector
+        # every index lies in one block, and no entry of the dense reference,
+        # carried into the generator's eigenbasis, links two blocks
+        system = gradient_chain(4, 1.3, 0.8, 0.4)
+        liouv = liouvillian(system)
+        label = block_labels(liouv)
+        change = np.kron(liouv.basis.conj(), liouv.basis)
+        in_basis = change.conj().T @ reference_generator(system) @ change
+        rows, cols = np.nonzero(np.abs(in_basis) > 1e-12)
+        assert np.array_equal(label[rows], label[cols])
+        # the largest block is the 2N = 8 populations (i, i); the other pairs
+        # of the zero sector, coherences between ground levels, only decay
+        largest_stack = max(range(len(liouv.blocks)), key=lambda n: liouv.blocks[n].shape[-1])
+        assert liouv.blocks[largest_stack].shape == (1, 8, 8)
+        largest = liouv.indices[largest_stack][0]
+        assert sorted(largest.tolist()) == [i * (liouv.dim + 1) for i in range(liouv.dim)]
+
+    @pytest.mark.parametrize("ground_only", [True, False], ids=["ground", "whole-space"])
+    @pytest.mark.parametrize("n_sites", [3, 5])
+    def test_rotated_chains(self, n_sites, ground_only):
+        self.check(rotated_chain(n_sites, 1.3, 0.8, 0.4, seed=n_sites, ground_only=ground_only))
+
+    @pytest.mark.parametrize(
+        "system",
+        [rotated_chain(4, 0.5, 0.8, 0.4, seed=1, ground_only=False), random_open_system(7, 6),
+         degenerate_open_system(8, 6)],
+        ids=["rotated-chain", "random", "degenerate"],
+    )
+    def test_without_exact_zeros_the_blocks_are_the_sectors(self, system):
+        # a sector: the pairs (i, i') whose E_i' - E_i share a group
+        liouv = liouvillian(system)
+        label = block_labels(liouv)
+        sector = _eigen_model(system, DEFAULT_FREQ_TOL).labels.reshape(-1, order="F")
+        for s in np.unique(sector):
+            assert np.unique(label[sector == s]).size == 1
+        assert np.unique(label).size == np.unique(sector).size
+
+    def test_zero_temperature_at_one_end(self):
+        # the absorption rates of the T = 0 bath vanish, which adds exact zeros
+        self.check(gradient_chain(5, 1.3, 0.8, 0.0))
+        self.check(gradient_chain(4, 0.1, 0.0, 0.6))
+
+    def test_zero_temperature_everywhere(self):
+        # with no absorption and the band above the ground levels (g = 0.1),
+        # every ground population and every coherence between ground levels
+        # is stationary: N^2 = 100 at N = 10.  At g = 1.3 part of the band
+        # lies below the ground levels and holds the stationary states.
+        self.check(gradient_chain(4, 0.1, 0.0, 0.0))
+        self.check(gradient_chain(4, 1.3, 0.0, 0.0))
+        with pytest.raises(NonUniqueSteadyStateError) as excinfo:
+            steady_state(liouvillian(gradient_chain(10, 0.1, 0.0, 0.0)))
+        assert excinfo.value.dimension == 100
 
 
 class TestEvolve:
@@ -535,7 +718,38 @@ class TestEvolveAgainstStepLoop:
             evolve(liouv, rho0, times)
 
 
+def gth_stationary(rates: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the rate matrix ``rates[i, j]`` (rate of
+    j -> i, diagonal ignored) by the Grassmann-Taksar-Heyman elimination,
+    which subtracts nothing and so keeps every probability to a few ulps
+    of relative accuracy however many decades the rates span."""
+    a = np.array(rates, dtype=float).T  # a[i, j]: rate of i -> j
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    p = np.zeros(n)
+    p[0] = 1.0
+    for k in range(1, n):
+        p[k] = p[:k] @ a[:k, k]
+    return p / p.sum()
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("case", [(8, 0.1, 0.3, 0.1), (10, 0.1, 0.2, 0.05), (12, 0.1, 0.2, 0.05)])
+    def test_cold_chain_populations_to_a_few_ulps(self, case):
+        # the eigenbasis populations of a chain follow the Pauli rates
+        # sum_k R_k |C_k|^2 (its ground coherences only decay); with rates
+        # spanning many decades the null vector of an ungraded block was off
+        # by up to 1e-10
+        system = gradient_chain(*case)
+        model = _eigen_model(system, DEFAULT_FREQ_TOL)
+        rates = np.sum(model.weighted * model.couplings.conj(), axis=0).real
+        rho = steady_state(liouvillian(system))
+        populations = np.diagonal(model.states.conj().T @ rho @ model.states).real
+        assert np.max(np.abs(populations - gth_stationary(rates))) <= 1e-13
+
+
     def test_lambda_unbalance_against_null_space_oracle(self):
         # oracle: null space of the inline rate matrix, normalized to total one
         n_1, n_2 = 2.0, 1.0
@@ -580,6 +794,14 @@ class TestSteadyState:
         invertible = Liouvillian(matrix=np.eye(4, dtype=complex), dim=2, default_dt=0.1)
         with pytest.raises(SolverFailureError):
             steady_state(invertible)
+
+    def test_non_hermitian_null_vector_fails_the_residual_check(self):
+        # the null vector of 1 - v v^dagger is v = vec([[1, 1], [0, 0]]) / sqrt(2);
+        # its Hermitian part, normalized, is far from stationary
+        v = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
+        generator = np.eye(4, dtype=complex) - np.outer(v, v)
+        with pytest.raises(SolverFailureError, match="stationary residual"):
+            steady_state(Liouvillian(matrix=generator, dim=2, default_dt=0.1))
 
     def test_rate_scaling_invariance(self):
         base = steady_state(liouvillian(lambda_system(lambda_params(2.0, 1.0, gamma=0.5))))
