@@ -22,15 +22,26 @@ with M = sum_k sum_w rate A_w^dagger A_w.  The secular generator commutes with
 pairs (i, i') with one group label G[i, i'] (Davies, Commun. Math. Phys. 39,
 91 (1974); Breuer & Petruccione, The Theory of Open Quantum Systems, section
 3.3).  Most entries inside a sector are zero as well: in a chain each bath
-couples one site, so C_k has a few nonzero entries.  Every term above has the
-form W[i, j] conj(C[i', j']), so the entries are formed only from the
-nonzeros of W and C that share a group, and the blocks are the connected
-components of the pattern they fill.  No stored entry links two blocks, so
-the singular values of L are those of the blocks together.  The blocks are
-stacked by size: the steady state, the null vector of one block, comes from
-one batched SVD per block size, and the lab-basis superoperator is formed
-only when time stepping or a caller reads it.  A system with no exact zeros
-gets its sectors as blocks.
+couples one site, so C_k has 2N nonzero entries out of 4N^2.  The eigenbasis
+model therefore holds C_k, W_k = R_k C_k and the terms of M_k as lists of
+nonzero entries (bath, i, j, value), never as (K, d, d) arrays.  C_k is formed
+from the nonzeros of V_k and the exact-zero supports of the rows of U (small
+systems take the nonzeros of the dense product, which costs fewer numpy
+calls), and M_k from the pairs of a W_k entry and a C_k entry in one row and
+one group.  Every term above has the form W[i, j] conj(C[i', j']), so the
+generator's entries are formed only from the nonzeros of W and C that share
+a group, and the blocks are the connected components of the pattern they
+fill.  No stored entry links two blocks, so the singular values of L are
+those of the blocks together.  The blocks are stacked by size: the steady
+state, the null vector of one block, comes from one batched SVD per block
+size, and the lab-basis superoperator is formed only when time stepping or a
+caller reads it.  A system with no exact zeros gets its sectors as blocks.
+
+Heat currents.  J_k = -Tr[H D_k(rho)] reads the same pairs: those in the
+population rows (i, i) of the generator give E_i W_k[i, j] conj(C_k[i, j'])
+times rho at (j, j'), and M_k gives the loss (E_a + E_b) M_k[a, b] / 2
+times rho at (b, a).  The model keeps these coefficients, so the currents
+are one gather from U^dagger rho U and one sum per bath.
 
 Time stepping.  One classic RK4 step of length h of the linear equation
 d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
@@ -55,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -84,6 +95,12 @@ DEFAULT_FREQ_TOL = 1e-8
 # Couplings are order-one matrices; below this the zero-frequency component
 # counts as absent and no rate is needed for it.
 ZERO_COMPONENT_ATOL = 1e-10
+# Up to this many entries in the stacked (K, d, d) couplings, C_k is formed by
+# dense products, where a few numpy calls beat the entry joins (17 against
+# 93 us for two baths at d = 4).  The two are even near K d^2 = 7000, a
+# 12-site chain, and the joins win beyond: 1.2 against 3.0 ms for the whole
+# model at 20 sites.
+DENSE_PRODUCT_ENTRIES = 4096
 NULL_SPACE_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-9
 TRACE_DRIFT_TOL = 1e-7
@@ -281,29 +298,107 @@ def _thermal_rates(
     return density * (1.0 + occupation), density * occupation
 
 
+class _Entries(NamedTuple):
+    """Entries of one matrix per bath, as parallel arrays: ``values[e]`` sits
+    at (``rows[e]``, ``cols[e]``) of the matrix of bath ``bath[e]``.  Entries
+    with one key add."""
+
+    bath: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index of the first of every run of equal keys."""
+    opens = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    return opens.nonzero()[0]
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of the values of each."""
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    starts = _run_starts(ranked)
+    return ranked[starts], np.add.reduceat(values[order], starts)
+
+
+def _coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) -> _Entries:
+    """The nonzero entries of every C_k = U^dagger V_k U: from the dense
+    products while the stacked (K, d, d) couplings are small, where numpy's
+    per-call cost rules, and from the entry joins of
+    :func:`_joined_coupling_entries` beyond."""
+    dim = states.shape[0]
+    if len(baths) * dim * dim > DENSE_PRODUCT_ENTRIES:
+        return _joined_coupling_entries(states, baths)
+    stacked = np.array([bath.coupling for bath in baths], dtype=complex).reshape(-1, dim, dim)
+    couplings = states.conj().T @ stacked @ states
+    bath, rows, cols = np.nonzero(couplings)
+    return _Entries(bath, rows, cols, couplings[bath, rows, cols])
+
+
+def _joined_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) -> _Entries:
+    """The nonzero entries of every C_k = U^dagger V_k U, from the nonzeros of
+    the V_k and of U.
+
+    First T_k = V_k U, one dense row per nonzero row of V_k, then
+    C_k = U^dagger T_k from the nonzeros of the T_k joined with those of U on
+    the inner index, the terms of one entry summed.  An entry (i, j) of C_k
+    is formed only where the supports of the rows of U, the exact zeros of
+    the eigenvectors, allow one, and entries that come out exactly zero are
+    dropped, as the zeros of the dense product would be.  A chain bath (two
+    nonzeros in V_k) gives 2N entries; a system without exact zeros gets full
+    supports, at K d^3 work and memory.
+    """
+    dim = states.shape[0]
+    nonzeros = [np.nonzero(bath.coupling) for bath in baths]
+    empty = [np.empty(0, dtype=np.intp)]
+    v_row = np.concatenate([rows for rows, _ in nonzeros] or empty)
+    v_col = np.concatenate([cols for _, cols in nonzeros] or empty)
+    v_val = np.concatenate([bath.coupling[index] for bath, index in zip(baths, nonzeros)] or empty)
+    # np.nonzero runs row by row, so the entries of one row of one V_k are a run
+    v_key = np.repeat(np.arange(len(baths)), [rows.size for rows, _ in nonzeros]) * dim + v_row
+    starts = _run_starts(v_key)
+    t_dense = np.add.reduceat(v_val[:, None] * states[v_col], starts, axis=0)
+    t_run, t_col = np.nonzero(t_dense)
+    t_bath, t_row = np.divmod(v_key[starts][t_run], dim)
+    # C[k, i, j] = sum_a conj(U[a, i]) T[k, a, j]
+    u_row, u_col = np.nonzero(states)
+    t, u = _equal_key_pairs(t_row, u_row)
+    c_key, c_val = _summed(
+        (t_bath[t] * dim + u_col[u]) * dim + t_col[t],
+        states[u_row[u], u_col[u]].conj() * t_dense[t_run[t], t_col[t]],
+    )
+    kept = c_val != 0
+    return _Entries(*np.unravel_index(c_key[kept], (len(baths), dim, dim)), c_val[kept])
+
+
 @dataclass(frozen=True)
 class _EigenModel:
     """An open system in the eigenbasis of its Hamiltonian, at one grouping
     tolerance; the generator, the jump operators and the heat currents all
-    read it.
+    read it.  It holds no (K, d, d) array.
 
     ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i and
-    ``zero`` marks the pairs of the zero group.  The per-bath arrays are
-    stacked along their first axis, bath k at index k: ``couplings[k]`` is
-    C_k = U^dagger V_k U, ``group_rates[k, n]`` the rate of group n,
-    ``weighted[k]`` is R_k * C_k with R_k = group_rates[k][labels], and
-    ``decay[k]`` is sum_w rate A_w^dagger A_w in the eigenbasis.
+    ``group_rates[k, n]`` is the rate of bath k at group n.  The per-bath
+    matrices are entry lists (:class:`_Entries`): ``coupling`` holds the
+    nonzeros of C_k = U^dagger V_k U, ``weighted`` those of W_k = R_k * C_k
+    with R_k = group_rates[k][labels], and ``decay`` the terms of
+    M_k = sum_w rate A_w^dagger A_w.  ``currents`` holds the coefficients of
+    the heat currents: J_k is the sum over the entries of bath k of the value
+    times the eigenbasis state U^dagger rho U at (row, col).
     """
 
     energies: np.ndarray
     states: np.ndarray
     frequencies: np.ndarray
     labels: np.ndarray
-    zero: np.ndarray
-    couplings: np.ndarray
     group_rates: np.ndarray
-    weighted: np.ndarray
-    decay: np.ndarray
+    coupling: _Entries
+    weighted: _Entries
+    decay: _Entries
+    currents: _Entries
 
 
 def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
@@ -325,17 +420,20 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     eig = eigh(system.hamiltonian)
     energies, states = eig.energies, eig.states
     dim = system.dim
+    n_baths = len(system.baths)
     _check_grouping_tolerance(energies, freq_tol)
     frequencies, labels = _frequency_groups(energies, freq_tol)
+    n_groups = frequencies.size
     # the groups mirror under negation about the zero group, at the middle
-    zero_label = frequencies.size // 2
-    zero = labels == zero_label
+    zero_label = n_groups // 2
     positive = frequencies[zero_label + 1:]
 
-    in_lab = np.array([bath.coupling for bath in system.baths], dtype=complex)
-    couplings = states.conj().T @ in_lab.reshape(-1, dim, dim) @ states
-    magnitudes = np.max(np.abs(couplings[:, zero]), axis=1, initial=0.0)
-    group_rates = np.zeros((len(system.baths), frequencies.size))
+    coupling = _coupling_entries(states, system.baths)
+    entry_labels = labels[coupling.rows, coupling.cols]
+    at_zero = entry_labels == zero_label
+    magnitudes = np.zeros(n_baths)
+    np.maximum.at(magnitudes, coupling.bath[at_zero], np.abs(coupling.values[at_zero]))
+    group_rates = np.zeros((n_baths, n_groups))
     for k, bath in enumerate(system.baths):
         emission, absorption = _thermal_rates(bath.spectral, positive, bath.temperature)
         group_rates[k, zero_label + 1:] = emission
@@ -348,20 +446,40 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
                     "use an ohmic density or a model whose zero-frequency component vanishes"
                 )
             group_rates[k, zero_label] = bath.spectral.slope * bath.temperature
-    weighted = group_rates[:, labels] * couplings
-    # (A_w^dagger A_w)[i, i'] pairs (j, i) and (j, i') of one group, which
-    # happens exactly when (i, i') lies in the zero group
-    decay = np.where(zero, weighted.conj().transpose(0, 2, 1) @ couplings, 0.0)
+    w_val = group_rates[coupling.bath, entry_labels] * coupling.values
+    rated = w_val != 0
+    weighted = _Entries(coupling.bath[rated], coupling.rows[rated], coupling.cols[rated], w_val[rated])
+
+    # Pairs of one bath, one row r and one group: a W entry (r, a) and a C
+    # entry (r, b) give p = W[r, a] conj(C[r, b]), the generator's entry at
+    # the population row (r, r) and the column (a, b).  Their conjugates sum
+    # to M_k[a, b], since (A_w^dagger A_w)[a, b] pairs (r, a) and (r, b) of
+    # the group of w.
+    w_key = (weighted.bath * dim + weighted.rows) * n_groups + entry_labels[rated]
+    c_key = (coupling.bath * dim + coupling.rows) * n_groups + entry_labels
+    w, c = _equal_key_pairs(w_key, c_key)
+    bath = weighted.bath[w]
+    row, a, b = weighted.rows[w], weighted.cols[w], coupling.cols[c]
+    p = weighted.values[w] * coupling.values[c].conj()
+    decay = _Entries(bath, a, b, p.conj())
+    # J_k = -Tr[H D_k(rho)]: the gain -E_r p rho[a, b] of the population rows,
+    # and the loss (E_a + E_b) / 2 M_k[a, b] rho[b, a] of (M_k rho + rho M_k) / 2
+    currents = _Entries(
+        np.concatenate((bath, bath)),
+        np.concatenate((a, b)),
+        np.concatenate((b, a)),
+        np.concatenate((-energies[row] * p, 0.5 * (energies[a] + energies[b]) * decay.values)),
+    )
     return _EigenModel(
         energies=energies,
         states=states,
         frequencies=frequencies,
         labels=labels,
-        zero=zero,
-        couplings=couplings,
         group_rates=group_rates,
+        coupling=coupling,
         weighted=weighted,
         decay=decay,
+        currents=currents,
     )
 
 
@@ -394,19 +512,32 @@ def jump_operators(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Ju
     The zero-frequency component is always present: with rate zero if it
     vanishes, slope * T for an ohmic density otherwise, while a flat density
     with a nonvanishing zero-frequency component raises UnsupportedModelError.
+    Each component is summed from its own nonzero eigenbasis couplings; the
+    operators are read-only, and the components without any share one zero
+    matrix.
     """
     model = _eigen_model(system, freq_tol)
     states = model.states
+    n_groups = model.frequencies.size
+    # the entries of every (bath, group) component as one run of ``order``
+    entries = model.coupling
+    component = entries.bath * n_groups + model.labels[entries.rows, entries.cols]
+    order = component.argsort(kind="stable")
+    bounds = component[order].searchsorted(np.arange(len(system.baths) * n_groups + 1)).tolist()
+    absent = _frozen(np.zeros((system.dim, system.dim), dtype=complex))
     all_terms = []
-    for coupling, rates in zip(model.couplings, model.group_rates):
-        all_terms.append(tuple(
-            JumpTerm(
-                frequency,
-                states @ np.where(model.labels == n, coupling, 0.0) @ states.conj().T,
-                float(rates[n]),
-            )
-            for n, frequency in enumerate(model.frequencies.tolist())
-        ))
+    for k, rates in enumerate(model.group_rates):
+        terms = []
+        for n, frequency in enumerate(model.frequencies.tolist()):
+            own = order[bounds[k * n_groups + n]:bounds[k * n_groups + n + 1]]
+            operator = absent
+            if own.size:
+                # the sum over the entries (i, j, c) of c U[:, i] U[:, j]^dagger
+                left = states[:, entries.rows[own]] * entries.values[own]
+                operator = left @ states[:, entries.cols[own]].conj().T
+                operator.flags.writeable = False
+            terms.append(JumpTerm(frequency, operator, float(rates[n])))
+        all_terms.append(tuple(terms))
     return JumpOperatorSet(terms=tuple(all_terms), freq_tol=freq_tol)
 
 
@@ -510,7 +641,8 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     """Build the generator, coherent commutator plus one dissipator per bath
     and transition frequency, from its nonzero entries in the eigenbasis and
     split into the connected components of their pattern (see the module
-    docstring)."""
+    docstring).  The entries come from one join of the model's entry lists;
+    the default step reads its largest rate from them."""
     model = _eigen_model(system, freq_tol)
     dim = system.dim
     size = dim * dim
@@ -519,21 +651,32 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     # Every term of the generator has the form W[i, j] conj(C[i', j']) at
     # ((i, i'), (j, j')): the jumps of bath k with W = R_k * C_k and C = C_k,
     # and the map rho -> K rho + rho K^dagger with K = -i diag(E) - M / 2,
-    # M = sum_k decay[k], which is (W, C) = (K, 1) plus (1, K) and lies in
-    # the zero group.  Entries are formed for the nonzeros of W and C whose
-    # differences E_j - E_i and E_j' - E_i' share a group (the secular
-    # condition).
-    damping = np.diag(-1j * energies) - 0.5 * model.decay.sum(axis=0)
-    identity = np.eye(dim, dtype=complex)
-    left = np.concatenate((model.weighted, [damping, identity]))
-    right = np.concatenate((model.couplings, [identity, damping]))
-    term, i, j = np.nonzero(left)
-    term_, i_, j_ = np.nonzero(right)
+    # M = sum_k M_k, which is (W, C) = (K, 1) plus (1, K) and lies in the
+    # zero group.  The entry lists are joined on (term, group), the secular
+    # condition: entries are formed for the nonzeros of W and C whose
+    # differences E_j - E_i and E_j' - E_i' share a group.
+    decay = model.decay
+    at = decay.rows * dim + decay.cols
+    damping = -0.5 * (np.bincount(at, weights=decay.values.real, minlength=size)
+                      + 1j * np.bincount(at, weights=decay.values.imag, minlength=size))
+    damping[::dim + 1] -= 1j * energies
+    k_row, k_col = np.nonzero(damping.reshape(dim, dim))
+    levels = np.arange(dim)
+    # the terms (K, 1) and (1, K) enter as baths K and K + 1
+    n_baths = len(system.baths)
+    k_term = _Entries(np.full(k_row.size, n_baths), k_row, k_col, damping[k_row * dim + k_col])
+    identity = _Entries(np.full(dim, n_baths), levels, levels, np.ones(dim, dtype=complex))
+    k_after, identity_after = k_term._replace(bath=k_term.bath + 1), identity._replace(bath=identity.bath + 1)
+    left = _Entries(*map(np.concatenate, zip(model.weighted, k_term, identity_after)))
+    right = _Entries(*map(np.concatenate, zip(model.coupling, identity, k_after)))
     n_groups = model.frequencies.size
-    w, c = _equal_key_pairs(term * n_groups + labels[i, j], term_ * n_groups + labels[i_, j_])
-    rows = i[w] + dim * i_[c]
-    cols = j[w] + dim * j_[c]
-    values = left[term, i, j][w] * right[term_, i_, j_].conj()[c]
+    w, c = _equal_key_pairs(
+        left.bath * n_groups + labels[left.rows, left.cols],
+        right.bath * n_groups + labels[right.rows, right.cols],
+    )
+    rows = left.rows[w] + dim * right.rows[c]
+    cols = left.cols[w] + dim * right.cols[c]
+    values = left.values[w] * right.values[c].conj()
 
     # indices ordered by (component size, component, index): every stack, and
     # every block within it, is a contiguous run that starts at the block's
@@ -574,8 +717,10 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         blocks.append(stack)
 
     # the largest rate of a component above the zero-component threshold
-    present = np.abs(model.couplings) > ZERO_COMPONENT_ATOL
-    max_rate = float(model.group_rates[:, labels][present].max(initial=0.0))
+    coupling = model.coupling
+    present = np.abs(coupling.values) > ZERO_COMPONENT_ATOL
+    present_labels = labels[coupling.rows[present], coupling.cols[present]]
+    max_rate = float(model.group_rates[coupling.bath[present], present_labels].max(initial=0.0))
     # the energies ascend, so the spectral norm of H sits at an end
     spectral_norm_h = float(max(-energies[0], energies[-1])) if dim else 0.0
     scale = max_rate + spectral_norm_h
@@ -770,27 +915,28 @@ def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -
     """Per-bath heat currents, positive when energy flows from the system into
     the bath.  At any stationary state the currents sum to zero.
 
-    The current of bath k is -Tr[D_k(rho) H], evaluated in the eigenbasis
-    model the generator is built from.
+    The current of bath k is -Tr[D_k(rho) H]: the sum over the model's
+    current coefficients of bath k, each times the eigenbasis state
+    U^dagger rho U at its index (see the module docstring).  A state of
+    another dimension than the system's raises InvariantViolationError, and
+    an imaginary part above 1e-10 NumericalConsistencyError.
     """
     state = require_density_matrix(rho)
+    if state.shape[0] != system.dim:
+        raise InvariantViolationError(f"state dimension {state.shape[0]} differs from system {system.dim}")
     model = _eigen_model(system, freq_tol)
     states = model.states
     state_eig = states.conj().T @ state @ states
-    # the diagonal of A_w rho A_w^dagger pairs rho[j, j'] with (i, j) and
-    # (i, j') in one group, which happens exactly when (j, j') is in the zero group
-    zero_part = np.where(model.zero, state_eig, 0.0)
-    currents = []
-    for weight, coupling, decay in zip(model.weighted, model.couplings, model.decay):
-        gained = np.einsum("ij,jl,il->i", weight, zero_part, coupling.conj())
-        lost = 0.5 * ((decay @ state_eig).diagonal() + (state_eig @ decay).diagonal())
-        value = -complex(model.energies @ (gained - lost))
-        if abs(value.imag) > 1e-10:
-            raise NumericalConsistencyError(
-                f"heat current has imaginary residue {value.imag:.3e} above 1e-10"
-            )
-        currents.append(value.real)
-    return np.array(currents)
+    terms = model.currents
+    values = terms.values * state_eig[terms.rows, terms.cols]
+    n_baths = len(system.baths)
+    residues = np.bincount(terms.bath, weights=values.imag, minlength=n_baths)
+    large = np.flatnonzero(np.abs(residues) > 1e-10)
+    if large.size:
+        raise NumericalConsistencyError(
+            f"heat current has imaginary residue {residues[large[0]]:.3e} above 1e-10"
+        )
+    return np.bincount(terms.bath, weights=values.real, minlength=n_baths)
 
 
 def gibbs_state(hamiltonian, temperature: float) -> np.ndarray:

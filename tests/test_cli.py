@@ -1,5 +1,7 @@
 """Config parsing, experiment orchestration, CSV/text emission, exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,19 @@ class TestMainExitCodes:
         code = main(["chain", "--set", "eps_omega=0.5", "--quiet"])
         assert code == EXIT_SOLVER
         assert "grouping" in capsys.readouterr().err
+
+    def test_grouping_tolerance_at_a_quarter_spacing(self, capsys):
+        # N = 3, g = 0.1: the smallest level spacing is sqrt(2) g; a tolerance
+        # just under a quarter of it runs, one just over is a solver failure,
+        # the exit code every grouping error has
+        quarter = math.sqrt(2.0) * 0.1 / 4.0
+        base = ["chain", "--set", "N=3", "--set", "g=0.1", "--quiet"]
+        assert main(base + ["--set", f"eps_omega={quarter * (1 - 1e-9)!r}"]) == EXIT_OK
+        below = capsys.readouterr().out
+        assert main(base) == EXIT_OK
+        assert body_of(below) == body_of(capsys.readouterr().out)
+        assert main(base + ["--set", f"eps_omega={quarter * (1 + 1e-9)!r}"]) == EXIT_SOLVER
+        assert "quarter of the minimum" in capsys.readouterr().err
 
     def test_zero_temperature_chain_is_a_solver_failure(self, capsys):
         # no bath absorbs, so the 10 ground populations and the coherences

@@ -1,13 +1,17 @@
 """Generator construction, thermal rates, time evolution, steady states, currents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
+import scipy.sparse.csgraph
 from scipy.linalg import expm
 
+from qthermo import davies
 from qthermo.davies import (
     DEFAULT_FREQ_TOL,
     BathSpec,
@@ -17,6 +21,7 @@ from qthermo.davies import (
     OpenSystem,
     _eigen_model,
     _frequency_groups,
+    _joined_coupling_entries,
     _propagator_pays,
     _thermal_rates,
     bohr_frequencies,
@@ -79,23 +84,65 @@ def random_state(seed: int, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def lab_jump_operators(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL):
+    """Per bath, the pairs (rate, A_w) of every transition frequency w, built
+    here apart from the package's eigenbasis model: scipy's eigh, the loop
+    grouping below, the scalar thermal_rate and the lab-basis projectors,
+    A_w = sum over E_j - E_i in the group of w of P_i V P_j.  A zero-frequency
+    component above 1e-10 gets slope * T (ohmic) or raises
+    UnsupportedModelError (flat), as the model's rule says."""
+    energies, states = scipy.linalg.eigh(system.hamiltonian)
+    frequencies, labels = loop_frequency_groups(energies, freq_tol)
+    projectors = np.einsum("ai,bi->iab", states, states.conj())
+    all_terms = []
+    for bath in system.baths:
+        # pieces[i, j] = P_i V P_j
+        pieces = np.einsum("iab,bc,jcd->ijad", projectors, bath.coupling, projectors, optimize=True)
+        terms = []
+        for n, frequency in enumerate(frequencies.tolist()):
+            a = pieces[labels == n].sum(axis=0)
+            if frequency != 0.0:
+                rate = thermal_rate(bath.spectral, frequency, bath.temperature)
+            elif np.max(np.abs(a)) > 1e-10:
+                if not isinstance(bath.spectral, OhmicDensity):
+                    raise UnsupportedModelError("zero-frequency component with a flat density")
+                rate = bath.spectral.slope * bath.temperature
+            else:
+                rate = 0.0
+            terms.append((rate, a))
+        all_terms.append(terms)
+    return all_terms
+
+
 def reference_generator(system: OpenSystem) -> np.ndarray:
     """Dense column-stacking generator summed term by term from np.kron:
     the commutator plus rate * (A* kron A - (1 kron A^dagger A + (A^dagger A)^T
-    kron 1) / 2) for every jump component above the zero-component threshold."""
+    kron 1) / 2) for every jump component above 1e-10 of
+    :func:`lab_jump_operators`."""
     h = system.hamiltonian
     identity = np.eye(system.dim, dtype=complex)
     matrix = -1j * (np.kron(identity, h) - np.kron(h.T, identity))
-    for bath_terms in jump_operators(system).terms:
-        for term in bath_terms:
-            a = term.operator
-            if term.rate == 0.0 or np.max(np.abs(a)) <= 1e-10:
+    for bath_terms in lab_jump_operators(system):
+        for rate, a in bath_terms:
+            if rate == 0.0 or np.max(np.abs(a)) <= 1e-10:
                 continue
             norm_op = a.conj().T @ a
-            matrix = matrix + term.rate * (
+            matrix = matrix + rate * (
                 np.kron(a.conj(), a) - 0.5 * (np.kron(identity, norm_op) + np.kron(norm_op.T, identity))
             )
     return matrix
+
+
+def dissipator_currents(system: OpenSystem, rho: np.ndarray) -> np.ndarray:
+    """J_k = -Tr[D_k(rho) H], with D_k summed over :func:`lab_jump_operators`."""
+    currents = []
+    for bath_terms in lab_jump_operators(system):
+        action = np.zeros((system.dim, system.dim), dtype=complex)
+        for rate, a in bath_terms:
+            norm_op = a.conj().T @ a
+            action += rate * (a @ rho @ a.conj().T - 0.5 * (norm_op @ rho + rho @ norm_op))
+        currents.append(-np.trace(action @ system.hamiltonian).real)
+    return np.array(currents)
 
 
 def gradient_chain(n_sites: int, tunneling: float, t_left: float, t_right: float) -> OpenSystem:
@@ -203,11 +250,12 @@ class TestVectorRates:
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
         zero = model.frequencies.size // 2
         assert model.frequencies[zero] == 0.0
-        for k, (bath, rates) in enumerate(zip(system.baths, model.group_rates)):
+        for bath, rates in zip(system.baths, model.group_rates):
+            coupling = model.states.conj().T @ bath.coupling @ model.states
             for frequency, rate in zip(model.frequencies.tolist(), rates.tolist()):
                 if frequency != 0.0:
                     expected = thermal_rate(bath.spectral, frequency, bath.temperature)
-                elif np.max(np.abs(model.couplings[k][model.zero])) > 1e-10:
+                elif np.max(np.abs(coupling[model.labels == zero])) > 1e-10:
                     expected = bath.spectral.slope * bath.temperature
                 else:
                     expected = 0.0
@@ -413,6 +461,16 @@ class TestLiouvillian:
         liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
         assert liouv.default_dt == pytest.approx(0.01 / 4.0)
 
+    def test_default_step_ignores_components_below_the_threshold(self):
+        # a coupling of 1e-12 to the level at 5 counts as absent: the
+        # largest rate is the ohmic 0.5 * 1 * (1 + n(1, 1)) of the level at 1
+        coupling = np.zeros((3, 3))
+        coupling[0, 1] = coupling[1, 0] = 1.0
+        coupling[0, 2] = coupling[2, 0] = 1e-12
+        system = OpenSystem(np.diag([0.0, 1.0, 5.0]), (BathSpec(coupling, OhmicDensity(0.5), 1.0),))
+        rate = thermal_rate(OhmicDensity(0.5), 1.0, 1.0)
+        assert liouvillian(system).default_dt == pytest.approx(0.01 / (rate + 5.0), rel=1e-14)
+
     def test_ohmic_bath_also_thermalizes(self):
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         system = OpenSystem(np.diag([0.0, 1.0]), (BathSpec(flip, OhmicDensity(0.5), 0.7),))
@@ -483,6 +541,30 @@ class TestDenseReference:
         largest = liouv.indices[largest_stack][0]
         assert sorted(largest.tolist()) == [i * (liouv.dim + 1) for i in range(liouv.dim)]
 
+    @pytest.mark.parametrize(
+        "system",
+        [gradient_chain(4, 1.3, 0.8, 0.4), gradient_chain(5, 1.3, 0.8, 0.0),
+         gradient_chain(4, 0.1, 0.0, 0.6)],
+        ids=["warm", "cold-right", "cold-left"],
+    )
+    @pytest.mark.parametrize("joined", [False, True], ids=["dense-product", "joins"])
+    def test_blocks_are_the_components_of_the_reference(self, system, joined, monkeypatch):
+        # the blocks are exactly the connected components of the dense
+        # reference's pattern in the eigenbasis: no exact zero of the
+        # couplings or of a rate (a bath at T = 0 absorbs nothing) is kept
+        # as an entry that would merge two of them
+        if joined:
+            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
+        liouv = liouvillian(system)
+        label = block_labels(liouv)
+        change = np.kron(liouv.basis.conj(), liouv.basis)
+        in_basis = change.conj().T @ reference_generator(system) @ change
+        count, components = scipy.sparse.csgraph.connected_components(np.abs(in_basis) > 1e-12)
+        # the same partition: as many blocks as components, and as many
+        # distinct (block, component) pairs
+        assert np.unique(label).size == count
+        assert np.unique(np.stack((label, components)), axis=1).shape[1] == count
+
     @pytest.mark.parametrize("ground_only", [True, False], ids=["ground", "whole-space"])
     @pytest.mark.parametrize("n_sites", [3, 5])
     def test_rotated_chains(self, n_sites, ground_only):
@@ -518,6 +600,75 @@ class TestDenseReference:
         with pytest.raises(NonUniqueSteadyStateError) as excinfo:
             steady_state(liouvillian(gradient_chain(10, 0.1, 0.0, 0.0)))
         assert excinfo.value.dimension == 100
+
+
+def dense_coupling_entries(system: OpenSystem):
+    """The nonzeros of the dense products U^dagger V_k U, with the model's U."""
+    states = _eigen_model(system, DEFAULT_FREQ_TOL).states
+    stacked = np.array([b.coupling for b in system.baths], dtype=complex).reshape(-1, system.dim, system.dim)
+    couplings = states.conj().T @ stacked @ states
+    bath, rows, cols = np.nonzero(couplings)
+    return states, (bath, rows, cols), couplings[bath, rows, cols]
+
+
+class TestCouplingEntries:
+    """The entry joins that form C_k = U^dagger V_k U beyond the dense-product
+    size, against the dense product itself: the same exact-zero pattern, so
+    the same blocks, and the same values to rounding."""
+
+    @staticmethod
+    def check(system: OpenSystem) -> None:
+        states, pattern, values = dense_coupling_entries(system)
+        joined = _joined_coupling_entries(states, system.baths)
+        assert np.array_equal(joined.bath, pattern[0])
+        assert np.array_equal(joined.rows, pattern[1])
+        assert np.array_equal(joined.cols, pattern[2])
+        assert np.max(np.abs(joined.values - values), initial=0.0) <= 1e-14
+
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(1, 8), n_baths=st.integers(0, 3), seed=st.integers(0, 2**31 - 1),
+           degenerate=st.booleans())
+    def test_random_systems(self, dim, n_baths, seed, degenerate):
+        self.check((degenerate_open_system if degenerate else random_open_system)(seed, dim, n_baths))
+
+    @pytest.mark.parametrize("n_sites", [2, 5, 12])
+    @pytest.mark.parametrize("tunneling", [0.1, 1.3])
+    def test_chains(self, n_sites, tunneling):
+        system = gradient_chain(n_sites, tunneling, 0.8, 0.4)
+        self.check(system)
+        # a chain bath has 2N nonzero couplings, one per ground-band pair
+        counts = np.bincount(_eigen_model(system, DEFAULT_FREQ_TOL).coupling.bath)
+        assert counts.tolist() == [2 * n_sites] * n_sites
+
+    @pytest.mark.parametrize("ground_only", [True, False], ids=["ground", "whole-space"])
+    def test_rotated_chains(self, ground_only):
+        self.check(rotated_chain(4, 1.3, 0.8, 0.4, seed=2, ground_only=ground_only))
+
+    def test_zero_and_sparse_couplings(self):
+        # a bath that couples nothing has no entries; a lone diagonal entry
+        h = np.diag([0.0, 1.0, 2.5])
+        baths = (BathSpec(np.zeros((3, 3)), FlatDensity(1.0), 1.0),
+                 BathSpec(np.diag([0.0, 0.0, 2.0]), OhmicDensity(1.0), 1.0))
+        self.check(OpenSystem(h, baths))
+        entries = _joined_coupling_entries(np.eye(3, dtype=complex), baths)
+        assert entries.bath.tolist() == [1] and entries.values.tolist() == [2.0]
+
+    @pytest.mark.parametrize(
+        "system",
+        [gradient_chain(4, 1.3, 0.8, 0.4), gradient_chain(5, 0.1, 0.6, 0.0),
+         rotated_chain(3, 1.3, 0.8, 0.4, seed=3, ground_only=True),
+         rotated_chain(3, 0.5, 0.8, 0.4, seed=4, ground_only=False),
+         random_open_system(11, 5, 3), degenerate_open_system(12, 6, 2)],
+        ids=["chain", "cold-end", "ground", "whole-space", "random", "degenerate"],
+    )
+    def test_generator_and_currents_through_the_joins(self, system, monkeypatch):
+        # every system here is below the dense-product size; forced through
+        # the joins, the generator, the state and the currents still match
+        # the oracles built in this file
+        monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
+        TestDenseReference.check(system)
+        rho = random_state(5, system.dim)
+        assert np.max(np.abs(heat_currents(system, rho) - dissipator_currents(system, rho))) <= 1e-12
 
 
 class TestEvolve:
@@ -744,7 +895,10 @@ class TestSteadyState:
         # by up to 1e-10
         system = gradient_chain(*case)
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
-        rates = np.sum(model.weighted * model.couplings.conj(), axis=0).real
+        rates = sum(
+            bath_rates[model.labels] * np.abs(model.states.conj().T @ bath.coupling @ model.states) ** 2
+            for bath, bath_rates in zip(system.baths, model.group_rates)
+        )
         rho = steady_state(liouvillian(system))
         populations = np.diagonal(model.states.conj().T @ rho @ model.states).real
         assert np.max(np.abs(populations - gth_stationary(rates))) <= 1e-13
@@ -864,18 +1018,19 @@ class TestHeatCurrents:
     @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
     def test_any_state_matches_the_dissipator_trace(self, dim, n_baths, seed):
         # J_k = -Tr[D_k(rho) H] with D_k summed over the lab-basis jump
-        # operators, at a state with coherences between all levels
+        # operators built in this file, at a state with coherences between
+        # all levels
         system = degenerate_open_system(seed, dim, n_baths)
         rho = random_state(seed + 1, dim)
-        expected = []
-        for bath_terms in jump_operators(system).terms:
-            action = np.zeros((dim, dim), dtype=complex)
-            for term in bath_terms:
-                a = term.operator
-                norm_op = a.conj().T @ a
-                action += term.rate * (a @ rho @ a.conj().T - 0.5 * (norm_op @ rho + rho @ norm_op))
-            expected.append(-np.trace(action @ system.hamiltonian).real)
-        assert np.max(np.abs(heat_currents(system, rho) - np.array(expected))) <= 1e-10
+        assert np.max(np.abs(heat_currents(system, rho) - dissipator_currents(system, rho))) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_state_of_the_wrong_dimension(self, dim):
+        # the lambda system has dimension 3; the currents read the state by
+        # index, so a larger state must not be read silently
+        system = lambda_system(lambda_params(2.0, 1.0))
+        with pytest.raises(InvariantViolationError, match=f"state dimension {dim} differs from system 3"):
+            heat_currents(system, np.eye(dim, dtype=complex) / dim)
 
     @settings(max_examples=25, deadline=None)
     @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
@@ -893,6 +1048,130 @@ class TestHeatCurrents:
         currents = heat_currents(system, steady_state(liouvillian(system)))
         assert entropy_production(system, currents) >= -1e-12
         assert abs(currents.sum()) <= 1e-9
+
+
+def analytic_chain(n_sites: int, h: float, g: float, rate: float,
+                   temperatures) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary state and heat currents of a chain with flat baths, from its
+    analytic band and the Pauli rates, apart from the package's model.
+
+    The modes E_m = h + 2 g cos(m pi / (N + 1)) have the site amplitudes
+    sqrt(2 / (N + 1)) sin(j m pi / (N + 1)).  Bath k moves the system between
+    the ground level of site k and mode m at thermal_rate(J, +-E_m, T_k)
+    times the squared amplitude at site k; ground coherences only decay, so
+    the populations solve these rates (by GTH) and the state is diagonal in
+    the modes.  J_k sums E_m times the net downward flow through bath k.
+    """
+    spectral = FlatDensity(rate)
+    modes = np.arange(1, n_sites + 1)
+    energies = h + 2.0 * g * np.cos(modes * np.pi / (n_sites + 1))
+    amplitudes = math.sqrt(2.0 / (n_sites + 1)) * np.sin(np.outer(modes, modes) * np.pi / (n_sites + 1))
+    # states 0..N-1 are the ground levels, N..2N-1 the modes; rates[i, j] is j -> i
+    rates = np.zeros((2 * n_sites, 2 * n_sites))
+    for k, temperature in enumerate(temperatures):
+        for m, energy in enumerate(energies.tolist()):
+            weight = amplitudes[k, m] ** 2
+            rates[k, n_sites + m] = thermal_rate(spectral, energy, temperature) * weight
+            rates[n_sites + m, k] = thermal_rate(spectral, -energy, temperature) * weight
+    p = gth_stationary(rates)
+    ground, band = p[:n_sites], p[n_sites:]
+    currents = np.array([
+        np.sum(energies * (rates[k, n_sites:] * band - rates[n_sites:, k] * ground[k]))
+        for k in range(n_sites)
+    ])
+    rho = np.zeros((2 * n_sites, 2 * n_sites))
+    rho[0::2, 0::2] = np.diag(ground)
+    rho[1::2, 1::2] = (amplitudes * band) @ amplitudes.T
+    return rho, currents
+
+
+class TestLargeChains:
+    """Chains far beyond the dense-product size, against the analytic band."""
+
+    def test_fifty_sites_against_the_analytic_band(self):
+        spec = ChainSpec(50, 1.0, 1.3, 0.02, LinearProfile(0.8, 0.4))
+        system = chain_system(spec)
+        rho = steady_state(liouvillian(system))
+        currents = heat_currents(system, rho)
+        expected_rho, expected_currents = analytic_chain(50, 1.0, 1.3, 0.02, spec.site_temperatures())
+        assert np.max(np.abs(rho - expected_rho)) <= 1e-12
+        assert np.max(np.abs(currents - expected_currents)) <= 1e-12
+        assert np.max(np.abs(currents)) > 1e-5  # out of equilibrium
+
+    def test_hundred_sites_conserve_energy_and_produce_entropy(self):
+        system = gradient_chain(100, 1.3, 0.8, 0.4)
+        currents = heat_currents(system, steady_state(liouvillian(system)))
+        assert abs(currents.sum()) <= 1e-9
+        assert entropy_production(system, currents) >= -1e-12
+        assert np.max(np.abs(currents)) > 1e-6
+
+    def test_model_and_generator_hold_no_dense_stack(self):
+        # three complex (K, d, d) arrays, as the model once held, take 41 MiB
+        # at N = 60 and one of them 13.2 MiB; the model and the generator
+        # built from entry lists peak at about 7.5 MiB
+        system = gradient_chain(60, 1.3, 0.8, 0.4)
+        tracemalloc.start()
+        try:
+            _eigen_model(system, DEFAULT_FREQ_TOL)
+            liouvillian(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
+class TestEdgeCases:
+    """Inputs at the edge of what the model accepts give a correct state or a
+    typed error, never a silently wrong number."""
+
+    @staticmethod
+    def quarter_spacing(system: OpenSystem) -> float:
+        spacings = np.diff(eigh(system.hamiltonian).energies)
+        return float(spacings[spacings > DEFAULT_FREQ_TOL].min()) / 4.0
+
+    def test_grouping_tolerance_just_below_a_quarter_spacing(self):
+        # N = 3, g = 0.1: the distinct frequencies lie 0.14 apart, so a
+        # tolerance just below 0.14 / 4 groups them as the default one does
+        system = gradient_chain(3, 0.1, 0.8, 0.4)
+        tolerance = self.quarter_spacing(system) * (1.0 - 1e-9)
+        rho = steady_state(liouvillian(system, tolerance))
+        assert np.max(np.abs(rho - steady_state(liouvillian(system)))) <= 1e-12
+        expected = heat_currents(system, rho)
+        assert np.max(np.abs(heat_currents(system, rho, tolerance) - expected)) <= 1e-15
+        TestDenseReference.check(system)
+
+    def test_grouping_tolerance_just_above_a_quarter_spacing(self):
+        system = gradient_chain(3, 0.1, 0.8, 0.4)
+        tolerance = self.quarter_spacing(system) * (1.0 + 1e-9)
+        with pytest.raises(AmbiguousGroupingError, match="quarter of the minimum"):
+            liouvillian(system, tolerance)
+        with pytest.raises(AmbiguousGroupingError, match="quarter of the minimum"):
+            heat_currents(system, np.eye(6, dtype=complex) / 6.0, tolerance)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 5e-8])
+    def test_two_sites_just_below_the_level_crossing(self, gap):
+        # g = h - gap puts the lower mode at gap above the ground levels; its
+        # rates grow as T / gap, and the state stays within 1e-10 of the
+        # analytic one (5e-11 at gap 5e-8)
+        spec = ChainSpec(2, 1.0, 1.0 - gap, 0.02, LinearProfile(0.8, 0.4))
+        system = chain_system(spec)
+        rho = steady_state(liouvillian(system))
+        expected_rho, expected_currents = analytic_chain(2, 1.0, 1.0 - gap, 0.02, spec.site_temperatures())
+        assert np.max(np.abs(rho - expected_rho)) <= 1e-10
+        assert np.max(np.abs(heat_currents(system, rho) - expected_currents)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "gap, error",
+        [(3e-8, AmbiguousGroupingError), (1e-8, AmbiguousGroupingError),
+         (5e-9, UnsupportedModelError), (1e-12, UnsupportedModelError), (0.0, UnsupportedModelError)],
+    )
+    def test_two_sites_at_the_level_crossing(self, gap, error):
+        # a gap under four times the tolerance cannot be grouped; under the
+        # tolerance the lower mode joins the ground levels, and the flat
+        # density's zero-frequency rate diverges
+        system = chain_system(ChainSpec(2, 1.0, 1.0 - gap, 0.02, LinearProfile(0.8, 0.4)))
+        with pytest.raises(error):
+            liouvillian(system)
 
 
 class TestGibbsState:
