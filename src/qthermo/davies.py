@@ -431,18 +431,19 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     coupling = _coupling_entries(states, system.baths)
     entry_labels = labels[coupling.rows, coupling.cols]
     at_zero = entry_labels == zero_label
-    magnitudes = np.zeros(n_baths)
-    np.maximum.at(magnitudes, coupling.bath[at_zero], np.abs(coupling.values[at_zero]))
+    has_zero = np.zeros(n_baths, dtype=bool)
+    has_zero[coupling.bath[at_zero & (np.abs(coupling.values) > ZERO_COMPONENT_ATOL)]] = True
     group_rates = np.zeros((n_baths, n_groups))
     for k, bath in enumerate(system.baths):
         emission, absorption = _thermal_rates(bath.spectral, positive, bath.temperature)
         group_rates[k, zero_label + 1:] = emission
         group_rates[k, :zero_label] = absorption[::-1]
-        if magnitudes[k] > ZERO_COMPONENT_ATOL:
+        if has_zero[k]:
             if not isinstance(bath.spectral, OhmicDensity):
+                magnitude = np.abs(coupling.values[at_zero & (coupling.bath == k)]).max()
                 raise UnsupportedModelError(
                     f"bath {k}: zero-frequency coupling component of magnitude "
-                    f"{magnitudes[k]:.3e} with a flat spectral density has a diverging rate; "
+                    f"{magnitude:.3e} with a flat spectral density has a diverging rate; "
                     "use an ohmic density or a model whose zero-frequency component vanishes"
                 )
             group_rates[k, zero_label] = bath.spectral.slope * bath.temperature
