@@ -24,17 +24,13 @@ from .davies import (
     DEFAULT_FREQ_TOL,
     BathSpec,
     FlatDensity,
-    JumpOperatorSet,
-    JumpTerm,
     Liouvillian,
     OhmicDensity,
     OpenSystem,
-    bohr_frequencies,
     bose_occupation,
     evolve,
     gibbs_state,
     heat_currents,
-    jump_operators,
     liouvillian,
     steady_state,
 )

@@ -81,7 +81,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .linalg import (
-    EigenDecomposition,
     devectorize,
     eigh,
     hermitize,
@@ -92,6 +91,12 @@ from .linalg import (
 )
 
 DEFAULT_FREQ_TOL = 1e-8
+# Grouping is unambiguous with a margin of this factor on both sides: the
+# tolerance stays below a quarter of the smallest level spacing, and a group
+# spreads over at most a quarter of the tolerance.  A wider group holds
+# differences that only rounding would put together, or distinct frequencies
+# that the tolerance merged.
+GROUPING_MARGIN = 4.0
 # Couplings are order-one matrices; below this the zero-frequency component
 # counts as absent and no rate is needed for it.
 ZERO_COMPONENT_ATOL = 1e-10
@@ -223,7 +228,7 @@ def _check_grouping_tolerance(energies: np.ndarray, freq_tol: float) -> None:
         raise ValueError(f"frequency grouping tolerance must be > 0, got {freq_tol}")
     spacings = np.diff(np.sort(energies))
     nonzero = spacings[spacings > freq_tol]
-    if nonzero.size and freq_tol >= nonzero.min() / 4.0:
+    if nonzero.size and freq_tol >= nonzero.min() / GROUPING_MARGIN:
         raise AmbiguousGroupingError(
             f"grouping tolerance {freq_tol:.3e} is not below a quarter of the minimum "
             f"nonzero level spacing {nonzero.min():.3e}"
@@ -232,7 +237,8 @@ def _check_grouping_tolerance(energies: np.ndarray, freq_tol: float) -> None:
 
 def _frequency_groups(energies: np.ndarray, freq_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Cluster all pairwise energy differences (diagonal included) into groups
-    separated by more than ``freq_tol``.
+    separated by more than ``freq_tol``; a group that spreads over more than
+    ``freq_tol / GROUPING_MARGIN`` raises AmbiguousGroupingError.
 
     Returns the group representatives, ascending (the group means, made
     exactly symmetric under negation, with the group containing zero pinned
@@ -249,11 +255,11 @@ def _frequency_groups(energies: np.ndarray, freq_tol: float) -> tuple[np.ndarray
     starts, ends = bounds[:-1], bounds[1:]
     means = np.add.reduceat(ranked, starts) / (ends - starts)
     spreads = ranked[ends - 1] - ranked[starts]
-    wide = (spreads > freq_tol).nonzero()[0]
+    wide = (spreads > freq_tol / GROUPING_MARGIN).nonzero()[0]
     if wide.size:
         raise AmbiguousGroupingError(
             f"frequency cluster around {means[wide[0]]:.6g} has spread {spreads[wide[0]]:.3e} "
-            f"beyond the grouping tolerance {freq_tol:.3e}"
+            f"beyond a quarter of the grouping tolerance {freq_tol:.3e}"
         )
     # Float subtraction is antisymmetric, so the sorted differences and their
     # clusters mirror exactly under negation: group n pairs with group
@@ -263,24 +269,6 @@ def _frequency_groups(energies: np.ndarray, freq_tol: float) -> tuple[np.ndarray
     labels = np.empty(diffs.size, dtype=np.intp)
     labels[order] = opens[:-1].cumsum() - 1
     return frequencies, labels.reshape(energies.size, energies.size)
-
-
-def bohr_frequencies(eig: EigenDecomposition, freq_tol: float = DEFAULT_FREQ_TOL) -> np.ndarray:
-    """Distinct transition frequencies E_j - E_i, grouped within ``freq_tol``,
-    sorted ascending and closed under negation.
-
-    Zero appears only when distinct levels are degenerate; the trivial i = j
-    differences are not reported here (the jump-operator construction still
-    processes the zero-frequency component for completeness).
-    """
-    _check_grouping_tolerance(eig.energies, freq_tol)
-    frequencies, labels = _frequency_groups(eig.energies, freq_tol)
-    zero_label = frequencies.size // 2
-    # the zero group always holds the dim trivial i = j pairs; more members
-    # means a degenerate pair exists
-    if np.count_nonzero(labels == zero_label) > eig.dim:
-        return frequencies
-    return np.delete(frequencies, zero_label)
 
 
 def _thermal_rates(
@@ -377,8 +365,8 @@ def _joined_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) ->
 @dataclass(frozen=True)
 class _EigenModel:
     """An open system in the eigenbasis of its Hamiltonian, at one grouping
-    tolerance; the generator, the jump operators and the heat currents all
-    read it.  It holds no (K, d, d) array.
+    tolerance; the generator and the heat currents read it.  It holds no
+    (K, d, d) array.
 
     ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i and
     ``group_rates[k, n]`` is the rate of bath k at group n.  The per-bath
@@ -482,64 +470,6 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
         decay=decay,
         currents=currents,
     )
-
-
-@dataclass(frozen=True)
-class JumpTerm:
-    """One single-frequency component of a bath coupling, with its thermal rate."""
-
-    frequency: float
-    operator: np.ndarray
-    rate: float
-
-
-@dataclass(frozen=True)
-class JumpOperatorSet:
-    """Per-bath single-frequency components; ``terms[k]`` belongs to bath k.
-
-    Within each bath the operators sum back to the coupling operator, and the
-    component at -w is the adjoint of the one at +w.
-    """
-
-    terms: tuple[tuple[JumpTerm, ...], ...]
-    freq_tol: float
-
-
-def jump_operators(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> JumpOperatorSet:
-    """Every bath coupling split into lab-basis components per transition
-    frequency, with thermal rates: a view of the eigenbasis model the
-    generator is built from.
-
-    The zero-frequency component is always present: with rate zero if it
-    vanishes, slope * T for an ohmic density otherwise, while a flat density
-    with a nonvanishing zero-frequency component raises UnsupportedModelError.
-    Each component is summed from its own nonzero eigenbasis couplings; the
-    operators are read-only, and the components without any share one zero
-    matrix.
-    """
-    model = _eigen_model(system, freq_tol)
-    states = model.states
-    n_groups = model.frequencies.size
-    # the entries of every (bath, group) component as one run of ``order``
-    entries = model.coupling
-    component = entries.bath * n_groups + model.labels[entries.rows, entries.cols]
-    order = component.argsort(kind="stable")
-    bounds = component[order].searchsorted(np.arange(len(system.baths) * n_groups + 1)).tolist()
-    absent = _frozen(np.zeros((system.dim, system.dim), dtype=complex))
-    all_terms = []
-    for k, rates in enumerate(model.group_rates):
-        terms = []
-        for n, frequency in enumerate(model.frequencies.tolist()):
-            own = order[bounds[k * n_groups + n]:bounds[k * n_groups + n + 1]]
-            operator = absent
-            if own.size:
-                # the sum over the entries (i, j, c) of c U[:, i] U[:, j]^dagger
-                left = states[:, entries.rows[own]] * entries.values[own]
-                operator = left @ states[:, entries.cols[own]].conj().T
-                operator.flags.writeable = False
-            terms.append(JumpTerm(frequency, operator, float(rates[n])))
-        all_terms.append(tuple(terms))
-    return JumpOperatorSet(terms=tuple(all_terms), freq_tol=freq_tol)
 
 
 class Liouvillian:
@@ -861,27 +791,27 @@ def _singular_values_and_vectors(stack: np.ndarray) -> tuple[np.ndarray, np.ndar
     return singulars, right
 
 
-def steady_state(liouv: Liouvillian, null_rtol: float = NULL_SPACE_RTOL) -> np.ndarray:
+def steady_state(liouv: Liouvillian) -> np.ndarray:
     """Stationary state from the singular-value null space of the generator.
 
     The singular values of the generator are those of its blocks taken
     together, found with one batched SVD per stack.  Exactly one may sit
-    below ``null_rtol`` times the largest; zero raises SolverFailureError and
-    more than one raises NonUniqueSteadyStateError reporting the dimension
-    found.  The state is the null vector of the block that holds it, mapped
-    back to the lab basis.
+    below ``NULL_SPACE_RTOL`` times the largest; zero raises
+    SolverFailureError and more than one raises NonUniqueSteadyStateError
+    reporting the dimension found.  The state is the null vector of the block
+    that holds it, mapped back to the lab basis.
     """
     decompositions = [_singular_values_and_vectors(stack) for stack in liouv.blocks]
     singulars = [s for s, _ in decompositions]
     top = max((float(s.max()) for s in singulars if s.size), default=0.0)
     if top == 0.0:
         raise SolverFailureError("generator is identically zero; every state is stationary")
-    null = [s <= null_rtol * top for s in singulars]
+    null = [s <= NULL_SPACE_RTOL * top for s in singulars]
     null_dim = sum(int(np.count_nonzero(mask)) for mask in null)
     if null_dim == 0:
         smallest = min(float(s.min()) for s in singulars if s.size)
         raise SolverFailureError(
-            f"no singular value below {null_rtol:.0e} of the largest; smallest ratio "
+            f"no singular value below {NULL_SPACE_RTOL:.0e} of the largest; smallest ratio "
             f"{smallest / top:.3e}"
         )
     if null_dim > 1:

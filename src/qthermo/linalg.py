@@ -128,10 +128,6 @@ class EigenDecomposition:
     energies: np.ndarray
     states: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
-
 
 def eigh(m, atol: float = HERMITICITY_ATOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.

@@ -365,6 +365,15 @@ class TrajectoryCheck:
     rel_residual_max: float
 
 
+def _uniform_step(times: np.ndarray, caller: str) -> float:
+    """The step of a uniform grid of at least four times; ``caller`` names
+    the function in the ValueError a shorter or uneven grid raises."""
+    steps = np.diff(times)
+    if steps.size < 3 or np.max(np.abs(steps - steps[0])) > 1e-12 * max(steps[0], 1.0):
+        raise ValueError(f"{caller} needs a uniform time grid of >= 4 points")
+    return float(steps[0])
+
+
 def _derivatives(values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     n = values.size
     if n < 4:
@@ -391,10 +400,7 @@ def mean_position_trajectory(
     stays above 1e-3 relative to the equation's own scale.
     """
     times = np.asarray(t_grid, dtype=float)
-    steps = np.diff(times)
-    if steps.size < 3 or np.max(np.abs(steps - steps[0])) > 1e-12 * max(steps[0], 1.0):
-        raise ValueError("mean_position_trajectory needs a uniform time grid of >= 4 points")
-    dt = float(steps[0])
+    dt = _uniform_step(times, "mean_position_trajectory")
     coeff = oscillator_coefficients(params)
     position = _trajectory_positions(params, trajectory, times)
     velocity, acceleration = _derivatives(position, dt)
@@ -488,10 +494,7 @@ def overdamped_ratio(
     half of the samples, so the fast transient cannot contaminate it.
     """
     times = np.asarray(t_grid, dtype=float)
-    steps = np.diff(times)
-    if steps.size < 3 or np.max(np.abs(steps - steps[0])) > 1e-12 * max(steps[0], 1.0):
-        raise ValueError("overdamped_ratio needs a uniform time grid of >= 4 points")
-    dt = float(steps[0])
+    dt = _uniform_step(times, "overdamped_ratio")
     gamma = _require_equal_rates(params)
     n_1, n_2 = occupations(params)
     n_mean = 0.5 * (n_1 + n_2)

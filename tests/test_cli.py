@@ -1,10 +1,14 @@
 """Config parsing, experiment orchestration, CSV/text emission, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qthermo
 from qthermo.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -265,6 +269,11 @@ class TestMainExitCodes:
         assert code == EXIT_SOLVER
         assert "grouping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_nonpositive_grouping_tolerance_is_a_validation_failure(self, value, capsys):
+        assert main(["chain", "--set", f"eps_omega={value}", "--quiet"]) == EXIT_VALIDATION
+        assert "grouping tolerance must be > 0" in capsys.readouterr().err
+
     def test_grouping_tolerance_at_a_quarter_spacing(self, capsys):
         # N = 3, g = 0.1: the smallest level spacing is sqrt(2) g; a tolerance
         # just under a quarter of it runs, one just over is a solver failure,
@@ -296,3 +305,19 @@ class TestMainExitCodes:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["panel_b.csv", "panel_c.csv", "panel_d.csv", "panel_e.csv"]
 
+
+class TestRuntime:
+    def test_imports_only_numpy(self):
+        # numpy is the one runtime dependency; the tests import scipy,
+        # hypothesis and pytest themselves, so only a fresh interpreter shows
+        # a stray import from the package
+        source = os.path.dirname(os.path.dirname(os.path.abspath(qthermo.__file__)))
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        script = "import sys, qthermo, qthermo.cli; print(qthermo.__file__); print(*sorted(sys.modules))"
+        result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, check=True)
+        where, modules = result.stdout.splitlines()
+        assert os.path.abspath(where) == os.path.abspath(qthermo.__file__)
+        roots = {name.split(".")[0] for name in modules.split()}
+        assert "numpy" in roots
+        assert roots.isdisjoint({"scipy", "hypothesis", "pytest"})

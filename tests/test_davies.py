@@ -24,12 +24,10 @@ from qthermo.davies import (
     _joined_coupling_entries,
     _propagator_pays,
     _thermal_rates,
-    bohr_frequencies,
     bose_occupation,
     evolve,
     gibbs_state,
     heat_currents,
-    jump_operators,
     liouvillian,
     steady_state,
     thermal_rate,
@@ -303,121 +301,101 @@ class TestFrequencyGroups:
             _frequency_groups(energies, 1e-8)
 
     def test_chain_levels(self):
-        energies = eigh(gradient_chain(10, 0.1, 0.8, 0.4).hamiltonian).energies
+        n_sites, h, g = 10, 1.0, 0.1
+        energies = eigh(gradient_chain(n_sites, g, 0.8, 0.4).hamiltonian).energies
         frequencies, labels = _frequency_groups(energies, DEFAULT_FREQ_TOL)
         expected, expected_labels = loop_frequency_groups(energies, DEFAULT_FREQ_TOL)
         assert np.array_equal(labels, expected_labels)
         assert np.max(np.abs(frequencies - expected)) <= 1e-15
-
-
-class TestBohrFrequencies:
-    def test_degenerate_three_level(self):
-        freqs = bohr_frequencies(eigh(np.diag([0.0, 0.0, 1.0])))
-        assert np.allclose(freqs, [-1.0, 0.0, 1.0])
-
-    def test_distinct_three_level_excludes_zero(self):
-        freqs = bohr_frequencies(eigh(np.diag([0.0, 0.4, 1.0])))
-        assert np.allclose(freqs, [-1.0, -0.6, -0.4, 0.4, 0.6, 1.0])
-
-    def test_chain_band_closed_form(self):
-        # open-chain eigenvalues: excited band h + 2 g cos(m pi / (N+1)) over a
-        # degenerate ground manifold
-        n_sites, h, g = 10, 1.0, 0.1
-        dim = 2 * n_sites
-        ham = np.zeros((dim, dim))
-        for i in range(n_sites):
-            ham[2 * i + 1, 2 * i + 1] = h
-        for i in range(n_sites - 1):
-            ham[2 * i + 1, 2 * i + 3] = g
-            ham[2 * i + 3, 2 * i + 1] = g
+        # the open-chain band h + 2 g cos(m pi / (N + 1)) over the degenerate
+        # ground levels: every band difference and every +-E_m is a group
         band = h + 2 * g * np.cos(np.arange(1, n_sites + 1) * np.pi / (n_sites + 1))
-        expected = set()
-        expected.add(0.0)  # ground manifold is degenerate
-        for e in band:
-            expected.update((e, -e))
-        for a in band:
-            for b in band:
-                if abs(a - b) > 1e-12:
-                    expected.add(a - b)
-        freqs = bohr_frequencies(eigh(ham))
-        for value in expected:
-            assert np.min(np.abs(freqs - value)) < 1e-9
+        closed_form = np.concatenate((band, -band, (band[:, None] - band[None, :]).reshape(-1)))
+        assert np.max(np.min(np.abs(frequencies[:, None] - closed_form[None, :]), axis=0)) < 1e-9
 
     def test_grouping_tolerance_too_large(self):
-        with pytest.raises(AmbiguousGroupingError):
-            bohr_frequencies(eigh(np.diag([0.0, 3e-8, 1.0])), freq_tol=1e-8)
+        # the levels 0 and 3e-8 are distinct at a tolerance of 1e-8, which is
+        # not below a quarter of their spacing
+        system = OpenSystem(np.diag([0.0, 3e-8, 1.0]), ())
+        with pytest.raises(AmbiguousGroupingError, match="quarter of the minimum"):
+            liouvillian(system, 1e-8)
 
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            bohr_frequencies(eigh(np.diag([0.0, 1.0])), freq_tol=0.0)
+    @pytest.mark.parametrize("freq_tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_tolerance_rejected(self, freq_tol):
+        system = OpenSystem(np.diag([0.0, 1.0]), ())
+        with pytest.raises(ValueError, match="must be > 0"):
+            liouvillian(system, freq_tol)
 
 
 class TestJumpOperators:
+    """Each bath coupling split by transition frequency: the rates the
+    eigenbasis model attaches to its groups, and the lab-basis components
+    :func:`lab_jump_operators` builds the reference generator from."""
+
     def test_lambda_structure_and_rates(self):
         # per bath exactly one lowering component |k><e| at +omega with rate
         # Gamma (n_k + 1) and its adjoint at -omega with rate Gamma n_k
         gamma = 0.7
-        params = lambda_params(2.0, 1.0, gamma=gamma)
-        jumps = jump_operators(lambda_system(params))
-        for k, n_k in ((0, 2.0), (1, 1.0)):
-            active = [t for t in jumps.terms[k] if np.max(np.abs(t.operator)) > 1e-12]
-            assert sorted(t.frequency for t in active) == pytest.approx([-1.0, 1.0])
-            by_freq = {round(t.frequency): t for t in active}
+        system = lambda_system(lambda_params(2.0, 1.0, gamma=gamma))
+        frequencies, _ = loop_frequency_groups(scipy.linalg.eigh(system.hamiltonian)[0], DEFAULT_FREQ_TOL)
+        assert frequencies.tolist() == pytest.approx([-1.0, 0.0, 1.0])
+        for k, (n_k, bath_terms) in enumerate(zip((2.0, 1.0), lab_jump_operators(system))):
+            (up_rate, up), (zero_rate, zero), (down_rate, down) = bath_terms
             lower = np.zeros((3, 3))
             lower[k, 2] = 1.0
-            assert np.allclose(by_freq[1].operator, lower, atol=1e-12)
-            assert np.allclose(by_freq[-1].operator, lower.T, atol=1e-12)
-            assert by_freq[1].rate == pytest.approx(gamma * (n_k + 1.0))
-            assert by_freq[-1].rate == pytest.approx(gamma * n_k)
+            assert np.allclose(down, lower, atol=1e-12)
+            assert np.allclose(up, lower.T, atol=1e-12)
+            assert np.max(np.abs(zero)) <= 1e-12 and zero_rate == 0.0
+            assert down_rate == pytest.approx(gamma * (n_k + 1.0))
+            assert up_rate == pytest.approx(gamma * n_k)
 
     def test_zero_temperature_kills_upward_rates(self):
-        params = ThreeLevelParams("lambda", temp_1=0.0, temp_2=0.0)
-        jumps = jump_operators(lambda_system(params))
-        for bath_terms in jumps.terms:
-            for term in bath_terms:
-                if term.frequency < 0:
-                    assert term.rate == 0.0
+        system = lambda_system(ThreeLevelParams("lambda", temp_1=0.0, temp_2=0.0))
+        model = _eigen_model(system, DEFAULT_FREQ_TOL)
+        upward = model.frequencies < 0
+        assert upward.any()
+        assert not model.group_rates[:, upward].any()
+        assert model.group_rates[:, model.frequencies > 0].all()
 
     def test_chain_zero_frequency_component_vanishes(self):
-        from qthermo.chain import ChainSpec, LinearProfile, chain_system
-
-        spec = ChainSpec(10, 1.0, 0.1, 0.01, LinearProfile(0.8, 0.4))
-        jumps = jump_operators(chain_system(spec))
-        for bath_terms in jumps.terms:
-            zero = [t for t in bath_terms if t.frequency == 0.0]
-            assert len(zero) == 1
-            assert np.max(np.abs(zero[0].operator)) <= 1e-10
-            assert zero[0].rate == 0.0
+        # a chain bath joins a ground level to a band mode, never two levels
+        # of equal energy: the zero-frequency component has no entry above
+        # 1e-10 and its rate is zero, as the flat density requires
+        model = _eigen_model(gradient_chain(10, 0.1, 0.8, 0.4), DEFAULT_FREQ_TOL)
+        zero = model.frequencies.size // 2
+        coupling = model.coupling
+        at_zero = model.labels[coupling.rows, coupling.cols] == zero
+        assert np.max(np.abs(coupling.values[at_zero]), initial=0.0) <= 1e-10
+        assert not model.group_rates[:, zero].any()
 
     def test_flat_density_with_zero_frequency_component_fails(self):
         h = np.diag([0.0, 1.0])
         dephasing = np.diag([1.0, -1.0])
         system = OpenSystem(h, (BathSpec(dephasing, FlatDensity(0.5), 1.0),))
         with pytest.raises(UnsupportedModelError, match="zero-frequency"):
-            jump_operators(system)
+            liouvillian(system)
 
     def test_ohmic_zero_frequency_rate(self):
         h = np.diag([0.0, 1.0])
         dephasing = np.diag([1.0, -1.0])
         slope, temp = 0.5, 2.0
         system = OpenSystem(h, (BathSpec(dephasing, OhmicDensity(slope), temp),))
-        jumps = jump_operators(system)
-        zero = [t for t in jumps.terms[0] if t.frequency == 0.0]
-        assert zero[0].rate == pytest.approx(slope * temp)
+        model = _eigen_model(system, DEFAULT_FREQ_TOL)
+        assert model.frequencies[1] == 0.0
+        assert model.group_rates[0, 1] == pytest.approx(slope * temp, rel=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
     def test_completeness_and_adjoint_symmetry(self, dim, seed):
+        # the oracle's components sum back to the coupling, and the component
+        # of group n, at -w, is the adjoint of that of its mirror group, at w
         system = random_open_system(seed, dim)
-        jumps = jump_operators(system)
-        for bath, bath_terms in zip(system.baths, jumps.terms):
-            total = sum(t.operator for t in bath_terms)
+        for bath, bath_terms in zip(system.baths, lab_jump_operators(system)):
+            total = sum(a for _, a in bath_terms)
             assert np.max(np.abs(total - bath.coupling)) < 1e-10
-            for term in bath_terms:
-                partner = min(bath_terms, key=lambda t: abs(t.frequency + term.frequency))
-                assert abs(partner.frequency + term.frequency) < 1e-9
-                assert np.max(np.abs(partner.operator - term.operator.conj().T)) < 1e-10
-                assert term.rate >= 0.0
+            for (rate, a), (_, partner) in zip(bath_terms, reversed(bath_terms)):
+                assert np.max(np.abs(partner - a.conj().T)) < 1e-10
+                assert rate >= 0.0
 
 
 class TestLiouvillian:
@@ -1148,6 +1126,26 @@ class TestEdgeCases:
         with pytest.raises(AmbiguousGroupingError, match="quarter of the minimum"):
             heat_currents(system, np.eye(6, dtype=complex) / 6.0, tolerance)
 
+    @pytest.mark.parametrize("freq_tol", [0.1, 0.15 * (1.0 - 1e-6)])
+    def test_distinct_frequencies_within_the_tolerance(self, freq_tol):
+        # N = 2, g = 0.3: the levels 0, 0, 0.7, 1.3 have the smallest spacing
+        # 0.6, so these tolerances pass the quarter-spacing check, yet they
+        # put the distinct frequencies 0.6 and 0.7 in one group of spread 0.1
+        system = gradient_chain(2, 0.3, 0.8, 0.4)
+        with pytest.raises(AmbiguousGroupingError, match="quarter of the grouping tolerance"):
+            liouvillian(system, freq_tol)
+        with pytest.raises(AmbiguousGroupingError, match="quarter of the grouping tolerance"):
+            heat_currents(system, np.eye(4, dtype=complex) / 4.0, freq_tol)
+
+    @pytest.mark.parametrize("freq_tol", [0.05, DEFAULT_FREQ_TOL])
+    def test_distinct_frequencies_beyond_the_tolerance(self, freq_tol):
+        spec = ChainSpec(2, 1.0, 0.3, 0.02, LinearProfile(0.8, 0.4))
+        system = chain_system(spec)
+        rho = steady_state(liouvillian(system, freq_tol))
+        expected_rho, expected_currents = analytic_chain(2, 1.0, 0.3, 0.02, spec.site_temperatures())
+        assert np.max(np.abs(rho - expected_rho)) <= 1e-12
+        assert np.max(np.abs(heat_currents(system, rho, freq_tol) - expected_currents)) <= 1e-12
+
     @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 5e-8])
     def test_two_sites_just_below_the_level_crossing(self, gap):
         # g = h - gap puts the lower mode at gap above the ground levels; its
@@ -1162,12 +1160,13 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize(
         "gap, error",
-        [(3e-8, AmbiguousGroupingError), (1e-8, AmbiguousGroupingError),
-         (5e-9, UnsupportedModelError), (1e-12, UnsupportedModelError), (0.0, UnsupportedModelError)],
+        [(3e-8, AmbiguousGroupingError), (1e-8, AmbiguousGroupingError), (5e-9, AmbiguousGroupingError),
+         (1e-9, UnsupportedModelError), (1e-12, UnsupportedModelError), (0.0, UnsupportedModelError)],
     )
     def test_two_sites_at_the_level_crossing(self, gap, error):
-        # a gap under four times the tolerance cannot be grouped; under the
-        # tolerance the lower mode joins the ground levels, and the flat
+        # a gap under four times the tolerance cannot be grouped, and neither
+        # can a zero group of spread 2 gap above a quarter of the tolerance;
+        # under that the lower mode joins the ground levels, and the flat
         # density's zero-frequency rate diverges
         system = chain_system(ChainSpec(2, 1.0, 1.0 - gap, 0.02, LinearProfile(0.8, 0.4)))
         with pytest.raises(error):

@@ -346,6 +346,15 @@ class TestTrajectoryReaders:
             expected = [mean_position(populations_from_state(rho, params), params) for rho in trajectory]
             assert check.position.tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.2], [0.0, 0.1, 0.2, 0.35]], ids=["short", "uneven"])
+    @pytest.mark.parametrize("reader", [mean_position_trajectory, overdamped_ratio])
+    def test_grid_must_be_uniform_with_four_points(self, reader, grid):
+        params = occ_params("lambda", 2.0, 1.0)
+        stationary = steady_state(liouvillian(lambda_system(params)))
+        message = f"{reader.__name__} needs a uniform time grid of >= 4 points"
+        with pytest.raises(ValueError, match=message):
+            reader(params, [stationary] * len(grid), grid)
+
     def test_trajectory_and_grid_lengths_must_match(self):
         params = occ_params("lambda", 2.0, 1.0)
         grid = np.linspace(0.0, 1.0, 11)
