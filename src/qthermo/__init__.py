@@ -51,14 +51,12 @@ from .linalg import (
     EigenDecomposition,
     devectorize,
     eigh,
-    expectation,
     hermitize,
     trace_distance,
     vectorize,
 )
 from .three_level import (
     LevelPopulations,
-    OscillatorCoefficients,
     ThermoDiagnostics,
     ThreeLevelParams,
     dufour_currents,
@@ -67,14 +65,10 @@ from .three_level import (
     lambda_system,
     mean_position_trajectory,
     occupations,
-    oscillator_coefficients,
     overdamped_ratio,
     populations_from_state,
     rate_matrix,
-    rate_rhs,
-    steady_unbalance,
     thermo_diagnostics,
-    thermophoretic_force,
     three_level_system,
     vee_system,
 )

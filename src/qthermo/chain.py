@@ -181,7 +181,6 @@ def _longest_run(flags: np.ndarray) -> int:
 def classify(
     populations: np.ndarray,
     profile: TemperatureProfile,
-    tol: float = POPULATION_TOL,
 ) -> ThermophoresisVerdict:
     """Classify a stationary site-population vector.
 
@@ -212,15 +211,15 @@ def classify(
     hot_left = temps[0] > temps[-1]
     oriented = p if hot_left else p[::-1]
     diffs = np.diff(oriented)
-    run_up = _longest_run(diffs > tol)
-    run_down = _longest_run(diffs < -tol)
+    run_up = _longest_run(diffs > POPULATION_TOL)
+    run_down = _longest_run(diffs < -POPULATION_TOL)
     peak = int(np.argmax(oriented))
 
-    if bool(np.all(diffs > tol)):
+    if bool(np.all(diffs > POPULATION_TOL)):
         kind = POSITIVE
     elif peak in _middle_fifth(n) and symmetry >= SYMMETRY_THRESHOLD:
         kind = DELOCALIZED
-    elif peak < n / 2 and bool(np.all(diffs[peak:] < -tol)):
+    elif peak < n / 2 and bool(np.all(diffs[peak:] < -POPULATION_TOL)):
         kind = NEGATIVE
     else:
         kind = MIXED

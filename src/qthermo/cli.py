@@ -152,12 +152,16 @@ def _parse_typed(key: str, raw: str, kind: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "floats":
-            return tuple(float(part) for part in raw.split(",") if part.strip() != "")
-        return raw
+            value = float(raw)
+        elif kind == "floats":
+            value = tuple(float(part) for part in raw.split(",") if part.strip() != "")
+        else:
+            return raw
     except ValueError as exc:
         raise ConfigError(f"invalid value for key {key!r}: {raw!r} ({kind} expected)") from exc
+    if not all(math.isfinite(x) for x in (value if kind == "floats" else (value,))):
+        raise ConfigError(f"invalid value for key {key!r}: {raw!r} is not finite")
+    return value
 
 
 @dataclass

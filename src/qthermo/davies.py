@@ -120,14 +120,13 @@ class FlatDensity:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise InvariantViolationError(f"flat spectral density needs rate > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise InvariantViolationError(
+                f"flat spectral density needs a finite rate > 0, got {self.rate}"
+            )
 
     def value(self, omega: float) -> float:
         return self.rate
-
-    def scaled(self, factor: float) -> "FlatDensity":
-        return FlatDensity(self.rate * factor)
 
 
 @dataclass(frozen=True)
@@ -137,14 +136,13 @@ class OhmicDensity:
     slope: float
 
     def __post_init__(self):
-        if not self.slope > 0:
-            raise InvariantViolationError(f"ohmic spectral density needs slope > 0, got {self.slope}")
+        if not 0 < self.slope < math.inf:
+            raise InvariantViolationError(
+                f"ohmic spectral density needs a finite slope > 0, got {self.slope}"
+            )
 
     def value(self, omega: float) -> float:
         return self.slope * omega
-
-    def scaled(self, factor: float) -> "OhmicDensity":
-        return OhmicDensity(self.slope * factor)
 
 
 SpectralDensity = Union[FlatDensity, OhmicDensity]
@@ -167,8 +165,10 @@ class BathSpec:
     def __post_init__(self):
         coupling = _frozen(require_hermitian(self.coupling, name="bath coupling"))
         object.__setattr__(self, "coupling", coupling)
-        if self.temperature < 0:
-            raise InvariantViolationError(f"bath temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise InvariantViolationError(
+                f"bath temperature must be finite and >= 0, got {self.temperature}"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def bose_occupation(omega: float, temperature: float) -> float:
     """Mean excitation number 1/(exp(omega/T) - 1); zero at T = 0."""
     if omega <= 0:
         raise ValueError(f"bose_occupation needs omega > 0, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0:
         return 0.0
     x = omega / temperature
@@ -715,8 +715,8 @@ def evolve(
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("t_grid must be a one-dimensional sequence of times")
-    if times[0] < 0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
-        raise ValueError("t_grid must be strictly increasing and start at a time >= 0")
+    if not np.all(np.isfinite(times)) or times[0] < 0 or not np.all(np.diff(times) > 0):
+        raise ValueError("t_grid must be finite, strictly increasing and start at a time >= 0")
     step = dt if dt is not None else liouv.default_dt
     if not step > 0:
         raise ValueError(f"dt must be > 0, got {step}")

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    NumericalConsistencyError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-9
@@ -129,38 +125,15 @@ class EigenDecomposition:
     states: np.ndarray
 
 
-def eigh(m, atol: float = HERMITICITY_ATOL) -> EigenDecomposition:
+def eigh(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Raises InvariantViolationError naming the maximum asymmetry when the
-    input is not Hermitian within ``atol``.
+    input is not Hermitian within ``HERMITICITY_ATOL``.
     """
-    a = require_hermitian(m, atol=atol, name="eigh input")
+    a = require_hermitian(m, name="eigh input")
     energies, states = np.linalg.eigh(a)
     return EigenDecomposition(energies=energies, states=states)
-
-
-def expectation(observable, rho, validate: bool = True) -> float:
-    """Tr[A rho] for Hermitian A and a valid density matrix.
-
-    The imaginary residue is checked against 1e-10 and discarded.  Pass
-    ``validate=False`` to skip the input invariant checks on hot paths;
-    the residue check still runs.
-    """
-    if validate:
-        a = require_hermitian(observable, name="observable")
-        r = require_density_matrix(rho)
-    else:
-        a = np.asarray(observable, dtype=complex)
-        r = np.asarray(rho, dtype=complex)
-    if a.shape != r.shape:
-        raise DimensionMismatchError(f"observable {a.shape} vs state {r.shape}")
-    value = complex(np.trace(a @ r))
-    if abs(value.imag) > 1e-10:
-        raise NumericalConsistencyError(
-            f"expectation value has imaginary residue {value.imag:.3e} above 1e-10"
-        )
-    return value.real
 
 
 def vectorize(m) -> np.ndarray:

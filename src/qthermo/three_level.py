@@ -52,11 +52,13 @@ class ThreeLevelParams:
                 f"configuration must be {LAMBDA!r} or {VEE!r}, got {self.configuration!r}"
             )
         for name in ("omega_1", "omega_2", "gamma_1", "gamma_2", "d"):
-            if not getattr(self, name) > 0:
-                raise InvariantViolationError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvariantViolationError(f"{name} must be finite and > 0, got {value}")
         for name in ("temp_1", "temp_2"):
-            if getattr(self, name) < 0:
-                raise InvariantViolationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InvariantViolationError(f"{name} must be finite and >= 0, got {value}")
 
     @classmethod
     def from_occupations(
@@ -141,7 +143,11 @@ class LevelPopulations:
 
 @dataclass(frozen=True)
 class ThermoDiagnostics:
-    """Occupation-level summary of the closed forms for one parameter set."""
+    """Occupation-level summary of the closed forms for one parameter set.
+
+    With equal bath rates Gamma the mean position x obeys the driven damped
+    oscillator equation mass x'' + Gamma x' + mass omega_sq x = force.
+    """
 
     n_1: float
     n_2: float
@@ -189,88 +195,54 @@ def thermo_diagnostics(params: ThreeLevelParams) -> ThermoDiagnostics:
     )
 
 
-def steady_unbalance(params: ThreeLevelParams) -> float:
-    """Stationary population unbalance of the two position-carrying levels."""
-    return thermo_diagnostics(params).unbalance
-
-
-def thermophoretic_force(params: ThreeLevelParams) -> float:
-    """Drive term of the mean-position oscillator equation.  Negative of the
-    lambda value in the vee configuration."""
-    return thermo_diagnostics(params).force
-
-
-@dataclass(frozen=True)
-class OscillatorCoefficients:
-    """Coefficients of m x'' + damping x' + m W^2 x = drive for the mean position."""
-
-    mass: float
-    damping: float
-    omega_sq: float
-    drive: float
-
-
-def oscillator_coefficients(params: ThreeLevelParams) -> OscillatorCoefficients:
-    diag = thermo_diagnostics(params)
-    return OscillatorCoefficients(
-        mass=diag.mass,
-        damping=_require_equal_rates(params),
-        omega_sq=diag.omega_sq,
-        drive=diag.force,
-    )
-
-
-def lambda_system(params: ThreeLevelParams) -> OpenSystem:
-    """Open system for the lambda configuration.
-
-    Basis order (|1>, |2>, |e>); the energy zero sits at level |1>, so the
-    Hamiltonian is diag(0, omega_1 - omega_2, omega_1) and each bath couples
-    its own low level to the shared excited one with a flat spectral density.
-    """
-    if params.configuration != LAMBDA:
-        raise InvariantViolationError("lambda_system needs configuration = 'lambda'")
-    h = np.diag([0.0, params.omega_1 - params.omega_2, params.omega_1]).astype(complex)
-    couplings = []
-    for k in (0, 1):
-        c = np.zeros((3, 3), dtype=complex)
-        c[k, 2] = 1.0
-        c[2, k] = 1.0
-        couplings.append(c)
-    return OpenSystem(
-        hamiltonian=h,
-        baths=(
-            BathSpec(couplings[0], FlatDensity(params.gamma_1), params.temp_1),
-            BathSpec(couplings[1], FlatDensity(params.gamma_2), params.temp_2),
-        ),
-    )
-
-
-def vee_system(params: ThreeLevelParams) -> OpenSystem:
-    """Open system for the vee configuration.
-
-    Basis order (|g>, |1>, |2>) with the ground level at zero energy; bath k
-    drives the |g> <-> |k> transition at frequency omega_k.
-    """
-    if params.configuration != VEE:
-        raise InvariantViolationError("vee_system needs configuration = 'vee'")
-    h = np.diag([0.0, params.omega_1, params.omega_2]).astype(complex)
-    couplings = []
-    for k in (1, 2):
-        c = np.zeros((3, 3), dtype=complex)
-        c[0, k] = 1.0
-        c[k, 0] = 1.0
-        couplings.append(c)
-    return OpenSystem(
-        hamiltonian=h,
-        baths=(
-            BathSpec(couplings[0], FlatDensity(params.gamma_1), params.temp_1),
-            BathSpec(couplings[1], FlatDensity(params.gamma_2), params.temp_2),
-        ),
-    )
+def _level_indices(params: ThreeLevelParams) -> tuple[int, int, int]:
+    """Basis indices of (position 1, position 2, shared level): the lambda
+    basis is (|1>, |2>, |e>), the vee basis (|g>, |1>, |2>)."""
+    return (0, 1, 2) if params.configuration == LAMBDA else (1, 2, 0)
 
 
 def three_level_system(params: ThreeLevelParams) -> OpenSystem:
-    return lambda_system(params) if params.configuration == LAMBDA else vee_system(params)
+    """Open system for either configuration, in the basis order of
+    :func:`_level_indices`.
+
+    Bath k couples position level k to the shared level with a flat spectral
+    density, at transition frequency omega_k.  The energy zero sits at level
+    |1> for lambda, so the Hamiltonian is diag(0, omega_1 - omega_2, omega_1),
+    and at the ground level for vee, diag(0, omega_1, omega_2).
+    """
+    levels = _level_indices(params)
+    shared = levels[2]
+    is_lambda = params.configuration == LAMBDA
+    energies = np.empty(3)
+    energies[shared] = params.omega_1 if is_lambda else 0.0
+    per_bath = (
+        (params.omega_1, params.gamma_1, params.temp_1),
+        (params.omega_2, params.gamma_2, params.temp_2),
+    )
+    baths = []
+    for k, (omega, gamma, temperature) in enumerate(per_bath):
+        # the position levels lie below the shared one for lambda, above for vee
+        energies[levels[k]] = energies[shared] - omega if is_lambda else omega
+        c = np.zeros((3, 3), dtype=complex)
+        c[levels[k], shared] = c[shared, levels[k]] = 1.0
+        baths.append(BathSpec(c, FlatDensity(gamma), temperature))
+    return OpenSystem(hamiltonian=np.diag(energies).astype(complex), baths=tuple(baths))
+
+
+def lambda_system(params: ThreeLevelParams) -> OpenSystem:
+    """Open system for the lambda configuration: two low levels, each coupled
+    through its own bath to the shared excited one (see :func:`three_level_system`)."""
+    if params.configuration != LAMBDA:
+        raise InvariantViolationError("lambda_system needs configuration = 'lambda'")
+    return three_level_system(params)
+
+
+def vee_system(params: ThreeLevelParams) -> OpenSystem:
+    """Open system for the vee configuration: bath k drives the |g> <-> |k>
+    transition (see :func:`three_level_system`)."""
+    if params.configuration != VEE:
+        raise InvariantViolationError("vee_system needs configuration = 'vee'")
+    return three_level_system(params)
 
 
 def rate_matrix(params: ThreeLevelParams, spontaneous: bool = True) -> np.ndarray:
@@ -297,16 +269,6 @@ def rate_matrix(params: ThreeLevelParams, spontaneous: bool = True) -> np.ndarra
     )
 
 
-def rate_rhs(
-    pops: LevelPopulations, params: ThreeLevelParams, spontaneous: bool = True
-) -> tuple[float, float]:
-    """Time derivatives of (P_1, P_2) under the population rate equations."""
-    matrix = rate_matrix(params, spontaneous)
-    vec = np.array([pops.p_1, pops.p_2, pops.p_shared])
-    dot = matrix @ vec
-    return float(dot[0]), float(dot[1])
-
-
 def populations_from_state(rho, params: ThreeLevelParams) -> LevelPopulations:
     """Read (P_1, P_2, P_shared) off a three-level density matrix in the basis
     order used by :func:`lambda_system` / :func:`vee_system`."""
@@ -314,14 +276,7 @@ def populations_from_state(rho, params: ThreeLevelParams) -> LevelPopulations:
     if state.shape != (3, 3):
         raise InvariantViolationError(f"expected a 3x3 state, got {state.shape}")
     diag = state.diagonal().real
-    if params.configuration == LAMBDA:
-        return LevelPopulations(float(diag[0]), float(diag[1]), float(diag[2]))
-    return LevelPopulations(float(diag[1]), float(diag[2]), float(diag[0]))
-
-
-def mean_position(pops: LevelPopulations, params: ThreeLevelParams) -> float:
-    """(d/2)(P_2 - P_1); the shared level sits at the symmetric midpoint."""
-    return 0.5 * params.d * pops.unbalance
+    return LevelPopulations(*(float(diag[i]) for i in _level_indices(params)))
 
 
 def _trajectory_positions(params: ThreeLevelParams, trajectory, times: np.ndarray) -> np.ndarray:
@@ -334,10 +289,7 @@ def _trajectory_positions(params: ThreeLevelParams, trajectory, times: np.ndarra
     if states.shape[0] != times.size:
         raise ValueError(f"trajectory has {states.shape[0]} states for {times.size} grid times")
     diag = states.diagonal(axis1=1, axis2=2).real
-    if params.configuration == LAMBDA:
-        p_1, p_2, p_shared = diag[:, 0], diag[:, 1], diag[:, 2]
-    else:
-        p_1, p_2, p_shared = diag[:, 1], diag[:, 2], diag[:, 0]
+    p_1, p_2, p_shared = (diag[:, i] for i in _level_indices(params))
     # the range and normalization checks of LevelPopulations
     outside = np.zeros(times.size, dtype=bool)
     for p in (p_1, p_2, p_shared):
@@ -401,21 +353,18 @@ def mean_position_trajectory(
     """
     times = np.asarray(t_grid, dtype=float)
     dt = _uniform_step(times, "mean_position_trajectory")
-    coeff = oscillator_coefficients(params)
+    diag = thermo_diagnostics(params)
+    mass, omega_sq, drive = diag.mass, diag.omega_sq, diag.force
+    damping = params.gamma_1  # equal to gamma_2, which thermo_diagnostics requires
     position = _trajectory_positions(params, trajectory, times)
     velocity, acceleration = _derivatives(position, dt)
-    residual = (
-        coeff.mass * acceleration
-        + coeff.damping * velocity
-        + coeff.mass * coeff.omega_sq * position
-        - coeff.drive
-    )
+    residual = mass * acceleration + damping * velocity + mass * omega_sq * position - drive
     scale = float(
         np.max(
-            np.abs(coeff.mass * acceleration)
-            + np.abs(coeff.damping * velocity)
-            + np.abs(coeff.mass * coeff.omega_sq * position)
-            + abs(coeff.drive)
+            np.abs(mass * acceleration)
+            + np.abs(damping * velocity)
+            + np.abs(mass * omega_sq * position)
+            + abs(drive)
         )
     )
     rel = float(np.max(np.abs(residual)) / scale) if scale > 0 else 0.0

@@ -33,8 +33,7 @@ from qthermo.three_level import (
     mean_position_trajectory,
     populations_from_state,
     rate_matrix,
-    steady_unbalance,
-    thermophoretic_force,
+    thermo_diagnostics,
     vee_system,
 )
 
@@ -79,7 +78,7 @@ def test_criterion_01_analytic_vs_numeric_unbalance():
             params = occ_params("lambda", n_1, n_2)
             rho = steady_state(liouvillian(lambda_system(params)))
             numeric = populations_from_state(rho, params).unbalance
-            worst = max(worst, abs(numeric - steady_unbalance(params)))
+            worst = max(worst, abs(numeric - thermo_diagnostics(params).unbalance))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8
     assert elapsed < 5.0
@@ -88,7 +87,7 @@ def test_criterion_01_analytic_vs_numeric_unbalance():
 
 def test_criterion_02_cold_trap_limit():
     params = ThreeLevelParams("lambda", temp_1=1.0, temp_2=0.0)
-    analytic = steady_unbalance(params)
+    analytic = thermo_diagnostics(params).unbalance
     assert abs(analytic - 1.0) <= 1e-10
     rho = steady_state(liouvillian(lambda_system(params)))
     numeric = populations_from_state(rho, params).unbalance
@@ -114,8 +113,8 @@ def test_criterion_04_exact_force_antisymmetry():
     worst = 0.0
     for n_1 in OCCUPATION_GRID:
         for n_2 in OCCUPATION_GRID:
-            forward = thermophoretic_force(occ_params("lambda", n_1, n_2))
-            mirrored = thermophoretic_force(occ_params("vee", n_1, n_2))
+            forward = thermo_diagnostics(occ_params("lambda", n_1, n_2)).force
+            mirrored = thermo_diagnostics(occ_params("vee", n_1, n_2)).force
             worst = max(worst, abs(forward + mirrored))
     assert worst <= 1e-12
     print(f"criterion  4 PASS: force antisymmetry over the 25-point grid, worst {worst:.2e}")

@@ -2,13 +2,16 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qthermo
+import qthermo.cli
 from qthermo.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -269,10 +272,26 @@ class TestMainExitCodes:
         assert code == EXIT_SOLVER
         assert "grouping" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_grouping_tolerance_is_a_validation_failure(self, value, capsys):
         assert main(["chain", "--set", f"eps_omega={value}", "--quiet"]) == EXIT_VALIDATION
         assert "grouping tolerance must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (["dufour", "--set", "n=nan"], "n"),
+            (["vee", "--set", "d=inf"], "d"),
+            (["lambda", "--set", "T_1=inf", "--set", "T_2=1"], "T_1"),
+            (["chain", "--set", "N=4", "--set", "T_L=nan"], "T_L"),
+            (["chain", "--set", "eps_omega=nan"], "eps_omega"),
+            (["chain", "--set", "N=3", "--set", "temperatures=0.8,-inf,0.4"], "temperatures"),
+        ],
+        ids=["dufour-n", "vee-d", "lambda-T_1", "chain-T_L", "chain-eps_omega", "chain-temperatures"],
+    )
+    def test_non_finite_value_is_a_validation_failure(self, overrides, key, capsys):
+        assert main(overrides + ["--quiet"]) == EXIT_VALIDATION
+        assert f"invalid value for key {key!r}" in capsys.readouterr().err
 
     def test_grouping_tolerance_at_a_quarter_spacing(self, capsys):
         # N = 3, g = 0.1: the smallest level spacing is sqrt(2) g; a tolerance
@@ -307,6 +326,21 @@ class TestMainExitCodes:
 
 
 class TestRuntime:
+    def test_benchmark_names_resolve(self):
+        # perfbench/workloads.py reaches the package only through the module
+        # object it is handed (`q`, and `cli = self.q.cli`), so a name deleted
+        # from the package would break it only when the benchmark runs
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        text = path.read_text()
+        chains = set(re.findall(r"\bq\.(\w+(?:\.\w+)?)", text))
+        chains |= {f"cli.{name}" for name in re.findall(r"\bcli\.(\w+)", text)}
+        assert {"three_level_system", "lambda_system", "cli.run"} <= chains
+        for chain in sorted(chains):
+            target = qthermo
+            for part in chain.split("."):
+                assert hasattr(target, part), f"perfbench/workloads.py uses q.{chain}"
+                target = getattr(target, part)
+
     def test_imports_only_numpy(self):
         # numpy is the one runtime dependency; the tests import scipy,
         # hypothesis and pytest themselves, so only a fresh interpreter shows

@@ -211,6 +211,11 @@ class TestBoseOccupation:
         with pytest.raises(ValueError):
             bose_occupation(omega, 1.0)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            bose_occupation(1.0, temperature)
+
 
 class TestVectorRates:
     """The array form of the rates against thermal_rate and bose_occupation.
@@ -708,6 +713,8 @@ class TestEvolve:
             evolve(liouv, rho0, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             evolve(liouv, rho0, np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            evolve(liouv, rho0, np.array([0.0, np.inf]))
 
 
 def rk4_loop(liouv, rho0, times, dt=None):
@@ -1171,6 +1178,15 @@ class TestEdgeCases:
         system = chain_system(ChainSpec(2, 1.0, 1.0 - gap, 0.02, LinearProfile(0.8, 0.4)))
         with pytest.raises(error):
             liouvillian(system)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spectra_and_baths_rejected(self, value):
+        with pytest.raises(InvariantViolationError, match="finite"):
+            FlatDensity(value)
+        with pytest.raises(InvariantViolationError, match="finite"):
+            OhmicDensity(value)
+        with pytest.raises(InvariantViolationError, match="finite"):
+            BathSpec(np.eye(2), FlatDensity(1.0), value)
 
 
 class TestGibbsState:

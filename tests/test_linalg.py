@@ -1,19 +1,14 @@
-"""Linear algebra primitives: eigendecomposition, expectation, vectorization."""
+"""Linear algebra primitives: eigendecomposition, vectorization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo.errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    NumericalConsistencyError,
-)
+from qthermo.errors import DimensionMismatchError, InvariantViolationError
 from qthermo.linalg import (
     devectorize,
     eigh,
-    expectation,
     hermitize,
     trace_distance,
     vectorize,
@@ -64,43 +59,6 @@ class TestEigh:
         rebuilt = (dec.states * dec.energies) @ dec.states.conj().T
         scale = max(np.max(np.abs(dec.energies)), 1e-30)
         assert np.max(np.abs(rebuilt - m)) / scale < 1e-10
-
-
-class TestExpectation:
-    def test_identity_gives_trace(self):
-        rho = np.diag([0.25, 0.75]).astype(complex)
-        assert expectation(np.eye(2), rho) == pytest.approx(1.0)
-
-    def test_diagonal_position_operator(self):
-        # diag(-d/2, d/2) against diag(P1, P2) realizes the mean position
-        d = 2.0
-        rho = np.diag([0.3, 0.7]).astype(complex)
-        value = expectation(np.diag([-d / 2, d / 2]), rho)
-        assert value == pytest.approx((d / 2) * (0.7 - 0.3))
-
-    def test_flip_operator_without_coherence(self):
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert expectation(flip, np.diag([1.0, 0.0])) == pytest.approx(0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            expectation(np.eye(3), np.diag([0.5, 0.5]))
-
-    def test_imaginary_residue_detected_when_unvalidated(self):
-        skewed = np.array([[0.0, 1.0j], [1.0j, 0.0]])  # symmetric, not Hermitian
-        rho = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(NumericalConsistencyError):
-            expectation(skewed, rho, validate=False)
-
-    @settings(max_examples=25, deadline=None)
-    @given(dim=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
-    def test_real_for_hermitian_pairs(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        obs = random_hermitian(rng, dim)
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = raw @ raw.conj().T
-        rho /= np.trace(rho).real
-        expectation(obs, rho)  # the internal residue check is the assertion
 
 
 class TestVectorization:

@@ -16,16 +16,12 @@ from qthermo.three_level import (
     finite_capacity_heating,
     high_temperature_force,
     lambda_system,
-    mean_position,
     mean_position_trajectory,
     occupations,
-    oscillator_coefficients,
     overdamped_ratio,
     populations_from_state,
     rate_matrix,
-    rate_rhs,
-    steady_unbalance,
-    thermophoretic_force,
+    thermo_diagnostics,
     vee_system,
 )
 
@@ -42,17 +38,27 @@ def stationary_populations_oracle(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.solve(constrained, np.array([0.0, 0.0, 1.0]))
 
 
+def coupling_between(i: int, j: int) -> np.ndarray:
+    c = np.zeros((3, 3))
+    c[i, j] = c[j, i] = 1.0
+    return c
+
+
+def assert_baths(system, pairs, rates, temperatures):
+    for bath, pair, rate, temperature in zip(system.baths, pairs, rates, temperatures, strict=True):
+        assert np.array_equal(bath.coupling, coupling_between(*pair))
+        assert bath.spectral.rate == rate
+        assert bath.temperature == temperature
+
+
 class TestSystemBuilders:
     def test_lambda_hamiltonian_and_couplings(self):
-        params = ThreeLevelParams("lambda", omega_1=1.2, omega_2=0.9, temp_1=1.0, temp_2=0.5)
+        params = ThreeLevelParams(
+            "lambda", omega_1=1.2, omega_2=0.9, gamma_1=0.4, gamma_2=1.7, temp_1=1.0, temp_2=0.5
+        )
         system = lambda_system(params)
         assert np.allclose(system.hamiltonian, np.diag([0.0, 0.3, 1.2]))
-        expected_0 = np.zeros((3, 3))
-        expected_0[0, 2] = expected_0[2, 0] = 1.0
-        assert np.allclose(system.baths[0].coupling, expected_0)
-        expected_1 = np.zeros((3, 3))
-        expected_1[1, 2] = expected_1[2, 1] = 1.0
-        assert np.allclose(system.baths[1].coupling, expected_1)
+        assert_baths(system, [(0, 2), (1, 2)], [0.4, 1.7], [1.0, 0.5])
 
     def test_degenerate_low_levels(self):
         params = occ_params("lambda", 2.0, 1.0)
@@ -60,46 +66,54 @@ class TestSystemBuilders:
         assert np.allclose(system.hamiltonian, np.diag([0.0, 0.0, 1.0]))
 
     def test_vee_hamiltonian_and_couplings(self):
-        params = ThreeLevelParams("vee", omega_1=1.0, omega_2=1.1, temp_1=0.7, temp_2=0.7)
+        params = ThreeLevelParams(
+            "vee", omega_1=1.0, omega_2=1.1, gamma_1=2.5, gamma_2=0.3, temp_1=0.7, temp_2=0.2
+        )
         system = vee_system(params)
         assert np.allclose(system.hamiltonian, np.diag([0.0, 1.0, 1.1]))
-        expected = np.zeros((3, 3))
-        expected[0, 1] = expected[1, 0] = 1.0
-        assert np.allclose(system.baths[0].coupling, expected)
+        assert_baths(system, [(0, 1), (0, 2)], [2.5, 0.3], [0.7, 0.2])
 
     def test_configuration_mismatch_rejected(self):
         with pytest.raises(InvariantViolationError):
             lambda_system(ThreeLevelParams("vee"))
         with pytest.raises(InvariantViolationError):
+            vee_system(ThreeLevelParams("lambda"))
+        with pytest.raises(InvariantViolationError):
             ThreeLevelParams("ladder")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["omega_1", "omega_2", "gamma_1", "gamma_2", "temp_1", "temp_2", "d"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(InvariantViolationError, match=f"{name} must be finite"):
+            ThreeLevelParams("lambda", **{name: value})
 
 
 class TestSteadyUnbalance:
     def test_equal_occupations_give_zero(self):
-        assert steady_unbalance(occ_params("lambda", 1.3, 1.3)) == pytest.approx(0.0, abs=1e-15)
+        assert thermo_diagnostics(occ_params("lambda", 1.3, 1.3)).unbalance == pytest.approx(0.0, abs=1e-15)
 
     def test_cold_trap_concentrates_fully(self):
         params = ThreeLevelParams("lambda", temp_1=0.9, temp_2=0.0)
-        assert steady_unbalance(params) == pytest.approx(1.0, abs=1e-10)
+        assert thermo_diagnostics(params).unbalance == pytest.approx(1.0, abs=1e-10)
 
     def test_against_rate_null_space_oracle(self):
         params = occ_params("lambda", 2.0, 1.0)
         oracle = stationary_populations_oracle(rate_matrix(params))
-        assert steady_unbalance(params) == pytest.approx(oracle[1] - oracle[0], abs=1e-14)
-        assert steady_unbalance(params) == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert thermo_diagnostics(params).unbalance == pytest.approx(oracle[1] - oracle[0], abs=1e-14)
+        assert thermo_diagnostics(params).unbalance == pytest.approx(1.0 / 9.0, abs=1e-15)
 
     def test_both_baths_frozen_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            steady_unbalance(ThreeLevelParams("lambda", temp_1=0.0, temp_2=0.0))
+            thermo_diagnostics(ThreeLevelParams("lambda", temp_1=0.0, temp_2=0.0))
 
     def test_unequal_rates_rejected(self):
         with pytest.raises(InvariantViolationError):
-            steady_unbalance(ThreeLevelParams("lambda", gamma_1=1.0, gamma_2=2.0))
+            thermo_diagnostics(ThreeLevelParams("lambda", gamma_1=1.0, gamma_2=2.0))
 
     @settings(max_examples=40, deadline=None)
     @given(n_1=occupation_values, n_2=occupation_values)
     def test_bounded_and_antitone_in_gradient(self, n_1, n_2):
-        value = steady_unbalance(occ_params("lambda", n_1, n_2))
+        value = thermo_diagnostics(occ_params("lambda", n_1, n_2)).unbalance
         assert abs(value) <= 1.0
         delta_n = n_2 - n_1
         if abs(delta_n) > 1e-9:
@@ -108,28 +122,28 @@ class TestSteadyUnbalance:
 
 class TestForce:
     def test_zero_gradient_means_zero_force(self):
-        assert thermophoretic_force(occ_params("lambda", 2.0, 2.0)) == pytest.approx(0.0, abs=1e-15)
+        assert thermo_diagnostics(occ_params("lambda", 2.0, 2.0)).force == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_point(self):
-        assert thermophoretic_force(occ_params("lambda", 2.0, 1.0)) == pytest.approx(0.0625, abs=1e-15)
-        assert thermophoretic_force(occ_params("vee", 2.0, 1.0)) == pytest.approx(-0.0625, abs=1e-15)
+        assert thermo_diagnostics(occ_params("lambda", 2.0, 1.0)).force == pytest.approx(0.0625, abs=1e-15)
+        assert thermo_diagnostics(occ_params("vee", 2.0, 1.0)).force == pytest.approx(-0.0625, abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(n_1=occupation_values, n_2=occupation_values, gamma=st.floats(0.1, 3.0), d=st.floats(0.1, 3.0))
     def test_exact_antisymmetry(self, n_1, n_2, gamma, d):
-        forward = thermophoretic_force(occ_params("lambda", n_1, n_2, gamma=gamma, d=d))
-        mirrored = thermophoretic_force(occ_params("vee", n_1, n_2, gamma=gamma, d=d))
+        forward = thermo_diagnostics(occ_params("lambda", n_1, n_2, gamma=gamma, d=d)).force
+        mirrored = thermo_diagnostics(occ_params("vee", n_1, n_2, gamma=gamma, d=d)).force
         assert forward == pytest.approx(-mirrored, abs=1e-12)
 
 
 class TestOscillatorCoefficients:
     def test_zero_occupation_mass(self):
-        coeff = oscillator_coefficients(ThreeLevelParams("vee", temp_1=0.0, temp_2=0.0))
+        coeff = thermo_diagnostics(ThreeLevelParams("vee", temp_1=0.0, temp_2=0.0))
         assert coeff.mass == pytest.approx(0.5)
 
     def test_reference_frequencies(self):
-        assert oscillator_coefficients(occ_params("lambda", 2.0, 1.0)).omega_sq == pytest.approx(9.0)
-        assert oscillator_coefficients(occ_params("vee", 2.0, 1.0)).omega_sq == pytest.approx(13.0)
+        assert thermo_diagnostics(occ_params("lambda", 2.0, 1.0)).omega_sq == pytest.approx(9.0)
+        assert thermo_diagnostics(occ_params("vee", 2.0, 1.0)).omega_sq == pytest.approx(13.0)
 
     @pytest.mark.parametrize("config,expected", [("lambda", 9.0), ("vee", 13.0)])
     def test_frequency_against_rate_matrix_eigenvalues(self, config, expected):
@@ -138,14 +152,14 @@ class TestOscillatorCoefficients:
         params = occ_params(config, 2.0, 1.0)
         eigenvalues = np.sort(np.linalg.eigvals(rate_matrix(params)).real)
         decaying = eigenvalues[np.abs(eigenvalues) > 1e-10]
-        coeff = oscillator_coefficients(params)
+        coeff = thermo_diagnostics(params)
         assert np.prod(decaying) == pytest.approx(coeff.omega_sq, rel=1e-12)
-        assert np.sum(decaying) == pytest.approx(-coeff.damping / coeff.mass, rel=1e-12)
+        assert np.sum(decaying) == pytest.approx(-params.gamma_1 / coeff.mass, rel=1e-12)
 
     def test_saturated_gradient_keeps_frequency_nonnegative(self):
         # delta_n = -2 n_mean (one bath frozen) leaves omega_sq = 2 Gamma^2 n_mean
         params = occ_params("lambda", 1.0, 0.0)
-        coeff = oscillator_coefficients(params)
+        coeff = thermo_diagnostics(params)
         assert coeff.omega_sq == pytest.approx(2.0 * 0.5, abs=1e-12)
         assert coeff.omega_sq >= 0.0
 
@@ -156,7 +170,7 @@ class TestOscillatorCoefficients:
         n_2=occupation_values,
     )
     def test_squared_frequency_nonnegative(self, config, n_1, n_2):
-        assert oscillator_coefficients(occ_params(config, n_1, n_2)).omega_sq >= 0.0
+        assert thermo_diagnostics(occ_params(config, n_1, n_2)).omega_sq >= 0.0
 
 
 def two_branch_rate_matrix(params: ThreeLevelParams, spontaneous: bool) -> np.ndarray:
@@ -196,13 +210,13 @@ class TestRateEquations:
         params = occ_params("lambda", 2.0, 1.0)
         stationary = stationary_populations_oracle(rate_matrix(params))
         pops = LevelPopulations(*stationary)
-        d1, d2 = rate_rhs(pops, params)
+        d1, d2, _ = rate_matrix(params) @ [pops.p_1, pops.p_2, pops.p_shared]
         assert abs(d2 - d1) < 1e-14  # unbalance is stationary
         assert abs(d1) < 1e-14 and abs(d2) < 1e-14
 
     def test_symmetric_setup_keeps_symmetry(self):
         params = occ_params("lambda", 1.0, 1.0)
-        d1, d2 = rate_rhs(LevelPopulations(0.3, 0.3, 0.4), params)
+        d1, d2, _ = rate_matrix(params) @ [0.3, 0.3, 0.4]
         assert d1 == pytest.approx(d2, abs=1e-15)
 
     @settings(max_examples=25, deadline=None)
@@ -237,7 +251,7 @@ class TestRateEquations:
         pops = populations_from_state(rho, params)
         assert pops.p_1 == pytest.approx(0.0, abs=1e-12)
         assert pops.p_2 == pytest.approx(0.0, abs=1e-12)
-        assert thermophoretic_force(params) == 0.0
+        assert thermo_diagnostics(params).force == 0.0
 
 
 class TestLevelPopulations:
@@ -291,7 +305,7 @@ class TestMeanPositionTrajectory:
         liouv = liouvillian(lambda_system(params))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         final = evolve(liouv, rho0, np.array([0.0, 20.0]))[-1]
-        assert mean_position(populations_from_state(final, params), params) == pytest.approx(
+        assert 0.5 * params.d * populations_from_state(final, params).unbalance == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -343,7 +357,7 @@ class TestTrajectoryReaders:
             grid = np.linspace(0.0, 2.0, 2001)
             trajectory = evolve(liouvillian(system), np.full((3, 3), 1.0 / 3.0, dtype=complex), grid)
             check = mean_position_trajectory(params, trajectory, grid)
-            expected = [mean_position(populations_from_state(rho, params), params) for rho in trajectory]
+            expected = [0.5 * params.d * populations_from_state(rho, params).unbalance for rho in trajectory]
             assert check.position.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.2], [0.0, 0.1, 0.2, 0.35]], ids=["short", "uneven"])
@@ -406,7 +420,7 @@ class TestOverdampedRatio:
         # recompute the ratio over the full trajectory, transient included
         dt = grid[1] - grid[0]
         position = np.array(
-            [mean_position(populations_from_state(r, params), params) for r in trajectory]
+            [0.5 * params.d * populations_from_state(r, params).unbalance for r in trajectory]
         )
         velocity = (position[2:] - position[:-2]) / (2 * dt)
         acceleration = (position[2:] - 2 * position[1:-1] + position[:-2]) / dt**2
@@ -510,7 +524,7 @@ class TestAnalyticNumericAgreement:
         params = occ_params("lambda", n_1, n_2)
         rho = steady_state(liouvillian(lambda_system(params)))
         numeric = populations_from_state(rho, params).unbalance
-        assert numeric == pytest.approx(steady_unbalance(params), abs=1e-8)
+        assert numeric == pytest.approx(thermo_diagnostics(params).unbalance, abs=1e-8)
 
     def test_occupations_round_trip(self):
         params = occ_params("lambda", 2.0, 1.0)
@@ -521,7 +535,7 @@ class TestAnalyticNumericAgreement:
     def test_zero_occupation_edge(self):
         # one frozen bath concentrates everything on its own side
         params = occ_params("lambda", 0.0, 3.0)
-        assert steady_unbalance(params) == pytest.approx(-1.0, abs=1e-12)
+        assert thermo_diagnostics(params).unbalance == pytest.approx(-1.0, abs=1e-12)
         rho = steady_state(liouvillian(lambda_system(params)))
         assert populations_from_state(rho, params).unbalance == pytest.approx(-1.0, abs=1e-8)
 
@@ -529,7 +543,7 @@ class TestAnalyticNumericAgreement:
         n_mean = 1.0
         gradients = np.linspace(-1.9, 1.9, 13)
         values = [
-            steady_unbalance(occ_params("lambda", n_mean - dn / 2.0, n_mean + dn / 2.0))
+            thermo_diagnostics(occ_params("lambda", n_mean - dn / 2.0, n_mean + dn / 2.0)).unbalance
             for dn in gradients
         ]
         assert np.all(np.diff(values) < 0.0)
