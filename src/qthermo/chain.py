@@ -16,7 +16,8 @@ the middle of the chain) or mixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -51,6 +52,8 @@ class LinearProfile:
     t_right: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_left) and math.isfinite(self.t_right)):
+            raise InvariantViolationError(f"temperatures must be finite, got {self.t_left}, {self.t_right}")
         if self.t_left < 0 or self.t_right < 0:
             raise InvariantViolationError("temperatures must be >= 0")
 
@@ -66,6 +69,8 @@ class ExplicitProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(map(math.isfinite, self.values)):
+            raise InvariantViolationError(f"temperatures must be finite, got {self.values}")
         if any(v < 0 for v in self.values):
             raise InvariantViolationError("temperatures must be >= 0")
 
@@ -95,6 +100,9 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvariantViolationError(f"need at least 2 sites, got {self.n_sites}")
+        for name in ("site_energy", "tunneling", "bath_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.site_energy > 0:
             raise InvariantViolationError(f"site energy must be > 0, got {self.site_energy}")
         if self.tunneling < 0:
@@ -251,13 +259,7 @@ def _solve_point(
 ) -> SweepPoint:
     t_left, t_right = pair
     try:
-        spec = ChainSpec(
-            n_sites=base.n_sites,
-            site_energy=base.site_energy,
-            tunneling=tunneling,
-            bath_rate=base.bath_rate,
-            profile=LinearProfile(t_left, t_right),
-        )
+        spec = replace(base, tunneling=tunneling, profile=LinearProfile(t_left, t_right))
         rho = steady_state(liouvillian(chain_system(spec), freq_tol))
         populations = site_populations(rho, spec)
         verdict = classify(populations, spec.profile)
@@ -274,9 +276,10 @@ def population_sweep(
 ) -> list[SweepPoint]:
     """Steady-state solve over a (temperature pair) x (tunneling) grid.
 
-    Rows come back in deterministic order: temperature pairs outermost, then
-    tunneling values.  Failing grid points are annotated and do not abort the
-    sweep.
+    Each point is ``base`` with its tunneling and temperature profile
+    replaced by the point's values.  Rows come back in deterministic order:
+    temperature pairs outermost, then tunneling values.  Failing grid points
+    are annotated and do not abort the sweep.
     """
     return [
         _solve_point(base, float(g), (float(pair[0]), float(pair[1])), freq_tol)

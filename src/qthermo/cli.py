@@ -17,7 +17,7 @@ import difflib
 import math
 import os
 import sys
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -76,8 +76,6 @@ SOLVER_ERRORS = (
     NumericalConsistencyError,
 )
 
-EXPERIMENTS = ("lambda", "vee", "chain", "dufour", "sweep", "figure2")
-
 GLOBAL_KEYS = {
     "experiment": "str",
     "out": "str",
@@ -106,29 +104,6 @@ _CHAIN_KEYS = {
     "T_R": "float",
     "temperatures": "floats",
 }
-
-EXPERIMENT_KEYS: dict[str, dict[str, str]] = {
-    "lambda": _THREE_LEVEL_KEYS,
-    "vee": _THREE_LEVEL_KEYS,
-    "chain": _CHAIN_KEYS,
-    # sweeps vary the tunneling over a linear endpoint profile, so the
-    # explicit per-site temperature list is a chain-only key
-    "sweep": {k: v for k, v in _CHAIN_KEYS.items() if k != "temperatures"} | {"g_list": "floats"},
-    "figure2": {"N": "int", "h": "float", "Gamma": "float"},
-    "dufour": {
-        "n": "float",
-        "P_1": "float",
-        "P_2": "float",
-        "omega": "float",
-        "Gamma": "float",
-        "capacity": "float",
-        "horizon": "float",
-        "samples": "int",
-        "dt": "float",
-    },
-}
-
-VOLATILE_METADATA = ("wall_clock_s",)  # kept on the table, never serialized
 
 
 def _fmt_float(value: float) -> str:
@@ -172,7 +147,6 @@ class RunConfig:
     experiment: str
     values: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    quiet: bool = False
 
     @property
     def out(self) -> str | None:
@@ -180,11 +154,11 @@ class RunConfig:
 
     @property
     def fmt(self) -> str:
-        return self.values.get("format", "csv")
+        return self.values["format"]
 
     @property
     def eps_omega(self) -> float:
-        return self.values.get("eps_omega", DEFAULT_FREQ_TOL)
+        return self.values["eps_omega"]
 
     def resolved_items(self) -> list[tuple[str, str]]:
         # the output destination does not influence the payload and is kept
@@ -193,7 +167,7 @@ class RunConfig:
 
 
 def _valid_keys(experiment: str) -> dict[str, str]:
-    return {**GLOBAL_KEYS, **EXPERIMENT_KEYS[experiment]}
+    return {**GLOBAL_KEYS, **_EXPERIMENTS[experiment].keys}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -220,120 +194,61 @@ def read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _reject_unknown(mapping: dict[str, str], experiment: str) -> None:
-    valid = _valid_keys(experiment)
-    for key in mapping:
-        if key not in valid:
-            close = difflib.get_close_matches(key, sorted(valid), n=1)
-            hint = f"; nearest valid key: {close[0]!r}" if close else ""
-            raise ConfigError(f"unknown key {key!r} for experiment {experiment!r}{hint}")
-
-
-def _occupation_to_temperature(n: float, omega: float) -> float:
-    try:
-        return occupation_temperature(n, omega)
-    except InvariantViolationError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_config(
     experiment: str,
     file_pairs: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
-    quiet: bool = False,
 ) -> RunConfig:
     """Merge file pairs and overrides, apply defaults, and type-check values.
 
     The provenance of every key records where its value came from.
     """
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}")
+    if experiment not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; choose from {', '.join(_EXPERIMENTS)}")
     file_pairs = dict(file_pairs or {})
     overrides = dict(overrides or {})
 
-    experiment_source = "override"
-    for source, pairs in (("config", file_pairs), ("override", overrides)):
-        declared = pairs.pop("experiment", None)
-        if declared is not None:
-            if declared != experiment:
-                raise ConfigError(
-                    f"{source} declares experiment {declared!r} but {experiment!r} was requested"
-                )
-            if source == "config" and not overrides.get("experiment"):
-                experiment_source = "config"
-
-    _reject_unknown(file_pairs, experiment)
-    _reject_unknown(overrides, experiment)
-
-    valid = _valid_keys(experiment)
-    config = RunConfig(experiment=experiment, quiet=quiet)
+    config = RunConfig(experiment=experiment)
     config.values["experiment"] = experiment
-    config.provenance["experiment"] = experiment_source
+    config.provenance["experiment"] = (
+        "config" if "experiment" in file_pairs and "experiment" not in overrides else "override"
+    )
+    for source, pairs in (("config", file_pairs), ("override", overrides)):
+        declared = pairs.pop("experiment", experiment)
+        if declared != experiment:
+            raise ConfigError(f"{source} declares experiment {declared!r} but {experiment!r} was requested")
 
-    merged: dict[str, tuple[str, str]] = {}
-    for key, raw in file_pairs.items():
-        merged[key] = (raw, "config")
-    for key, raw in overrides.items():
-        merged[key] = (raw, "override")
+    merged = {key: (raw, "config") for key, raw in file_pairs.items()}
+    merged.update((key, (raw, "override")) for key, raw in overrides.items())
+    valid = _valid_keys(experiment)
+    for key in merged:
+        if key not in valid:
+            close = difflib.get_close_matches(key, sorted(valid), n=1)
+            hint = f"; nearest valid key: {close[0]!r}" if close else ""
+            raise ConfigError(f"unknown key {key!r} for experiment {experiment!r}{hint}")
     for key, (raw, source) in merged.items():
         config.values[key] = _parse_typed(key, raw, valid[key])
         config.provenance[key] = source
 
-    _apply_defaults(config)
-    _cross_validate(config)
+    _resolve(config)
     return config
 
 
-def _default(config: RunConfig, key: str, value) -> None:
-    if key not in config.values:
-        config.values[key] = value
-        config.provenance[key] = "default"
+def _resolve(config: RunConfig) -> None:
+    """Fill in every default and reject inconsistent key combinations."""
+    values = config.values
 
+    def default(**pairs) -> None:
+        for key, value in pairs.items():
+            if key not in values:
+                values[key] = value
+                config.provenance[key] = "default"
 
-def _apply_defaults(config: RunConfig) -> None:
-    _default(config, "format", "csv")
-    _default(config, "eps_omega", DEFAULT_FREQ_TOL)
+    default(format="csv", eps_omega=DEFAULT_FREQ_TOL)
+    if values["format"] not in ("csv", "text"):
+        raise ConfigError(f"format must be 'csv' or 'text', got {values['format']!r}")
     experiment = config.experiment
-    values = config.values
     if experiment in ("lambda", "vee"):
-        _default(config, "omega_1", 1.0)
-        _default(config, "omega_2", 1.0)
-        _default(config, "gamma_1", 1.0)
-        _default(config, "gamma_2", 1.0)
-        _default(config, "d", 1.0)
-        has_temp = "T_1" in values or "T_2" in values
-        has_occ = "n_1" in values or "n_2" in values
-        if not has_temp and not has_occ:
-            _default(config, "n_1", 2.0)
-            _default(config, "n_2", 1.0)
-    elif experiment in ("chain", "sweep", "figure2"):
-        _default(config, "N", 10)
-        _default(config, "h", 1.0)
-        h = values["h"]
-        _default(config, "Gamma", 0.01 * h)
-        if experiment != "figure2":
-            _default(config, "g", 0.1 * h)
-            if "temperatures" not in values:
-                _default(config, "T_L", 0.8 * h)
-                _default(config, "T_R", 0.4 * h)
-        if experiment == "sweep":
-            _default(config, "g_list", tuple(g * h for g in DEFAULT_TUNNELING_SWEEP))
-    elif experiment == "dufour":
-        _default(config, "n", 1.0)
-        _default(config, "P_1", 0.2)
-        _default(config, "P_2", 0.3)
-        _default(config, "omega", 1.0)
-        _default(config, "Gamma", 1.0)
-        _default(config, "capacity", 10.0)
-        _default(config, "horizon", 5.0)
-        _default(config, "samples", 201)
-
-
-def _cross_validate(config: RunConfig) -> None:
-    values = config.values
-    if values.get("format") not in ("csv", "text"):
-        raise ConfigError(f"format must be 'csv' or 'text', got {values.get('format')!r}")
-    if config.experiment in ("lambda", "vee"):
         has_temp = "T_1" in values or "T_2" in values
         has_occ = "n_1" in values or "n_2" in values
         if has_temp and has_occ:
@@ -342,22 +257,23 @@ def _cross_validate(config: RunConfig) -> None:
             raise ConfigError("both T_1 and T_2 are required when specifying temperatures")
         if has_occ and ("n_1" not in values or "n_2" not in values):
             raise ConfigError("both n_1 and n_2 are required when specifying occupations")
-    if config.experiment == "chain":
+        default(omega_1=1.0, omega_2=1.0, gamma_1=1.0, gamma_2=1.0, d=1.0)
+        if not has_temp and not has_occ:
+            default(n_1=2.0, n_2=1.0)
+    elif experiment in ("chain", "sweep", "figure2"):
         if "temperatures" in values and ("T_L" in values or "T_R" in values):
             raise ConfigError("give either an explicit temperature list or T_L/T_R endpoints, not both")
-
-
-def parse_config(path: str, experiment: str | None = None) -> RunConfig:
-    """Load a config file into a fully resolved RunConfig.
-
-    The experiment is taken from the file's ``experiment`` key unless given
-    explicitly (the CLI passes its subcommand here).
-    """
-    pairs = read_config_file(path)
-    chosen = experiment or pairs.get("experiment")
-    if chosen is None:
-        raise ConfigError(f"{path}: missing 'experiment' key and no experiment given")
-    return build_config(chosen, file_pairs=pairs)
+        default(N=10, h=1.0)
+        h = values["h"]
+        default(Gamma=0.01 * h)
+        if experiment != "figure2":
+            default(g=0.1 * h)
+            if "temperatures" not in values:
+                default(T_L=0.8 * h, T_R=0.4 * h)
+        if experiment == "sweep":
+            default(g_list=tuple(g * h for g in DEFAULT_TUNNELING_SWEEP))
+    else:
+        default(n=1.0, P_1=0.2, P_2=0.3, omega=1.0, Gamma=1.0, capacity=10.0, horizon=5.0, samples=201)
 
 
 def config_from_metadata(metadata: dict[str, str]) -> RunConfig:
@@ -385,8 +301,7 @@ class Column:
 
 @dataclass
 class ResultTable:
-    """Schema-checked rows plus a metadata block (resolved config, version,
-    wall clock)."""
+    """Schema-checked rows plus a metadata block (resolved config, version)."""
 
     columns: tuple[Column, ...]
     rows: list[tuple] = field(default_factory=list)
@@ -414,30 +329,18 @@ def _csv_escape(text: str) -> str:
     return text
 
 
-def _render_cell(column: Column, value) -> str:
-    if column.kind == "float":
-        return _fmt_float(value)
-    if column.kind == "int":
-        return str(value)
-    return _csv_escape(str(value))
-
-
 def render(table: ResultTable, fmt: str = "csv") -> str:
     """Serialize a table; CSV uses comma separators, 17-significant-digit
-    floats, '#'-prefixed metadata lines and LF endings.  The volatile wall
-    clock entry never reaches the output, keeping files byte-identical for a
-    fixed configuration."""
-    lines = []
-    for key, value in table.metadata.items():
-        if key in VOLATILE_METADATA:
-            continue
-        lines.append(f"# {key} = {value}")
+    floats, '#'-prefixed metadata lines and LF endings."""
+    lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
+    rendered = [
+        [_csv_escape(value) if isinstance(value, str) else _fmt_value(value) for value in row]
+        for row in table.rows
+    ]
     if fmt == "csv":
         lines.append(",".join(column.name for column in table.columns))
-        for row in table.rows:
-            lines.append(",".join(_render_cell(c, v) for c, v in zip(table.columns, row)))
+        lines.extend(",".join(r) for r in rendered)
     elif fmt == "text":
-        rendered = [[_render_cell(c, v) for c, v in zip(table.columns, row)] for row in table.rows]
         widths = [
             max(len(column.name), *(len(r[i]) for r in rendered)) if rendered else len(column.name)
             for i, column in enumerate(table.columns)
@@ -489,8 +392,8 @@ def _three_level_params(config: RunConfig) -> ThreeLevelParams:
     omega_1 = values["omega_1"]
     omega_2 = values["omega_2"]
     if "n_1" in values:
-        temp_1 = _occupation_to_temperature(values["n_1"], omega_1)
-        temp_2 = _occupation_to_temperature(values["n_2"], omega_2)
+        temp_1 = occupation_temperature(values["n_1"], omega_1)
+        temp_2 = occupation_temperature(values["n_2"], omega_2)
     else:
         temp_1 = values["T_1"]
         temp_2 = values["T_2"]
@@ -521,49 +424,33 @@ def _chain_spec(config: RunConfig, tunneling: float | None = None) -> ChainSpec:
     )
 
 
-def _run_three_level(config: RunConfig) -> ResultTable:
+def _run_three_level(config: RunConfig) -> list[tuple[str, ResultTable]]:
     params = _three_level_params(config)
     diag = thermo_diagnostics(params)
     system = three_level_system(params)
     rho = steady_state(liouvillian(system, config.eps_omega))
-    pops = populations_from_state(rho, params)
     currents = heat_currents(system, rho, config.eps_omega)
+    row = {
+        "n_1": diag.n_1,
+        "n_2": diag.n_2,
+        "delta_n": diag.delta_n,
+        "n_mean": diag.n_mean,
+        "mass": diag.mass,
+        "omega_sq": diag.omega_sq,
+        "unbalance": diag.unbalance,
+        "unbalance_numeric": populations_from_state(rho, params).unbalance,
+        "force": diag.force,
+        "current_1": currents[0],
+        "current_2": currents[1],
+    }
     table = ResultTable(
-        columns=tuple(
-            Column(name, "float")
-            for name in (
-                "n_1",
-                "n_2",
-                "delta_n",
-                "n_mean",
-                "mass",
-                "omega_sq",
-                "unbalance",
-                "unbalance_numeric",
-                "force",
-                "current_1",
-                "current_2",
-            )
-        ),
-        metadata=_base_metadata(config),
+        columns=tuple(Column(name, "float") for name in row), metadata=_base_metadata(config)
     )
-    table.add_row(
-        diag.n_1,
-        diag.n_2,
-        diag.delta_n,
-        diag.n_mean,
-        diag.mass,
-        diag.omega_sq,
-        diag.unbalance,
-        pops.unbalance,
-        diag.force,
-        currents[0],
-        currents[1],
-    )
-    return table
+    table.add_row(*row.values())
+    return [("", table)]
 
 
-def _run_chain(config: RunConfig) -> ResultTable:
+def _run_chain(config: RunConfig) -> list[tuple[str, ResultTable]]:
     spec = _chain_spec(config)
     system = chain_system(spec)
     rho = steady_state(liouvillian(system, config.eps_omega))
@@ -584,17 +471,17 @@ def _run_chain(config: RunConfig) -> ResultTable:
     table.metadata["symmetry"] = _fmt_float(verdict.symmetry)
     for i in range(spec.n_sites):
         table.add_row(i + 1, populations[i], currents[i], verdict.kind)
-    return table
+    return [("", table)]
 
 
-def _run_dufour(config: RunConfig) -> ResultTable:
+def _run_dufour(config: RunConfig) -> list[tuple[str, ResultTable]]:
     values = config.values
     pops = LevelPopulations.closing(values["P_1"], values["P_2"])
     n = values["n"]
     omega = values["omega"]
     gamma = values["Gamma"]
     j_1, j_2, verdict = dufour_currents(pops, n, n, omega, gamma)
-    temp_start = _occupation_to_temperature(n, omega)
+    temp_start = occupation_temperature(n, omega)
     samples = values["samples"]
     if "dt" in values:  # step override wins over the sample count
         if not values["dt"] > 0:
@@ -623,15 +510,9 @@ def _run_dufour(config: RunConfig) -> ResultTable:
     table.metadata["initial_current_1"] = _fmt_float(j_1)
     table.metadata["initial_current_2"] = _fmt_float(j_2)
     table.metadata["truncated"] = "true" if history.truncated else "false"
-    for i in range(history.times.size):
-        table.add_row(
-            history.times[i],
-            history.temp_1[i],
-            history.temp_2[i],
-            history.current_1[i],
-            history.current_2[i],
-        )
-    return table
+    for row in zip(history.times, history.temp_1, history.temp_2, history.current_1, history.current_2):
+        table.add_row(*row)
+    return [("", table)]
 
 
 def _sweep_table(config: RunConfig, points) -> ResultTable:
@@ -654,20 +535,12 @@ def _sweep_table(config: RunConfig, points) -> ResultTable:
             table.add_row(point.tunneling, point.t_left, point.t_right, 0, math.nan, "", point.error)
             continue
         for i, population in enumerate(point.populations):
-            table.add_row(
-                point.tunneling,
-                point.t_left,
-                point.t_right,
-                i + 1,
-                population,
-                point.verdict.kind,
-                "",
-            )
+            table.add_row(point.tunneling, point.t_left, point.t_right, i + 1, population, point.verdict.kind, "")
     table.metadata["warnings"] = str(warnings)
     return table
 
 
-def _run_sweep(config: RunConfig) -> ResultTable:
+def _run_sweep(config: RunConfig) -> list[tuple[str, ResultTable]]:
     values = config.values
     base = _chain_spec(config, tunneling=values["h"])  # tunneling replaced per point
     points = population_sweep(
@@ -676,7 +549,7 @@ def _run_sweep(config: RunConfig) -> ResultTable:
         [(values["T_L"], values["T_R"])],
         freq_tol=config.eps_omega,
     )
-    return _sweep_table(config, points)
+    return [("", _sweep_table(config, points))]
 
 
 def _run_figure2(config: RunConfig) -> list[tuple[str, ResultTable]]:
@@ -703,28 +576,65 @@ class RunOutcome:
     exit_code: int
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    summary: str  # the subcommand's --help line
+    keys: dict[str, str]  # key name -> type, on top of GLOBAL_KEYS
+    runner: Callable[[RunConfig], list[tuple[str, ResultTable]]]
+
+
+# the one list of experiments; --help and the unknown-experiment message keep
+# this order
+_EXPERIMENTS = {
+    "lambda": _Experiment(
+        "three-level system with two low levels sharing one excited level",
+        _THREE_LEVEL_KEYS,
+        _run_three_level,
+    ),
+    "vee": _Experiment(
+        "three-level system with one ground level and two excited levels",
+        _THREE_LEVEL_KEYS,
+        _run_three_level,
+    ),
+    "chain": _Experiment("N-site chain with one local bath per site", _CHAIN_KEYS, _run_chain),
+    "dufour": _Experiment(
+        "clamped-population heat currents and finite-capacity bath heating",
+        {
+            "n": "float",
+            "P_1": "float",
+            "P_2": "float",
+            "omega": "float",
+            "Gamma": "float",
+            "capacity": "float",
+            "horizon": "float",
+            "samples": "int",
+            "dt": "float",
+        },
+        _run_dufour,
+    ),
+    # sweeps vary the tunneling over a linear endpoint profile, so the
+    # explicit per-site temperature list is a chain-only key
+    "sweep": _Experiment(
+        "chain steady states over a tunneling sweep",
+        {k: v for k, v in _CHAIN_KEYS.items() if k != "temperatures"} | {"g_list": "floats"},
+        _run_sweep,
+    ),
+    "figure2": _Experiment(
+        "the four-panel default chain survey, one CSV per panel",
+        {"N": "int", "h": "float", "Gamma": "float"},
+        _run_figure2,
+    ),
+}
+
+
 def run(config: RunConfig) -> RunOutcome:
     """Execute the configured experiment and return its tables plus exit code.
 
-    Validation failures map to exit code 2, solver failures to 3.  Partial
-    sweep failures are annotated per row and leave the exit code at 0 with a
-    warning count in the metadata.
+    Errors propagate; ``main`` maps validation failures to exit code 2 and
+    solver failures to 3.  Partial sweep failures are annotated per row and
+    leave the exit code at 0 with a warning count in the metadata.
     """
-    start = time.perf_counter()
-    if config.experiment in ("lambda", "vee"):
-        tables = [("", _run_three_level(config))]
-    elif config.experiment == "chain":
-        tables = [("", _run_chain(config))]
-    elif config.experiment == "dufour":
-        tables = [("", _run_dufour(config))]
-    elif config.experiment == "sweep":
-        tables = [("", _run_sweep(config))]
-    else:
-        tables = _run_figure2(config)
-    wall = time.perf_counter() - start
-    for _, table in tables:
-        table.metadata["wall_clock_s"] = f"{wall:.6f}"
-    return RunOutcome(tables=tables, exit_code=EXIT_OK)
+    return RunOutcome(tables=_EXPERIMENTS[config.experiment].runner(config), exit_code=EXIT_OK)
 
 
 def _parse_set_items(items) -> dict[str, str]:
@@ -744,15 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         "steady states, heat currents, thermophoretic diagnostics.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, summary in (
-        ("lambda", "three-level system with two low levels sharing one excited level"),
-        ("vee", "three-level system with one ground level and two excited levels"),
-        ("chain", "N-site chain with one local bath per site"),
-        ("dufour", "clamped-population heat currents and finite-capacity bath heating"),
-        ("sweep", "chain steady states over a tunneling sweep"),
-        ("figure2", "the four-panel default chain survey, one CSV per panel"),
-    ):
-        p = sub.add_parser(name, help=summary)
+    for name, experiment in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.summary)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", help="output file (directory for figure2)")
         p.add_argument("--format", choices=("csv", "text"), help="output format (default csv)")
@@ -781,8 +684,7 @@ def _summarize(outcome: RunOutcome) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_pairs = read_config_file(args.config) if args.config else {}
         overrides = _parse_set_items(args.set)
@@ -790,40 +692,28 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         if args.format is not None:
             overrides["format"] = args.format
-        config = build_config(
-            args.experiment, file_pairs=file_pairs, overrides=overrides, quiet=args.quiet
-        )
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
+        config = build_config(args.experiment, file_pairs=file_pairs, overrides=overrides)
         outcome = run(config)
-    except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
         if config.experiment == "figure2":
             out_dir = config.out or "figure2_out"
             os.makedirs(out_dir, exist_ok=True)
             extension = "csv" if config.fmt == "csv" else "txt"
             for name, table in outcome.tables:
                 emit(table, config.fmt, os.path.join(out_dir, f"{name}.{extension}"))
-            if not config.quiet:
+            if not args.quiet:
                 print(f"wrote {len(outcome.tables)} panels to {out_dir}/")
         else:
             _, table = outcome.tables[0]
             text = emit(table, config.fmt, config.out)
             if config.out is None:
                 sys.stdout.write(text)
-            elif not config.quiet:
+            elif not args.quiet:
                 print(f"wrote {config.out}")
-        if not config.quiet:
+        if not args.quiet:
             print(_summarize(outcome))
+    except SOLVER_ERRORS as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

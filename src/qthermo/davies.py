@@ -201,7 +201,7 @@ class OpenSystem:
 
 def bose_occupation(omega: float, temperature: float) -> float:
     """Mean excitation number 1/(exp(omega/T) - 1); zero at T = 0."""
-    if omega <= 0:
+    if not 0 < omega < math.inf:
         raise ValueError(f"bose_occupation needs omega > 0, got {omega}")
     if not 0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")

@@ -481,6 +481,10 @@ def dufour_currents(
     A clamped concentration unbalance P_2 > P_1 with population inversion
     makes bath 1 heat up faster: the reciprocal of thermophoresis.
     """
+    if not all(map(math.isfinite, (n_1, n_2, omega, gamma))):
+        raise InvariantViolationError(
+            f"occupations, omega and gamma must be finite, got {n_1}, {n_2}, {omega}, {gamma}"
+        )
     if n_1 < 0 or n_2 < 0:
         raise InvariantViolationError("occupations must be >= 0")
     j_1 = omega * gamma * ((n_1 + 1.0) * pops.p_shared - n_1 * pops.p_1)
@@ -518,11 +522,15 @@ def finite_capacity_heating(
     The populations stay clamped for the whole horizon.  Integration halts
     with the partial history if a temperature reaches zero.
     """
+    if not (math.isfinite(capacity) and math.isfinite(temp_start)):
+        raise InvariantViolationError(
+            f"heat capacity and starting temperature must be finite, got {capacity}, {temp_start}"
+        )
     if capacity <= 0:
         raise InvariantViolationError(f"heat capacity must be > 0, got {capacity}")
     if temp_start < 0:
         raise InvariantViolationError(f"starting temperature must be >= 0, got {temp_start}")
-    if samples < 2 or horizon <= 0:
+    if samples < 2 or not 0 < horizon < math.inf:
         raise ValueError("need horizon > 0 and at least two samples")
 
     def currents(t1: float, t2: float) -> tuple[float, float]:

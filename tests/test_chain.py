@@ -1,5 +1,8 @@
 """Chain construction, site populations, profile classification, sweeps."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,14 @@ class TestChainSystem:
             ChainSpec(4, 1.0, 0.1, 0.0, LinearProfile(0.5, 0.5))
         with pytest.raises(InvariantViolationError):
             LinearProfile(-0.1, 0.5)
+        for bad in (math.inf, math.nan):
+            for kwargs in ({"site_energy": bad}, {"tunneling": bad}, {"bath_rate": bad}):
+                with pytest.raises(InvariantViolationError, match="finite"):
+                    replace(spec_for(n_sites=4), **kwargs)
+            with pytest.raises(InvariantViolationError, match="finite"):
+                LinearProfile(bad, 0.4)
+            with pytest.raises(InvariantViolationError, match="finite"):
+                LinearProfile(0.8, bad)
 
 
 class TestSitePopulations:
@@ -114,6 +125,9 @@ class TestProfiles:
             profile.temperatures(4)
         with pytest.raises(InvariantViolationError):
             ExplicitProfile((0.5, -0.1))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvariantViolationError, match="finite"):
+                ExplicitProfile((0.5, bad, 0.3))
 
 
 class TestClassify:

@@ -22,13 +22,18 @@ from qthermo.cli import (
     config_from_metadata,
     emit,
     main,
-    parse_config,
     parse_metadata,
     read_config_file,
     render,
     run,
 )
 from qthermo.errors import ConfigError
+
+
+def package_env() -> dict[str, str]:
+    # a fresh interpreter that imports this checkout's package first
+    source = os.path.dirname(os.path.dirname(os.path.abspath(qthermo.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
 
 
 def body_of(text: str) -> str:
@@ -61,18 +66,17 @@ class TestConfigFile:
     def test_parse_config_minimal_chain(self, tmp_path):
         path = tmp_path / "chain.cfg"
         path.write_text("experiment = chain\nN = 10\nh = 1\ng = 0.1\nT_L = 0.8\nT_R = 0.4\n")
-        config = parse_config(str(path))
+        config = build_config("chain", file_pairs=read_config_file(str(path)))
         assert config.experiment == "chain"
         assert config.values["Gamma"] == pytest.approx(0.01)
         assert config.provenance["Gamma"] == "default"
         assert config.provenance["N"] == "config"
 
     def test_parse_config_needs_experiment(self, tmp_path):
+        # a file without an experiment key runs as the requested experiment
         path = tmp_path / "bare.cfg"
         path.write_text("N = 10\n")
-        with pytest.raises(ConfigError, match="experiment"):
-            parse_config(str(path))
-        config = parse_config(str(path), experiment="chain")
+        config = build_config("chain", file_pairs=read_config_file(str(path)))
         assert config.values["N"] == 10
 
 
@@ -106,6 +110,18 @@ class TestBuildConfig:
     def test_type_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="int expected"):
             build_config("chain", file_pairs={"N": "ten"})
+
+    @pytest.mark.parametrize(
+        "in_file,in_overrides,source",
+        [(True, False, "config"), (False, True, "override"), (True, True, "override"), (False, False, "override")],
+        ids=["file", "override", "both", "neither"],
+    )
+    def test_experiment_provenance(self, in_file, in_overrides, source):
+        file_pairs = {"experiment": "chain"} if in_file else {}
+        overrides = {"experiment": "chain"} if in_overrides else {}
+        config = build_config("chain", file_pairs=file_pairs, overrides=overrides)
+        assert config.provenance["experiment"] == source
+        assert config.values["experiment"] == "chain"
 
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
@@ -181,7 +197,7 @@ class TestEmit:
             columns=(Column("site", "int"), Column("population", "float"), Column("note", "str")),
             metadata={"qthermo": "0.1.0", "config experiment = chain": "x"},
         )
-        table.metadata = {"qthermo": "0.1.0", "config experiment": "chain", "wall_clock_s": "1.0"}
+        table.metadata = {"qthermo": "0.1.0", "config experiment": "chain"}
         table.add_row(1, 1.0 / 3.0, "ok")
         table.add_row(2, 2.0 / 3.0, "with, comma")
         return table
@@ -190,7 +206,6 @@ class TestEmit:
         text = render(self.make_table(), "csv")
         lines = text.split("\n")
         assert lines[0] == "# qthermo = 0.1.0"
-        assert "wall_clock_s" not in text
         assert lines[2] == "site,population,note"
         assert lines[3] == "1,0.33333333333333331,ok"
         assert lines[4] == '2,0.66666666666666663,"with, comma"'
@@ -252,6 +267,13 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         captured = capsys.readouterr()
         assert "unbalance" in captured.out
+
+    def test_unwritable_out_is_a_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "lambda.csv"
+        assert main(["lambda", "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
+        assert captured.out == ""
 
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -318,11 +340,12 @@ class TestMainExitCodes:
         assert "key=value" in capsys.readouterr().err
 
     def test_figure2_writes_panel_files(self, tmp_path):
-        out_dir = tmp_path / "panels"
-        code = main(["figure2", "--set", "N=4", "--out", str(out_dir), "--quiet"])
-        assert code == EXIT_OK
-        names = sorted(p.name for p in out_dir.iterdir())
-        assert names == ["panel_b.csv", "panel_c.csv", "panel_d.csv", "panel_e.csv"]
+        for fmt, extension in (("csv", "csv"), ("text", "txt")):
+            out_dir = tmp_path / fmt
+            code = main(["figure2", "--set", "N=4", "--format", fmt, "--out", str(out_dir), "--quiet"])
+            assert code == EXIT_OK
+            names = sorted(p.name for p in out_dir.iterdir())
+            assert names == [f"panel_{panel}.{extension}" for panel in "bcde"]
 
 
 class TestRuntime:
@@ -341,14 +364,28 @@ class TestRuntime:
                 assert hasattr(target, part), f"perfbench/workloads.py uses q.{chain}"
                 target = getattr(target, part)
 
+    @pytest.mark.parametrize(
+        "args,code,stream",
+        [
+            (["lambda", "--quiet"], EXIT_OK, "unbalance"),
+            (["chain", "--set", "gg=1"], EXIT_VALIDATION, "error: unknown key 'gg'"),
+            (["chain", "--set", "eps_omega=0.5", "--quiet"], EXIT_SOLVER, "solver failure: grouping"),
+        ],
+        ids=["ok", "validation", "solver"],
+    )
+    def test_module_entry_point(self, args, code, stream):
+        # `python -m qthermo.cli` goes through `raise SystemExit(main())`
+        result = subprocess.run([sys.executable, "-m", "qthermo.cli", *args], env=package_env(),
+                                capture_output=True, text=True)
+        assert result.returncode == code
+        assert stream in (result.stdout if code == EXIT_OK else result.stderr)
+
     def test_imports_only_numpy(self):
         # numpy is the one runtime dependency; the tests import scipy,
         # hypothesis and pytest themselves, so only a fresh interpreter shows
         # a stray import from the package
-        source = os.path.dirname(os.path.dirname(os.path.abspath(qthermo.__file__)))
-        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
         script = "import sys, qthermo, qthermo.cli; print(qthermo.__file__); print(*sorted(sys.modules))"
-        result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        result = subprocess.run([sys.executable, "-c", script], env=package_env(),
                                 capture_output=True, text=True, check=True)
         where, modules = result.stdout.splitlines()
         assert os.path.abspath(where) == os.path.abspath(qthermo.__file__)

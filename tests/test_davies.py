@@ -206,7 +206,7 @@ class TestBoseOccupation:
         # independent oracle: 40-digit evaluation of 1/(e^{2.5} - 1)
         assert bose_occupation(1.0, 0.4) == pytest.approx(0.08942548983385201, abs=1e-16)
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
     def test_domain_error(self, omega):
         with pytest.raises(ValueError):
             bose_occupation(omega, 1.0)

@@ -485,6 +485,19 @@ class TestDufour:
         assert j_1 == pytest.approx(0.0, abs=1e-15)
         assert j_2 == pytest.approx(0.0, abs=1e-15)
 
+    def test_non_finite_inputs_rejected(self):
+        pops = LevelPopulations(0.2, 0.3, 0.5)
+        for bad in (math.nan, math.inf):
+            for args in ((bad, 1.0, 1.0, 1.0), (1.0, bad, 1.0, 1.0), (1.0, 1.0, bad, 1.0), (1.0, 1.0, 1.0, bad)):
+                with pytest.raises(InvariantViolationError, match="finite"):
+                    dufour_currents(pops, *args)
+            with pytest.raises(InvariantViolationError, match="finite"):
+                finite_capacity_heating(pops, 1.0, 1.0, temp_start=1.0, capacity=bad, horizon=3.0)
+            with pytest.raises(InvariantViolationError, match="finite"):
+                finite_capacity_heating(pops, 1.0, 1.0, temp_start=bad, capacity=5.0, horizon=3.0)
+        with pytest.raises(ValueError, match="horizon"):
+            finite_capacity_heating(pops, 1.0, 1.0, temp_start=1.0, capacity=5.0, horizon=math.inf)
+
     def test_symmetric_clamp_heats_evenly(self):
         pops = LevelPopulations(0.25, 0.25, 0.5)
         history = finite_capacity_heating(pops, 1.0, 1.0, temp_start=1.0, capacity=5.0, horizon=3.0)
