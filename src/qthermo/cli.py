@@ -266,10 +266,10 @@ def _resolve(config: RunConfig) -> None:
         default(N=10, h=1.0)
         h = values["h"]
         default(Gamma=0.01 * h)
-        if experiment != "figure2":
+        if experiment == "chain":
             default(g=0.1 * h)
-            if "temperatures" not in values:
-                default(T_L=0.8 * h, T_R=0.4 * h)
+        if experiment != "figure2" and "temperatures" not in values:
+            default(T_L=0.8 * h, T_R=0.4 * h)
         if experiment == "sweep":
             default(g_list=tuple(g * h for g in DEFAULT_TUNNELING_SWEEP))
     else:
@@ -612,11 +612,11 @@ _EXPERIMENTS = {
         },
         _run_dufour,
     ),
-    # sweeps vary the tunneling over a linear endpoint profile, so the
-    # explicit per-site temperature list is a chain-only key
+    # sweeps take the tunneling from g_list over a linear endpoint profile,
+    # so g and the explicit per-site temperature list are chain-only keys
     "sweep": _Experiment(
         "chain steady states over a tunneling sweep",
-        {k: v for k, v in _CHAIN_KEYS.items() if k != "temperatures"} | {"g_list": "floats"},
+        {k: v for k, v in _CHAIN_KEYS.items() if k not in ("g", "temperatures")} | {"g_list": "floats"},
         _run_sweep,
     ),
     "figure2": _Experiment(
@@ -696,7 +696,10 @@ def main(argv=None) -> int:
         outcome = run(config)
         if config.experiment == "figure2":
             out_dir = config.out or "figure2_out"
-            os.makedirs(out_dir, exist_ok=True)
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output directory {out_dir!r}: {exc}") from exc
             extension = "csv" if config.fmt == "csv" else "txt"
             for name, table in outcome.tables:
                 emit(table, config.fmt, os.path.join(out_dir, f"{name}.{extension}"))

@@ -23,25 +23,28 @@ pairs (i, i') with one group label G[i, i'] (Davies, Commun. Math. Phys. 39,
 91 (1974); Breuer & Petruccione, The Theory of Open Quantum Systems, section
 3.3).  Most entries inside a sector are zero as well: in a chain each bath
 couples one site, so C_k has 2N nonzero entries out of 4N^2.  The eigenbasis
-model therefore holds C_k, W_k = R_k C_k and the terms of M_k as lists of
+model therefore holds C_k and the generator's jump entries as lists of
 nonzero entries (bath, i, j, value), never as (K, d, d) arrays.  C_k is formed
 from the nonzeros of V_k and the exact-zero supports of the rows of U (small
 systems take the nonzeros of the dense product, which costs fewer numpy
-calls), and M_k from the pairs of a W_k entry and a C_k entry in one row and
-one group.  Every term above has the form W[i, j] conj(C[i', j']), so the
-generator's entries are formed only from the nonzeros of W and C that share
-a group, and the blocks are the connected components of the pattern they
-fill.  No stored entry links two blocks, so the singular values of L are
-those of the blocks together.  The blocks are stacked by size: the steady
-state, the null vector of one block, comes from one batched SVD per block
-size, and the lab-basis superoperator is formed only when time stepping or a
-caller reads it.  A system with no exact zeros gets its sectors as blocks.
+calls).  The jump entries W_k[i, j] conj(C_k[i', j']), W_k = R_k C_k, come
+from one join of the nonzeros of W_k and C_k on (bath, group), and the terms
+of M_k are their population rows (i = i').  A term of M pairs two entries of
+one row and one group, so K = -i diag(E) - M / 2 lies in the zero group and
+rho -> K rho + rho K^dagger enters whole, as the Kronecker sum
+1 kron K + conj(K) kron 1.  The blocks are the connected components of the
+pattern these entries fill; no stored entry links two blocks, so the
+singular values of L are those of the blocks together.  The blocks are
+stacked by size: the steady state, the null vector of one block, comes from
+one batched SVD per block size, and the lab-basis superoperator is formed
+only when time stepping or a caller reads it.  A system with no exact zeros
+gets its sectors as blocks.
 
-Heat currents.  J_k = -Tr[H D_k(rho)] reads the same pairs: those in the
-population rows (i, i) of the generator give E_i W_k[i, j] conj(C_k[i, j'])
-times rho at (j, j'), and M_k gives the loss (E_a + E_b) M_k[a, b] / 2
-times rho at (b, a).  The model keeps these coefficients, so the currents
-are one gather from U^dagger rho U and one sum per bath.
+Heat currents.  J_k = -Tr[H D_k(rho)] reads the same population rows,
+E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
+(E_a + E_b) M_k[a, b] / 2 times rho at (b, a).  The model keeps these
+coefficients, so the currents are one gather from U^dagger rho U and one
+sum per bath.
 
 Time stepping.  One classic RK4 step of length h of the linear equation
 d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
@@ -64,6 +67,7 @@ Sign and rate conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
@@ -73,7 +77,6 @@ import numpy as np
 from .errors import (
     AccuracyError,
     AmbiguousGroupingError,
-    DimensionMismatchError,
     InvariantViolationError,
     NonUniqueSteadyStateError,
     NumericalConsistencyError,
@@ -371,11 +374,13 @@ class _EigenModel:
     ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i and
     ``group_rates[k, n]`` is the rate of bath k at group n.  The per-bath
     matrices are entry lists (:class:`_Entries`): ``coupling`` holds the
-    nonzeros of C_k = U^dagger V_k U, ``weighted`` those of W_k = R_k * C_k
-    with R_k = group_rates[k][labels], and ``decay`` the terms of
+    nonzeros of C_k = U^dagger V_k U, ``jumps`` the entries of the map
+    rho -> sum_w rate A_w rho A_w^dagger at the column-stacked generator
+    indices (row, col), and ``decay`` the terms of
     M_k = sum_w rate A_w^dagger A_w.  ``currents`` holds the coefficients of
     the heat currents: J_k is the sum over the entries of bath k of the value
-    times the eigenbasis state U^dagger rho U at (row, col).
+    times the eigenbasis state U^dagger rho U at (row, col).  ``max_rate`` is
+    the largest rate of a component above ``ZERO_COMPONENT_ATOL``.
     """
 
     energies: np.ndarray
@@ -384,9 +389,10 @@ class _EigenModel:
     labels: np.ndarray
     group_rates: np.ndarray
     coupling: _Entries
-    weighted: _Entries
+    jumps: _Entries
     decay: _Entries
     currents: _Entries
+    max_rate: float
 
 
 def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
@@ -435,21 +441,26 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
                     "use an ohmic density or a model whose zero-frequency component vanishes"
                 )
             group_rates[k, zero_label] = bath.spectral.slope * bath.temperature
-    w_val = group_rates[coupling.bath, entry_labels] * coupling.values
-    rated = w_val != 0
-    weighted = _Entries(coupling.bath[rated], coupling.rows[rated], coupling.cols[rated], w_val[rated])
+    rates = group_rates[coupling.bath, entry_labels]
+    max_rate = float(rates[np.abs(coupling.values) > ZERO_COMPONENT_ATOL].max(initial=0.0))
+    w_val = rates * coupling.values
 
-    # Pairs of one bath, one row r and one group: a W entry (r, a) and a C
-    # entry (r, b) give p = W[r, a] conj(C[r, b]), the generator's entry at
-    # the population row (r, r) and the column (a, b).  Their conjugates sum
-    # to M_k[a, b], since (A_w^dagger A_w)[a, b] pairs (r, a) and (r, b) of
-    # the group of w.
-    w_key = (weighted.bath * dim + weighted.rows) * n_groups + entry_labels[rated]
-    c_key = (coupling.bath * dim + coupling.rows) * n_groups + entry_labels
-    w, c = _equal_key_pairs(w_key, c_key)
-    bath = weighted.bath[w]
-    row, a, b = weighted.rows[w], weighted.cols[w], coupling.cols[c]
-    p = weighted.values[w] * coupling.values[c].conj()
+    # Pairs of one bath and one group, the secular condition: a W entry (i, j)
+    # and a C entry (i', j') give W[i, j] conj(C[i', j']), the generator's
+    # entry at ((i, i'), (j, j')).  In a population row (r, r) the pair
+    # (r, a), (r, b) gives p = W[r, a] conj(C[r, b]) at the column (a, b), and
+    # the conjugates of these sum to M_k[a, b], since (A_w^dagger A_w)[a, b]
+    # pairs (r, a) and (r, b) of the group of w.
+    key = coupling.bath * n_groups + entry_labels
+    rated = (w_val != 0).nonzero()[0]
+    w, c = _equal_key_pairs(key[rated], key)
+    w = rated[w]
+    bath, i, j = coupling.bath[w], coupling.rows[w], coupling.cols[w]
+    i2, j2 = coupling.rows[c], coupling.cols[c]
+    values = w_val[w] * coupling.values[c].conj()
+    jumps = _Entries(bath, i + dim * i2, j + dim * j2, values)
+    population = i == i2
+    bath, row, a, b, p = bath[population], i[population], j[population], j2[population], values[population]
     decay = _Entries(bath, a, b, p.conj())
     # J_k = -Tr[H D_k(rho)]: the gain -E_r p rho[a, b] of the population rows,
     # and the loss (E_a + E_b) / 2 M_k[a, b] rho[b, a] of (M_k rho + rho M_k) / 2
@@ -466,12 +477,14 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
         labels=labels,
         group_rates=group_rates,
         coupling=coupling,
-        weighted=weighted,
+        jumps=jumps,
         decay=decay,
         currents=currents,
+        max_rate=max_rate,
     )
 
 
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Generator of the master equation, held as dense blocks stacked by size.
 
@@ -482,48 +495,23 @@ class Liouvillian:
     in exactly one block, and within a block the indices run by decreasing
     magnitude of their diagonal entry.  ``matrix`` is the column-stacking
     superoperator in the lab basis, formed from the blocks when first read.
-    A bare ``matrix`` is held as one stack of one block in the identity basis.
     """
 
-    def __init__(
-        self,
-        matrix=None,
-        *,
-        dim: int,
-        default_dt: float,
-        basis: np.ndarray | None = None,
-        indices: tuple[np.ndarray, ...] = (),
-        blocks: tuple[np.ndarray, ...] = (),
-    ):
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=complex)
-            if matrix.shape != (dim * dim, dim * dim):
-                raise DimensionMismatchError(
-                    f"generator of shape {matrix.shape} does not act on dimension {dim}"
-                )
-            basis = np.eye(dim, dtype=complex)
-            indices = (np.arange(dim * dim)[None, :],)
-            blocks = (matrix[None],)
-        elif basis is None:
-            raise TypeError("Liouvillian needs a matrix, or a basis with indices and blocks")
-        self.dim = dim
-        self.default_dt = default_dt
-        self.basis = basis
-        self.indices = tuple(indices)
-        self.blocks = tuple(blocks)
-        self._matrix = matrix
+    dim: int
+    default_dt: float
+    basis: np.ndarray
+    indices: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            size = self.dim * self.dim
-            in_basis = np.zeros((size, size), dtype=complex)
-            for index, stack in zip(self.indices, self.blocks):
-                in_basis[index[:, :, None], index[:, None, :]] = stack
-            # vec(U X U^dagger) = (conj(U) kron U) vec(X)
-            change = np.kron(self.basis.conj(), self.basis)
-            self._matrix = change @ in_basis @ change.conj().T
-        return self._matrix
+        size = self.dim * self.dim
+        in_basis = np.zeros((size, size), dtype=complex)
+        for index, stack in zip(self.indices, self.blocks):
+            in_basis[index[:, :, None], index[:, None, :]] = stack
+        # vec(U X U^dagger) = (conj(U) kron U) vec(X)
+        change = np.kron(self.basis.conj(), self.basis)
+        return change @ in_basis @ change.conj().T
 
     def apply(self, m) -> np.ndarray:
         """Action on a matrix: devectorize(matrix @ vectorize(m))."""
@@ -531,8 +519,10 @@ class Liouvillian:
 
 
 def _equal_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (a, b) with left[a] == right[b], as two index arrays."""
-    order = right.argsort()
+    """Every pair (a, b) with left[a] == right[b], as two index arrays,
+    ordered by a and then by b, so sums over the pairs add in an order that
+    does not depend on the sorting algorithm."""
+    order = right.argsort(kind="stable")
     ranked = right[order]
     lo = ranked.searchsorted(left, side="left")
     count = ranked.searchsorted(left, side="right") - lo
@@ -572,42 +562,30 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     """Build the generator, coherent commutator plus one dissipator per bath
     and transition frequency, from its nonzero entries in the eigenbasis and
     split into the connected components of their pattern (see the module
-    docstring).  The entries come from one join of the model's entry lists;
-    the default step reads its largest rate from them."""
+    docstring).  The jump entries are the model's; the coherent and damping
+    part is added as a Kronecker sum."""
     model = _eigen_model(system, freq_tol)
     dim = system.dim
     size = dim * dim
-    energies, labels = model.energies, model.labels
+    energies = model.energies
 
-    # Every term of the generator has the form W[i, j] conj(C[i', j']) at
-    # ((i, i'), (j, j')): the jumps of bath k with W = R_k * C_k and C = C_k,
-    # and the map rho -> K rho + rho K^dagger with K = -i diag(E) - M / 2,
-    # M = sum_k M_k, which is (W, C) = (K, 1) plus (1, K) and lies in the
-    # zero group.  The entry lists are joined on (term, group), the secular
-    # condition: entries are formed for the nonzeros of W and C whose
-    # differences E_j - E_i and E_j' - E_i' share a group.
+    # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
+    # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
+    # ((l, i), (l, j)) for every level l; K lies in the zero group (module docstring)
     decay = model.decay
     at = decay.rows * dim + decay.cols
     damping = -0.5 * (np.bincount(at, weights=decay.values.real, minlength=size)
                       + 1j * np.bincount(at, weights=decay.values.imag, minlength=size))
     damping[::dim + 1] -= 1j * energies
     k_row, k_col = np.nonzero(damping.reshape(dim, dim))
+    k_val = damping[k_row * dim + k_col]
     levels = np.arange(dim)
-    # the terms (K, 1) and (1, K) enter as baths K and K + 1
-    n_baths = len(system.baths)
-    k_term = _Entries(np.full(k_row.size, n_baths), k_row, k_col, damping[k_row * dim + k_col])
-    identity = _Entries(np.full(dim, n_baths), levels, levels, np.ones(dim, dtype=complex))
-    k_after, identity_after = k_term._replace(bath=k_term.bath + 1), identity._replace(bath=identity.bath + 1)
-    left = _Entries(*map(np.concatenate, zip(model.weighted, k_term, identity_after)))
-    right = _Entries(*map(np.concatenate, zip(model.coupling, identity, k_after)))
-    n_groups = model.frequencies.size
-    w, c = _equal_key_pairs(
-        left.bath * n_groups + labels[left.rows, left.cols],
-        right.bath * n_groups + labels[right.rows, right.cols],
-    )
-    rows = left.rows[w] + dim * right.rows[c]
-    cols = left.cols[w] + dim * right.cols[c]
-    values = left.values[w] * right.values[c].conj()
+    jumps = model.jumps
+    rows = np.concatenate((jumps.rows, (k_row[:, None] + dim * levels).ravel(),
+                           (dim * k_row[:, None] + levels).ravel()))
+    cols = np.concatenate((jumps.cols, (k_col[:, None] + dim * levels).ravel(),
+                           (dim * k_col[:, None] + levels).ravel()))
+    values = np.concatenate((jumps.values, np.repeat(k_val, dim), np.repeat(k_val.conj(), dim)))
 
     # indices ordered by (component size, component, index): every stack, and
     # every block within it, is a contiguous run that starts at the block's
@@ -647,14 +625,9 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         indices.append(index)
         blocks.append(stack)
 
-    # the largest rate of a component above the zero-component threshold
-    coupling = model.coupling
-    present = np.abs(coupling.values) > ZERO_COMPONENT_ATOL
-    present_labels = labels[coupling.rows[present], coupling.cols[present]]
-    max_rate = float(model.group_rates[coupling.bath[present], present_labels].max(initial=0.0))
     # the energies ascend, so the spectral norm of H sits at an end
     spectral_norm_h = float(max(-energies[0], energies[-1])) if dim else 0.0
-    scale = max_rate + spectral_norm_h
+    scale = model.max_rate + spectral_norm_h
     default_dt = 0.01 / scale if scale > 0 else math.inf
     return Liouvillian(
         dim=dim,

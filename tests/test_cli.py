@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, CSV/text emission, exit codes."""
 
+import json
 import math
 import os
 import re
@@ -126,6 +127,15 @@ class TestBuildConfig:
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             build_config("chain", overrides={"format": "json"})
+
+    def test_sweep_takes_no_single_tunneling(self, capsys):
+        # a sweep reads its tunneling from g_list alone
+        assert main(["sweep", "--set", "N=4", "--set", "g=5", "--quiet"]) == EXIT_VALIDATION
+        assert "unknown key 'g'" in capsys.readouterr().err
+        config = build_config("sweep", overrides={"N": "4"})
+        assert "g" not in config.values
+        (_, table), = run(config).tables
+        assert not any(key.endswith(" g") for key in table.metadata)
 
 
 class TestRun:
@@ -275,6 +285,15 @@ class TestMainExitCodes:
         assert "cannot write" in captured.err
         assert captured.out == ""
 
+    def test_out_onto_a_file_is_a_validation_failure(self, tmp_path, capsys):
+        # figure2 writes its panels into the --out directory
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["figure2", "--set", "N=4", "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
+        assert captured.out == ""
+
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("g = -0.5\n")
@@ -379,6 +398,19 @@ class TestRuntime:
                                 capture_output=True, text=True)
         assert result.returncode == code
         assert stream in (result.stdout if code == EXIT_OK else result.stderr)
+
+    @pytest.mark.parametrize("workload", ["survey", "scaling", "small_systems"])
+    def test_benchmark_checks_pass(self, workload):
+        # one untimed operation of each benchmark workload with its own
+        # correctness checks (survey verdicts, Gibbs and second-law checks)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+        result = subprocess.run(
+            [sys.executable, str(path), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        outcome = json.loads(result.stdout.splitlines()[-1])
+        assert (outcome["correct"], outcome["failed"]) == (True, 0), result.stderr
 
     def test_imports_only_numpy(self):
         # numpy is the one runtime dependency; the tests import scipy,

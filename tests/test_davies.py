@@ -182,6 +182,15 @@ def block_labels(liouv) -> np.ndarray:
     return label
 
 
+def dense_liouvillian(matrix, dt: float) -> Liouvillian:
+    """A generator given as one dense matrix: one block in the identity
+    basis, whose ``matrix`` comes back exactly."""
+    matrix = np.asarray(matrix, dtype=complex)
+    dim = math.isqrt(matrix.shape[0])
+    return Liouvillian(dim=dim, default_dt=dt, basis=np.eye(dim, dtype=complex),
+                       indices=(np.arange(dim * dim)[None, :],), blocks=(matrix[None],))
+
+
 def entropy_production(system: OpenSystem, currents: np.ndarray) -> float:
     """sum_k J_k / T_k: the entropy the baths gain per unit time."""
     return float(sum(j / bath.temperature for j, bath in zip(currents, system.baths)))
@@ -192,6 +201,12 @@ chain_cases = dict(
     tunneling=st.sampled_from(DEFAULT_TUNNELING_SWEEP),
     t_left=st.floats(0.3, 1.2),
     t_right=st.floats(0.3, 1.2),
+)
+
+open_systems = st.one_of(
+    st.builds(random_open_system, st.integers(0, 2**31 - 1), st.integers(2, 8), st.integers(1, 3)),
+    st.builds(degenerate_open_system, st.integers(0, 2**31 - 1), st.integers(2, 8), st.integers(1, 3)),
+    st.builds(gradient_chain, **chain_cases),
 )
 
 
@@ -470,6 +485,17 @@ class TestLiouvillian:
         image = liouv.apply(m)
         assert abs(np.trace(image)) < 1e-10
         assert np.max(np.abs(liouv.apply(m.conj().T) - image.conj().T)) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(system=open_systems)
+    def test_decay_lies_in_the_zero_group(self, system):
+        # liouvillian adds K = -i diag(E) - M / 2 as a Kronecker sum with no
+        # secular check, which is exact only when every term of M lies in the
+        # zero group
+        model = _eigen_model(system, DEFAULT_FREQ_TOL)
+        decay = model.decay
+        assert decay.values.size
+        assert np.all(model.labels[decay.rows, decay.cols] == model.frequencies.size // 2)
 
 
 class TestDenseReference:
@@ -833,7 +859,8 @@ class TestEvolveAgainstStepLoop:
         matrix = np.zeros((4, 4), dtype=complex)
         matrix[0, 0] = matrix[0, 3] = -1.0
         matrix[3, 0] = matrix[3, 3] = 1.0
-        liouv = Liouvillian(matrix, dim=2, default_dt=0.01)
+        liouv = dense_liouvillian(matrix, 0.01)
+        assert np.array_equal(liouv.matrix, matrix)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 2.0, 5)
         # validate=True names the negative eigenvalue; without it the entry
@@ -847,7 +874,7 @@ class TestEvolveAgainstStepLoop:
         # a generator that feeds a coherence from the ground population only
         matrix = np.zeros((4, 4), dtype=complex)
         matrix[1, 0] = 7e-10
-        liouv = Liouvillian(matrix, dim=2, default_dt=0.01)
+        liouv = dense_liouvillian(matrix, 0.01)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(InvariantViolationError, match=r"state at t = 0.2 is not Hermitian"):
@@ -927,10 +954,7 @@ class TestSteadyState:
         assert excinfo.value.dimension == 2
 
     def test_empty_null_space_is_a_solver_failure(self):
-        from qthermo.davies import Liouvillian
-        from qthermo.errors import SolverFailureError
-
-        invertible = Liouvillian(matrix=np.eye(4, dtype=complex), dim=2, default_dt=0.1)
+        invertible = dense_liouvillian(np.eye(4), 0.1)
         with pytest.raises(SolverFailureError):
             steady_state(invertible)
 
@@ -940,7 +964,7 @@ class TestSteadyState:
         v = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
         generator = np.eye(4, dtype=complex) - np.outer(v, v)
         with pytest.raises(SolverFailureError, match="stationary residual"):
-            steady_state(Liouvillian(matrix=generator, dim=2, default_dt=0.1))
+            steady_state(dense_liouvillian(generator, 0.1))
 
     def test_rate_scaling_invariance(self):
         base = steady_state(liouvillian(lambda_system(lambda_params(2.0, 1.0, gamma=0.5))))
