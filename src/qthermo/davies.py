@@ -37,8 +37,8 @@ pattern these entries fill; no stored entry links two blocks, so the
 singular values of L are those of the blocks together.  The blocks are
 stacked by size: the steady state, the null vector of one block, comes from
 one batched SVD per block size, and the lab-basis superoperator is formed
-only when time stepping or a caller reads it.  A system with no exact zeros
-gets its sectors as blocks.
+only when a caller reads it; nothing in the package does.  A system with no
+exact zeros gets its sectors as blocks.
 
 Heat currents.  J_k = -Tr[H D_k(rho)] reads the same population rows,
 E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
@@ -49,12 +49,21 @@ sum per bath.
 Time stepping.  One classic RK4 step of length h of the linear equation
 d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
 + (hL)^4/24, the stability function of the method (Hairer & Wanner, Solving
-Ordinary Differential Equations II, section IV.2).  ``evolve`` cuts a
-grid interval into n equal steps, exactly as a step-by-step loop would.  For
-an interval length used often enough that it pays (a uniform grid) it builds
-the propagator R(hL)^n once, and each interval then costs one matrix-vector
-product; other lengths are stepped on the vector.  The states are then
-checked in one batched pass (:func:`qthermo.linalg.screen_states`).
+Ordinary Differential Equations II, section IV.2).  R is a polynomial in L,
+so in the eigenbasis it is block-diagonal with the blocks R(hB), and ``evolve``
+runs the same integrator block by block, never forming the lab-basis
+generator; only the rounding differs from a step-by-step loop on it.  The
+start state is mapped once to U^dagger rho U, and every stack of blocks is
+advanced on its own entries.  A grid interval is cut into n equal steps,
+exactly as a step-by-step loop would.  For an interval length used often
+enough that it pays, counted per stack (a uniform grid), the stack's
+propagators R(hB)^n are built once and each interval costs one batched
+product; other lengths are stepped on the state.  A 1 x 1 block (most
+coherences between two levels are one) is a scalar: its entry at every grid
+time is one cumulative product of the factors of the intervals before it.
+The states are mapped back to the lab basis a chunk of times at a time, two
+matrix products per chunk, and checked in one batched pass
+(:func:`qthermo.linalg.screen_states`).
 
 Sign and rate conventions:
 
@@ -114,6 +123,9 @@ STEADY_RESIDUAL_RTOL = 1e-9
 TRACE_DRIFT_TOL = 1e-7
 EVOLUTION_HERMITICITY_ATOL = 1e-10
 EVOLUTION_POSITIVITY_FLOOR = -1e-7
+# Entries of the lab-basis states mapped back from the eigenbasis per chunk
+# of a trajectory, so the temporaries of the mapping stay a few hundred KiB.
+LAB_MAP_CHUNK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -494,7 +506,9 @@ class Liouvillian:
     vector i).  No entry of the generator links two blocks, every index lies
     in exactly one block, and within a block the indices run by decreasing
     magnitude of their diagonal entry.  ``matrix`` is the column-stacking
-    superoperator in the lab basis, formed from the blocks when first read.
+    superoperator in the lab basis, d^2 x d^2, formed from the blocks only
+    when a caller reads it; :func:`evolve` and :func:`steady_state` work on
+    the blocks.
     """
 
     dim: int
@@ -641,21 +655,106 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
 def _rk4_step(matrix: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     """R(hL) x for one classic RK4 step of length h, by Horner's rule:
     x + hL (x + hL/2 (x + hL/3 (x + hL/4 x))).  With x a state vector this is
-    one step; with x the identity it is the matrix R(hL)."""
-    stage = x + (h / 4.0) * (matrix @ x)
+    one step; with x the identity it is the matrix R(hL).  ``matrix`` may be
+    a stack of blocks; a stack of 1 x 1 blocks multiplies entrywise."""
+    product = np.multiply if matrix.shape[-1] == 1 else np.matmul
+    stage = x + (h / 4.0) * product(matrix, x)
     for divisor in (3.0, 2.0, 1.0):
-        stage = x + (h / divisor) * (matrix @ stage)
+        stage = x + (h / divisor) * product(matrix, stage)
     return stage
 
 
+def _power(matrix: np.ndarray, n: int) -> np.ndarray:
+    """matrix^n for n >= 1 by repeated squaring, stacks and 1 x 1 blocks as
+    in :func:`_rk4_step`: floor(log2 n) squarings and popcount(n) - 1 further
+    products."""
+    product = np.multiply if matrix.shape[-1] == 1 else np.matmul
+    result = None
+    while True:
+        if n & 1:
+            result = matrix if result is None else product(result, matrix)
+        n >>= 1
+        if not n:
+            return result
+        matrix = product(matrix, matrix)
+
+
 def _propagator_pays(n_sub: int, uses: int, size: int) -> bool:
-    """Whether R(hL)^n_sub takes fewer multiply-adds to build and apply than
-    stepping the vector.  The power costs 4 products of size x size matrices
-    for R(hL), floor(log2 n) squarings and popcount(n) - 1 further products,
-    then one matrix-vector product per use; stepping costs four
-    matrix-vector products per substep per use."""
+    """Whether R(hB)^n_sub for an interval length takes fewer multiply-adds to
+    build and apply than stepping, for a stack of size x size blocks B.  The
+    power costs 4 products of size x size matrices for R(hB), floor(log2 n)
+    squarings and popcount(n) - 1 further products, then one matrix-vector
+    product per use; stepping costs four matrix-vector products per substep
+    per use.  All of these count once per block of the stack, so the rule
+    reads only the size."""
     products = 4 + (n_sub.bit_length() - 1) + (n_sub.bit_count() - 1)
     return products * size + uses <= 4 * n_sub * uses
+
+
+def _stack_path(stack: np.ndarray, start: np.ndarray, lengths: list[float], substeps: list[int],
+                uses: list[int], interval_length: np.ndarray) -> np.ndarray:
+    """The entries of one stack of generator blocks at every grid time, shape
+    (count, m, times), from their values ``start`` (count, m) at the first.
+
+    Interval i has the length ``lengths[interval_length[i]]``, cut into that
+    length's ``substeps``.  A length gets the propagator R(hB)^n of every
+    block where :func:`_propagator_pays`, and is stepped on the state
+    elsewhere.  A 1 x 1 block is a scalar: its propagator is one number,
+    built for every length (its step and its propagator are the same
+    polynomial), and the entry at each time is the product of the start and
+    the factors of the intervals before it, one cumulative product.
+    """
+    count, size = start.shape
+    identity = np.eye(size, dtype=complex)
+    propagators = [
+        _power(_rk4_step(stack, span / n_sub, identity), n_sub)
+        if size == 1 or _propagator_pays(n_sub, used, size) else None
+        for span, n_sub, used in zip(lengths, substeps, uses)
+    ]
+    if size == 1:
+        factors = np.array(propagators, dtype=complex).reshape(len(lengths), count)
+        path = np.empty((interval_length.size + 1, count), dtype=complex)
+        path[0] = start[:, 0]
+        # mode="clip" writes straight into ``path`` (the indices are in range)
+        np.take(factors, interval_length, axis=0, out=path[1:], mode="clip")
+        return np.cumprod(path, axis=0, out=path).T[:, None, :]
+    path = np.empty((interval_length.size + 1, count, size, 1), dtype=complex)
+    path[0] = start[:, :, None]
+    for i, k in enumerate(interval_length.tolist(), start=1):
+        propagator = propagators[k]
+        if propagator is None:
+            state = path[i - 1]
+            h = lengths[k] / substeps[k]
+            for _ in range(substeps[k]):
+                state = _rk4_step(stack, h, state)
+            path[i] = state
+        else:
+            np.matmul(propagator, path[i - 1], out=path[i])
+    return path[:, :, :, 0].transpose(1, 2, 0)
+
+
+def _lab_states(basis: np.ndarray, indices: tuple[np.ndarray, ...], paths: list[np.ndarray]) -> np.ndarray:
+    """The lab-basis states U X U^dagger of a trajectory whose eigenbasis
+    states X are given stack by stack (:func:`_stack_path`) at the
+    column-stacked ``indices``.  Each chunk of states is laid out side by
+    side, X[i, t, i'], and mapped by two matrix products, so a chunk costs a
+    few numpy calls whatever its number of states, and the temporaries stay
+    near ``LAB_MAP_CHUNK_ENTRIES`` entries."""
+    dim = basis.shape[0]
+    times = paths[0].shape[-1]
+    places = [np.divmod(index, dim) for index in indices]
+    adjoint = basis.conj().T
+    out = np.empty((times, dim, dim), dtype=complex)
+    chunk = max(1, LAB_MAP_CHUNK_ENTRIES // (dim * dim))
+    for lo in range(0, times, chunk):
+        hi = min(lo + chunk, times)
+        states = np.empty((dim, hi - lo, dim), dtype=complex)
+        for (cols, rows), path in zip(places, paths):
+            states[rows, :, cols] = path[:, :, lo:hi]
+        # U X[t] at [b, t, i'], then (U X[t]) U^dagger at [b, t, c]
+        left = basis @ states.reshape(dim, -1)
+        out[lo:hi] = (left.reshape(-1, dim) @ adjoint).reshape(dim, hi - lo, dim).swapaxes(0, 1)
+    return out
 
 
 def evolve(
@@ -672,15 +771,18 @@ def evolve(
     step exceeds ``dt`` (default chosen at generator build time from the
     largest rate and the Hamiltonian norm).  One RK4 step of length h maps the
     state through R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so an
-    interval of n equal steps is the propagator R(hL)^n.  An interval length
-    whose uses cost more step by step than building R(hL)^n does (counted in
-    multiply-adds: uniform grids, small systems) gets the propagator, built
-    once and applied with one matrix-vector product per interval; any other
-    length is stepped on the vector, four matrix-vector products per step.
-    Trace drift beyond 1e-7, an entry of magnitude above 1 + 1e-7 (which no
-    density matrix has, so an unstable step shows before its trace drifts) or
-    non-finite entries raise AccuracyError suggesting a smaller step, naming
-    the first grid time that fails.
+    interval of n equal steps is the propagator R(hL)^n.  R is a polynomial,
+    so it acts block by block in the eigenbasis: the state is mapped once to
+    U^dagger rho0 U and every stack of generator blocks is advanced on its
+    own entries (see the module docstring).  Within a stack, an interval
+    length whose uses cost more step by step than building R(hB)^n does
+    (counted in multiply-adds) gets the propagator, built once and applied
+    with one batched product per interval; any other length is stepped on
+    the state, four batched products per step.  The lab-basis generator is
+    never formed.  Trace drift beyond 1e-7, an entry of magnitude above
+    1 + 1e-7 (which no density matrix has, so an unstable step shows before
+    its trace drifts) or non-finite entries raise AccuracyError suggesting a
+    smaller step, naming the first grid time that fails.
     """
     rho = require_density_matrix(rho0)
     if rho.shape[0] != liouv.dim:
@@ -694,32 +796,19 @@ def evolve(
     if not step > 0:
         raise ValueError(f"dt must be > 0, got {step}")
 
-    matrix = liouv.matrix
-    dim = liouv.dim
-    spans = np.diff(times)
-    lengths, uses = np.unique(spans, return_counts=True)
-    use_count = dict(zip(lengths.tolist(), uses.tolist()))
-    propagators: dict[float, np.ndarray | None] = {}
-    vec = vectorize(rho)
-    out = np.empty((times.size, dim, dim), dtype=complex)
-    out[0] = rho
+    lengths, interval_length, uses = np.unique(np.diff(times), return_inverse=True, return_counts=True)
+    lengths, uses = lengths.tolist(), uses.tolist()
+    substeps = [max(1, math.ceil(span / step)) if math.isfinite(step) else 1 for span in lengths]
+    basis = liouv.basis
+    start = vectorize(basis.conj().T @ rho @ basis)
     # an unstable step overflows; the screen below reports it as AccuracyError
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, span in enumerate(spans.tolist(), start=1):
-            n_sub = max(1, math.ceil(span / step)) if math.isfinite(step) else 1
-            h = span / n_sub
-            if span not in propagators:
-                propagators[span] = None
-                if _propagator_pays(n_sub, use_count[span], dim * dim):
-                    one_step = _rk4_step(matrix, h, np.eye(dim * dim, dtype=complex))
-                    propagators[span] = np.linalg.matrix_power(one_step, n_sub)
-            propagator = propagators[span]
-            if propagator is None:
-                for _ in range(n_sub):
-                    vec = _rk4_step(matrix, h, vec)
-            else:
-                vec = propagator @ vec
-            out[i] = vec.reshape((dim, dim), order="F")
+        paths = [
+            _stack_path(stack, start[index], lengths, substeps, uses, interval_length)
+            for index, stack in zip(liouv.indices, liouv.blocks)
+        ]
+        out = _lab_states(basis, liouv.indices, paths)
+    out[0] = rho
 
     # rho0 passed stricter checks than these, so out[0] never fails
     failed = screen_states(

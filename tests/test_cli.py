@@ -28,7 +28,7 @@ from qthermo.cli import (
     render,
     run,
 )
-from qthermo.errors import ConfigError
+from qthermo.errors import ConfigError, DegenerateInputError
 
 
 def package_env() -> dict[str, str]:
@@ -181,6 +181,41 @@ class TestRun:
         with pytest.raises(ConfigError, match="dt"):
             run(build_config("dufour", overrides={"dt": "-1"}))
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"dt": "1e-300"}, "dt"),
+            ({"dt": "1e-320"}, "dt"),  # horizon / dt overflows to inf
+            ({"horizon": "1e300", "dt": "1"}, "dt"),
+            ({"samples": str(10**18)}, "samples"),
+            ({"samples": str(qthermo.cli.MAX_DUFOUR_STEPS + 2)}, "samples"),
+        ],
+    )
+    def test_dufour_step_count_is_bounded(self, overrides, key, monkeypatch):
+        # refused from the estimate, before the integration loop runs
+        heatings = []
+        monkeypatch.setattr(qthermo.cli, "finite_capacity_heating", lambda *args, **kwargs: heatings.append(kwargs))
+        with pytest.raises(ConfigError, match=f"^{key} = .* above the limit {qthermo.cli.MAX_DUFOUR_STEPS}$"):
+            run(build_config("dufour", overrides=overrides))
+        assert heatings == []
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"samples": str(qthermo.cli.MAX_DUFOUR_STEPS + 1)},
+         {"horizon": "5", "dt": repr(5.0 / qthermo.cli.MAX_DUFOUR_STEPS)}],
+        ids=["samples", "dt"],
+    )
+    def test_dufour_step_count_at_the_limit_runs(self, overrides, monkeypatch):
+        def stub(pops, **kwargs):
+            samples.append(kwargs["samples"])
+            raise DegenerateInputError("stub")
+
+        samples = []
+        monkeypatch.setattr(qthermo.cli, "finite_capacity_heating", stub)
+        with pytest.raises(DegenerateInputError, match="stub"):
+            run(build_config("dufour", overrides=overrides))
+        assert samples == [qthermo.cli.MAX_DUFOUR_STEPS + 1]
+
     def test_sweep_annotates_failures(self):
         # 1/(2 cos(pi/5)) puts the bottom of the four-site excited band exactly
         # on the ground manifold, which the flat-density model must refuse
@@ -293,6 +328,23 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "cannot write" in captured.err
         assert captured.out == ""
+
+    def test_figure2_out_onto_a_file_stops_before_solving(self, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(qthermo.cli, "population_sweep", lambda *args, **kwargs: sweeps.append(args) or [])
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["figure2", "--out", str(out)]) == EXIT_VALIDATION
+        assert "cannot write output directory" in capsys.readouterr().err
+        assert sweeps == []
+
+    def test_out_into_a_missing_directory_stops_before_solving(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(qthermo.cli, "liouvillian", lambda *args, **kwargs: solves.append(args))
+        out = tmp_path / "missing" / "chain.csv"
+        assert main(["chain", "--out", str(out)]) == EXIT_VALIDATION
+        assert "cannot write output file" in capsys.readouterr().err
+        assert solves == [] and not out.parent.exists()
 
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -411,6 +463,14 @@ class TestRuntime:
         assert result.returncode == 0, result.stderr
         outcome = json.loads(result.stdout.splitlines()[-1])
         assert (outcome["correct"], outcome["failed"]) == (True, 0), result.stderr
+
+    def test_tiny_dufour_step_exits_at_once(self):
+        # the unbounded run this guards against took over a minute; the check
+        # needs none of the integration
+        result = subprocess.run([sys.executable, "-m", "qthermo.cli", "dufour", "--set", "dt=1e-300"],
+                                env=package_env(), capture_output=True, text=True, timeout=30)
+        assert result.returncode == EXIT_VALIDATION
+        assert "error: dt = 1e-300 asks for 5e+300 RK4 steps" in result.stderr
 
     def test_imports_only_numpy(self):
         # numpy is the one runtime dependency; the tests import scipy,

@@ -731,6 +731,30 @@ class TestEvolve:
         with pytest.raises(AccuracyError):
             evolve(liouv, rho0, np.linspace(0.0, 400.0, 11), dt=1.0)
 
+    def test_never_forms_the_lab_basis_generator(self):
+        liouv = four_site_chain()
+        evolve(liouv, np.eye(8, dtype=complex) / 8.0, np.linspace(0.0, 30.0, 31))
+        assert "matrix" not in vars(liouv)
+
+    def test_thirty_site_chain_in_little_memory(self):
+        # the lab-basis generator alone is 3600 x 3600 complex, 207 MB; the
+        # block path holds the trajectory (0.6 MiB) and peaks near 2 MiB
+        liouv = liouvillian(gradient_chain(30, 1.3, 0.8, 0.4))
+        tracemalloc.start()
+        try:
+            trajectory = evolve(liouv, np.eye(60, dtype=complex) / 60.0, np.linspace(0.0, 1.0, 11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert trajectory.shape == (11, 60, 60)
+        assert "matrix" not in vars(liouv)
+
+    def test_single_time_returns_the_start(self):
+        rho0 = random_state(7, 8)
+        trajectory = evolve(four_site_chain(), rho0, [2.0])
+        assert trajectory.shape == (1, 8, 8) and np.array_equal(trajectory[0], rho0)
+
     def test_bad_grid_rejected(self):
         params = lambda_params(2.0, 1.0)
         liouv = liouvillian(lambda_system(params))
@@ -780,8 +804,9 @@ def four_site_chain():
 
 
 class TestEvolveAgainstStepLoop:
-    """The propagator per interval length is the same integrator as stepping
-    RK4 substep by substep; only the rounding order differs."""
+    """Stepping each block in the eigenbasis, with a propagator per interval
+    length where it pays, is the same integrator as stepping RK4 substep by
+    substep on the lab-basis generator; only the rounding order differs."""
 
     def assert_agrees(self, liouv, rho0, times, dt=None):
         expected, failed = rk4_loop(liouv, rho0, times, dt)
@@ -837,13 +862,63 @@ class TestEvolveAgainstStepLoop:
         with pytest.raises(AccuracyError, match=f"at t = {times[failed]:g};"):
             evolve(liouv, rho0, times, dt=dt, validate=False)
 
+    def test_twelve_site_chain(self):
+        # a short grid keeps the lab-basis step loop (576 x 576) cheap
+        liouv = liouvillian(gradient_chain(12, 0.5, 0.8, 0.4))
+        self.assert_agrees(liouv, random_state(12, 24), np.array([0.0, 0.1, 0.2, 0.3, 0.37, 0.47]))
+
+    def test_one_system_mixes_propagators_and_steps(self, monkeypatch):
+        decisions, sizes = [], set()
+
+        def recording(n_sub, uses, size):
+            sizes.add(size)
+            decisions.append(_propagator_pays(n_sub, uses, size))
+            return decisions[-1]
+
+        monkeypatch.setattr(davies, "_propagator_pays", recording)
+        # 1/16 is used eight times and gets the population block's propagator;
+        # 1/128 and 1/64 are used once, a few steps each, and are stepped (the
+        # lengths are binary fractions, so the sums and differences are exact)
+        spans = [1 / 16] * 2 + [1 / 128] + [1 / 16] * 3 + [1 / 64] + [1 / 16] * 3
+        times = np.cumsum([0.0, *spans])
+        self.assert_agrees(liouvillian(random_open_system(4, 4, t_min=0.2)), random_state(5, 4), times)
+        assert True in decisions and False in decisions
+        # the rule sees the side of the 4 x 4 population block, not its entries
+        assert sizes == {4}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dim=st.integers(2, 5),
+        n_baths=st.integers(1, 2),
+        repeated=st.sampled_from([1 / 64, 1 / 32, 1 / 8]),
+        uses=st.integers(8, 12),
+        one_off=st.lists(st.sampled_from([1 / 512, 1 / 128, 3 / 128, 3 / 64, 1 / 4]), min_size=1,
+                         max_size=3, unique=True),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_random_systems_and_mixed_grids(self, seed, dim, n_baths, repeated, uses, one_off, order):
+        # a grid of one length used many times (a propagator) and lengths used
+        # once (stepped, or a propagator where the steps are many), shuffled;
+        # binary fractions keep every repeated length exactly equal
+        spans = [repeated] * uses + one_off
+        order.shuffle(spans)
+        system = random_open_system(seed, dim, n_baths=n_baths, t_min=0.2)
+        self.assert_agrees(liouvillian(system), random_state(seed + 1, dim), np.cumsum([0.0, *spans]))
+
     def test_propagator_only_where_it_pays(self):
-        # the 4-site chain (64 x 64) over linspace(0, 30, 31): 30 uses of 205 steps
-        assert _propagator_pays(205, 30, 64)
-        # a length used once on the 12-site chain (576 x 576) is stepped
-        assert not _propagator_pays(50, 1, 576)
-        # single steps on the lambda system (9 x 9): 4 * 9 + 12 <= 4 * 12
-        assert _propagator_pays(1, 12, 9) and not _propagator_pays(1, 11, 9)
+        # the size is the side m of the stack's blocks: 4 products of m x m
+        # matrices and the squarings, against 4 m x m matrix-vector products
+        # per step
+        # the 4-site chain's 8 x 8 population block over linspace(0, 30, 31):
+        # 30 uses of 205 steps
+        assert _propagator_pays(205, 30, 8)
+        # a length used once, 50 steps, on the 12-site chain's 24 x 24
+        # population block is stepped: 11 products * 24 + 1 > 4 * 50
+        assert not _propagator_pays(50, 1, 24)
+        # single steps on the lambda system's 3 x 3 population block:
+        # 4 * 3 + 4 <= 4 * 4
+        assert _propagator_pays(1, 4, 3) and not _propagator_pays(1, 3, 3)
 
     def test_unstable_step_caught_before_its_trace_drifts(self):
         # the step-by-step loop keeps the trace to rounding until t = 6, with
