@@ -124,7 +124,11 @@ TRACE_DRIFT_TOL = 1e-7
 EVOLUTION_HERMITICITY_ATOL = 1e-10
 EVOLUTION_POSITIVITY_FLOOR = -1e-7
 # Entries of the lab-basis states mapped back from the eigenbasis per chunk
-# of a trajectory, so the temporaries of the mapping stay a few hundred KiB.
+# of a trajectory.  Mapping the 4001-state lambda trajectory of the
+# small_systems benchmark in one piece wakes OpenBLAS's second thread on its
+# 12003 x 3 product (op_cpu_ms 283-300 against 171-211 ms chunked, 2 vCPUs)
+# and adds 1.6 MiB to the peak RSS (39.6 against 38.0 MiB); the wall time is
+# the same.
 LAB_MAP_CHUNK_ENTRIES = 8192
 
 
@@ -656,27 +660,11 @@ def _rk4_step(matrix: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     """R(hL) x for one classic RK4 step of length h, by Horner's rule:
     x + hL (x + hL/2 (x + hL/3 (x + hL/4 x))).  With x a state vector this is
     one step; with x the identity it is the matrix R(hL).  ``matrix`` may be
-    a stack of blocks; a stack of 1 x 1 blocks multiplies entrywise."""
-    product = np.multiply if matrix.shape[-1] == 1 else np.matmul
-    stage = x + (h / 4.0) * product(matrix, x)
+    a stack of blocks."""
+    stage = x + (h / 4.0) * (matrix @ x)
     for divisor in (3.0, 2.0, 1.0):
-        stage = x + (h / divisor) * product(matrix, stage)
+        stage = x + (h / divisor) * (matrix @ stage)
     return stage
-
-
-def _power(matrix: np.ndarray, n: int) -> np.ndarray:
-    """matrix^n for n >= 1 by repeated squaring, stacks and 1 x 1 blocks as
-    in :func:`_rk4_step`: floor(log2 n) squarings and popcount(n) - 1 further
-    products."""
-    product = np.multiply if matrix.shape[-1] == 1 else np.matmul
-    result = None
-    while True:
-        if n & 1:
-            result = matrix if result is None else product(result, matrix)
-        n >>= 1
-        if not n:
-            return result
-        matrix = product(matrix, matrix)
 
 
 def _propagator_pays(n_sub: int, uses: int, size: int) -> bool:
@@ -707,7 +695,7 @@ def _stack_path(stack: np.ndarray, start: np.ndarray, lengths: list[float], subs
     count, size = start.shape
     identity = np.eye(size, dtype=complex)
     propagators = [
-        _power(_rk4_step(stack, span / n_sub, identity), n_sub)
+        np.linalg.matrix_power(_rk4_step(stack, span / n_sub, identity), n_sub)
         if size == 1 or _propagator_pays(n_sub, used, size) else None
         for span, n_sub, used in zip(lengths, substeps, uses)
     ]
@@ -738,8 +726,8 @@ def _lab_states(basis: np.ndarray, indices: tuple[np.ndarray, ...], paths: list[
     states X are given stack by stack (:func:`_stack_path`) at the
     column-stacked ``indices``.  Each chunk of states is laid out side by
     side, X[i, t, i'], and mapped by two matrix products, so a chunk costs a
-    few numpy calls whatever its number of states, and the temporaries stay
-    near ``LAB_MAP_CHUNK_ENTRIES`` entries."""
+    few numpy calls whatever its number of states, and the temporaries and
+    the BLAS products stay near ``LAB_MAP_CHUNK_ENTRIES`` entries."""
     dim = basis.shape[0]
     times = paths[0].shape[-1]
     places = [np.divmod(index, dim) for index in indices]
