@@ -46,6 +46,23 @@ E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
 coefficients, so the currents are one gather from U^dagger rho U and one
 sum per bath.
 
+Reuse.  The eigendecomposition, the frequency groups, the entries of C_k and
+their join on (bath, group) depend on H, the couplings and the grouping
+tolerance alone, and a study runs one Hamiltonian at many bath temperatures.
+They form a read-only structure, kept in one module-level cache keyed on the
+exact bytes of the tolerance, H and the couplings (on the joined path, the
+nonzeros of the couplings) and bounded by the bytes it holds
+(``STRUCTURE_CACHE_BYTES``, least recently used out first).  A structure
+keeps a plan per set of nonzero W_k entries, which changes only where a rate
+vanishes (T = 0, or an occupation below the overflow cut): the pairs the join
+selects and the places of the jump, decay and current entries.  A plan keeps
+a layout per nonzero pattern of K: the components, where each entry lands in
+the blocks and the stacks.  A new temperature then costs the rates, one
+gather and multiply, and one scatter into the blocks, graded per call since
+the grading reads the values.  Errors are unchanged: a structure whose
+grouping checks fail is not kept, and the zero-frequency rule is decided on
+every call from the kept magnitudes and the bath's density.
+
 Time stepping.  One classic RK4 step of length h of the linear equation
 d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
 + (hL)^4/24, the stability function of the method (Hairer & Wanner, Solving
@@ -78,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -130,6 +148,9 @@ EVOLUTION_POSITIVITY_FLOOR = -1e-7
 # and adds 1.6 MiB to the peak RSS (39.6 against 38.0 MiB); the wall time is
 # the same.
 LAB_MAP_CHUNK_ENTRIES = 8192
+# Bytes of the arrays, keys included, that the eigenbasis structures kept
+# across systems may hold together ("Reuse" in the module docstring).
+STRUCTURE_CACHE_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -331,23 +352,28 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ranked[starts], np.add.reduceat(values[order], starts)
 
 
-def _coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) -> _Entries:
-    """The nonzero entries of every C_k = U^dagger V_k U: from the dense
-    products while the stacked (K, d, d) couplings are small, where numpy's
-    per-call cost rules, and from the entry joins of
-    :func:`_joined_coupling_entries` beyond."""
+def _dense_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) -> _Entries:
+    """The nonzero entries of every C_k = U^dagger V_k U, from the dense
+    products, where numpy's per-call cost rules (``DENSE_PRODUCT_ENTRIES``)."""
     dim = states.shape[0]
-    if len(baths) * dim * dim > DENSE_PRODUCT_ENTRIES:
-        return _joined_coupling_entries(states, baths)
     stacked = np.array([bath.coupling for bath in baths], dtype=complex).reshape(-1, dim, dim)
     couplings = states.conj().T @ stacked @ states
     bath, rows, cols = np.nonzero(couplings)
     return _Entries(bath, rows, cols, couplings[bath, rows, cols])
 
 
-def _joined_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) -> _Entries:
+def _coupling_nonzeros(baths: tuple[BathSpec, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzeros of every V_k as (rows, cols, values), row by row."""
+    nonzeros = []
+    for bath in baths:
+        rows, cols = np.nonzero(bath.coupling)
+        nonzeros.append((rows, cols, bath.coupling[rows, cols]))
+    return nonzeros
+
+
+def _joined_coupling_entries(states: np.ndarray, nonzeros) -> _Entries:
     """The nonzero entries of every C_k = U^dagger V_k U, from the nonzeros of
-    the V_k and of U.
+    the V_k (:func:`_coupling_nonzeros`) and of U.
 
     First T_k = V_k U, one dense row per nonzero row of V_k, then
     C_k = U^dagger T_k from the nonzeros of the T_k joined with those of U on
@@ -359,13 +385,12 @@ def _joined_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) ->
     supports, at K d^3 work and memory.
     """
     dim = states.shape[0]
-    nonzeros = [np.nonzero(bath.coupling) for bath in baths]
     empty = [np.empty(0, dtype=np.intp)]
-    v_row = np.concatenate([rows for rows, _ in nonzeros] or empty)
-    v_col = np.concatenate([cols for _, cols in nonzeros] or empty)
-    v_val = np.concatenate([bath.coupling[index] for bath, index in zip(baths, nonzeros)] or empty)
+    v_row = np.concatenate([rows for rows, _, _ in nonzeros] or empty)
+    v_col = np.concatenate([cols for _, cols, _ in nonzeros] or empty)
+    v_val = np.concatenate([values for _, _, values in nonzeros] or empty)
     # np.nonzero runs row by row, so the entries of one row of one V_k are a run
-    v_key = np.repeat(np.arange(len(baths)), [rows.size for rows, _ in nonzeros]) * dim + v_row
+    v_key = np.repeat(np.arange(len(nonzeros)), [rows.size for rows, _, _ in nonzeros]) * dim + v_row
     starts = _run_starts(v_key)
     t_dense = np.add.reduceat(v_val[:, None] * states[v_col], starts, axis=0)
     t_run, t_col = np.nonzero(t_dense)
@@ -378,7 +403,129 @@ def _joined_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) ->
         states[u_row[u], u_col[u]].conj() * t_dense[t_run[t], t_col[t]],
     )
     kept = c_val != 0
-    return _Entries(*np.unravel_index(c_key[kept], (len(baths), dim, dim)), c_val[kept])
+    return _Entries(*np.unravel_index(c_key[kept], (len(nonzeros), dim, dim)), c_val[kept])
+
+
+def _seal(*arrays: np.ndarray) -> int:
+    """Make arrays read-only in place; returns the bytes they hold."""
+    for a in arrays:
+        a.flags.writeable = False
+    return sum(a.nbytes for a in arrays)
+
+
+class _StructureCache:
+    """The eigenbasis structures built so far, least recently used first.
+
+    The bytes of the arrays they hold, keys, plans and layouts included, stay
+    within ``limit``: a structure that would exceed it alone is not kept, and
+    the least recently used ones make room for the rest.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.kept: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key):
+        structure = self.kept.get(key)
+        if structure is not None:
+            self.kept.move_to_end(key)
+        return structure
+
+    def add(self, structure: _Structure) -> None:
+        if structure.nbytes <= self.limit:
+            self.kept[structure.key] = structure
+            self.nbytes += structure.nbytes
+            self._trim()
+
+    def charge(self, structure: _Structure, nbytes: int) -> None:
+        """Count the bytes of a plan or a layout the structure has grown."""
+        structure.nbytes += nbytes
+        if self.kept.get(structure.key) is not structure:
+            return
+        self.nbytes += nbytes
+        if structure.nbytes > self.limit:
+            del self.kept[structure.key]
+            self.nbytes -= structure.nbytes
+        self._trim()
+
+    def _trim(self) -> None:
+        while self.nbytes > self.limit:
+            _, structure = self.kept.popitem(last=False)
+            self.nbytes -= structure.nbytes
+
+    def clear(self) -> None:
+        self.kept.clear()
+        self.nbytes = 0
+
+
+_STRUCTURES = _StructureCache(STRUCTURE_CACHE_BYTES)
+
+
+@dataclass(eq=False)
+class _Structure:
+    """What the Hamiltonian, the couplings and the grouping tolerance fix of
+    the eigenbasis model, whatever the temperatures and spectral densities.
+
+    ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i;
+    ``coupling`` holds the nonzeros of C_k = U^dagger V_k U and
+    ``entry_labels`` the group of each.  ``zero_magnitude[k]`` is the largest
+    |C_k| entry in the zero group, and ``above_atol`` flags the entries above
+    ``ZERO_COMPONENT_ATOL``.  ``pairs`` joins every entry with every entry of
+    its bath and group, ordered by the first and then the second.  ``plans``
+    holds a :class:`_Plan` per set of nonzero W_k entries.  Every array is
+    read-only; ``nbytes`` counts them, the key and the plans.
+    """
+
+    key: tuple
+    energies: np.ndarray
+    states: np.ndarray
+    frequencies: np.ndarray
+    labels: np.ndarray
+    coupling: _Entries
+    entry_labels: np.ndarray
+    zero_magnitude: np.ndarray
+    above_atol: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    nbytes: int = 0
+    plans: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Where the generator's jump, decay and current entries come from, for
+    one set of nonzero W_k = R_k C_k entries; every value is a product of a
+    per-call W entry and a kept factor.
+
+    ``jumps`` holds the jump entries' places and the factor conj(C) of each,
+    whose W entry is ``w``; the decay terms are the jumps at ``population``,
+    conjugated, at ``decay``'s places, and ``damping_at`` is their flat index
+    in M.  ``currents`` holds the current entries' places and energy factors,
+    for the population jumps and then the decay terms.  ``layouts`` holds a
+    :class:`_Layout` per nonzero pattern of K = -i diag(E) - M / 2.
+    """
+
+    w: np.ndarray
+    jumps: _Entries
+    population: np.ndarray
+    decay: _Entries
+    damping_at: np.ndarray
+    currents: _Entries
+    nbytes: int
+    layouts: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The generator's blocks for one plan and one pattern of K: entry e
+    lands at ``target[e]`` of the row-major blocks laid end to end, ``total``
+    entries long, and each stack is (``first``, ``index``), its first entry
+    there and its (count, m) generator indices, ungraded."""
+
+    target: np.ndarray
+    total: int
+    stacks: tuple[tuple[int, np.ndarray], ...]
+    nbytes: int
 
 
 @dataclass(frozen=True)
@@ -387,10 +534,10 @@ class _EigenModel:
     tolerance; the generator and the heat currents read it.  It holds no
     (K, d, d) array.
 
-    ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i and
-    ``group_rates[k, n]`` is the rate of bath k at group n.  The per-bath
-    matrices are entry lists (:class:`_Entries`): ``coupling`` holds the
-    nonzeros of C_k = U^dagger V_k U, ``jumps`` the entries of the map
+    The temperature-free part is the shared :class:`_Structure`, and the
+    entries' places are the shared :class:`_Plan`'s.  ``group_rates[k, n]``
+    is the rate of bath k at group n.  The per-bath matrices are entry lists
+    (:class:`_Entries`): ``jumps`` the entries of the map
     rho -> sum_w rate A_w rho A_w^dagger at the column-stacked generator
     indices (row, col), and ``decay`` the terms of
     M_k = sum_w rate A_w^dagger A_w.  ``currents`` holds the coefficients of
@@ -399,16 +546,33 @@ class _EigenModel:
     the largest rate of a component above ``ZERO_COMPONENT_ATOL``.
     """
 
-    energies: np.ndarray
-    states: np.ndarray
-    frequencies: np.ndarray
-    labels: np.ndarray
+    structure: _Structure
+    plan: _Plan
     group_rates: np.ndarray
-    coupling: _Entries
     jumps: _Entries
     decay: _Entries
     currents: _Entries
     max_rate: float
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.structure.energies
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.structure.states
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return self.structure.frequencies
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.structure.labels
+
+    @property
+    def coupling(self) -> _Entries:
+        return self.structure.coupling
 
 
 def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
@@ -419,83 +583,148 @@ def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     return model
 
 
-def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
-    """Decompose every bath coupling by transition frequency and attach rates.
+def _structure(system: OpenSystem, freq_tol: float) -> _Structure:
+    """The system's structure, from the cache or built and kept there.
 
-    The zero-frequency component is always examined: if it vanishes its rate
-    is zero, if not the rate is slope * T for an ohmic density while a flat
-    density makes the zero-frequency rate diverge and raises
-    UnsupportedModelError.
+    The key is exact: the tolerance, the bytes of H, and the bytes of every
+    coupling or, on the joined path, of its nonzeros, which the join reads
+    anyway.  A structure whose build fails is not kept.
     """
+    dim = system.dim
+    nonzeros = None
+    if len(system.baths) * dim * dim > DENSE_PRODUCT_ENTRIES:
+        nonzeros = _coupling_nonzeros(system.baths)
+        couplings = tuple(tuple(a.tobytes() for a in triple) for triple in nonzeros)
+    else:
+        couplings = tuple((bath.coupling.tobytes(),) for bath in system.baths)
+    key = (freq_tol, system.hamiltonian.tobytes(), couplings)
+    structure = _STRUCTURES.get(key)
+    if structure is None:
+        structure = _build_structure(system, freq_tol, key, nonzeros)
+        _STRUCTURES.add(structure)
+    return structure
+
+
+def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) -> _Structure:
+    """Decompose H, group its transition frequencies, form the coupling
+    entries and join those of one bath and one group."""
     eig = eigh(system.hamiltonian)
     energies, states = eig.energies, eig.states
-    dim = system.dim
-    n_baths = len(system.baths)
     _check_grouping_tolerance(energies, freq_tol)
     frequencies, labels = _frequency_groups(energies, freq_tol)
     n_groups = frequencies.size
-    # the groups mirror under negation about the zero group, at the middle
-    zero_label = n_groups // 2
-    positive = frequencies[zero_label + 1:]
-
-    coupling = _coupling_entries(states, system.baths)
+    coupling = (_dense_coupling_entries(states, system.baths) if nonzeros is None
+                else _joined_coupling_entries(states, nonzeros))
     entry_labels = labels[coupling.rows, coupling.cols]
-    at_zero = entry_labels == zero_label
-    has_zero = np.zeros(n_baths, dtype=bool)
-    has_zero[coupling.bath[at_zero & (np.abs(coupling.values) > ZERO_COMPONENT_ATOL)]] = True
-    group_rates = np.zeros((n_baths, n_groups))
-    for k, bath in enumerate(system.baths):
-        emission, absorption = _thermal_rates(bath.spectral, positive, bath.temperature)
-        group_rates[k, zero_label + 1:] = emission
-        group_rates[k, :zero_label] = absorption[::-1]
-        if has_zero[k]:
-            if not isinstance(bath.spectral, OhmicDensity):
-                magnitude = np.abs(coupling.values[at_zero & (coupling.bath == k)]).max()
-                raise UnsupportedModelError(
-                    f"bath {k}: zero-frequency coupling component of magnitude "
-                    f"{magnitude:.3e} with a flat spectral density has a diverging rate; "
-                    "use an ohmic density or a model whose zero-frequency component vanishes"
-                )
-            group_rates[k, zero_label] = bath.spectral.slope * bath.temperature
-    rates = group_rates[coupling.bath, entry_labels]
-    max_rate = float(rates[np.abs(coupling.values) > ZERO_COMPONENT_ATOL].max(initial=0.0))
-    w_val = rates * coupling.values
+    magnitude = np.abs(coupling.values)
+    # the groups mirror under negation about the zero group, at the middle
+    at_zero = entry_labels == n_groups // 2
+    zero_magnitude = np.zeros(len(system.baths))
+    np.maximum.at(zero_magnitude, coupling.bath[at_zero], magnitude[at_zero])
+    above_atol = magnitude > ZERO_COMPONENT_ATOL
+    group_key = coupling.bath * n_groups + entry_labels
+    pairs = _equal_key_pairs(group_key, group_key)
+    nbytes = _seal(energies, states, frequencies, labels, *coupling, entry_labels, zero_magnitude,
+                   above_atol, *pairs)
+    key_bytes = len(key[1]) + sum(len(part) for coupling_key in key[2] for part in coupling_key)
+    return _Structure(
+        key=key,
+        energies=energies,
+        states=states,
+        frequencies=frequencies,
+        labels=labels,
+        coupling=coupling,
+        entry_labels=entry_labels,
+        zero_magnitude=zero_magnitude,
+        above_atol=above_atol,
+        pairs=pairs,
+        nbytes=nbytes + key_bytes,
+    )
 
-    # Pairs of one bath and one group, the secular condition: a W entry (i, j)
-    # and a C entry (i', j') give W[i, j] conj(C[i', j']), the generator's
-    # entry at ((i, i'), (j, j')).  In a population row (r, r) the pair
-    # (r, a), (r, b) gives p = W[r, a] conj(C[r, b]) at the column (a, b), and
-    # the conjugates of these sum to M_k[a, b], since (A_w^dagger A_w)[a, b]
-    # pairs (r, a) and (r, b) of the group of w.
-    key = coupling.bath * n_groups + entry_labels
-    rated = (w_val != 0).nonzero()[0]
-    w, c = _equal_key_pairs(key[rated], key)
-    w = rated[w]
+
+def _plan(structure: _Structure, rated: np.ndarray) -> _Plan:
+    """The structure's plan for the nonzero W entries ``rated``, built on
+    first use and kept on the structure."""
+    key = rated.tobytes()
+    plan = structure.plans.get(key)
+    if plan is None:
+        plan = structure.plans[key] = _build_plan(structure, rated)
+        _STRUCTURES.charge(structure, len(key) + plan.nbytes)
+    return plan
+
+
+def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
+    """Pairs of one bath and one group, the secular condition: a W entry
+    (i, j) and a C entry (i', j') give W[i, j] conj(C[i', j']), the
+    generator's entry at ((i, i'), (j, j')).  In a population row (r, r) the
+    pair (r, a), (r, b) gives p = W[r, a] conj(C[r, b]) at the column (a, b),
+    and the conjugates of these sum to M_k[a, b], since (A_w^dagger A_w)[a, b]
+    pairs (r, a) and (r, b) of the group of w."""
+    coupling = structure.coupling
+    energies = structure.energies
+    dim = energies.size
+    left, right = structure.pairs
+    kept = rated[left]
+    w, c = left[kept], right[kept]
     bath, i, j = coupling.bath[w], coupling.rows[w], coupling.cols[w]
     i2, j2 = coupling.rows[c], coupling.cols[c]
-    values = w_val[w] * coupling.values[c].conj()
-    jumps = _Entries(bath, i + dim * i2, j + dim * j2, values)
-    population = i == i2
-    bath, row, a, b, p = bath[population], i[population], j[population], j2[population], values[population]
-    decay = _Entries(bath, a, b, p.conj())
+    jumps = _Entries(bath, i + dim * i2, j + dim * j2, coupling.values[c].conj())
+    population = np.flatnonzero(i == i2)
+    bath, row, a, b = bath[population], i[population], j[population], j2[population]
     # J_k = -Tr[H D_k(rho)]: the gain -E_r p rho[a, b] of the population rows,
     # and the loss (E_a + E_b) / 2 M_k[a, b] rho[b, a] of (M_k rho + rho M_k) / 2
     currents = _Entries(
         np.concatenate((bath, bath)),
         np.concatenate((a, b)),
         np.concatenate((b, a)),
-        np.concatenate((-energies[row] * p, 0.5 * (energies[a] + energies[b]) * decay.values)),
+        np.concatenate((-energies[row], 0.5 * (energies[a] + energies[b]))),
     )
+    damping_at = a * dim + b
+    nbytes = _seal(w, *jumps, population, bath, a, b, damping_at, *currents)
+    return _Plan(w, jumps, population, _Entries(bath, a, b, None), damping_at, currents, nbytes)
+
+
+def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
+    """Attach the baths' rates to the system's structure.
+
+    The zero-frequency component is always examined: if it vanishes its rate
+    is zero, if not the rate is slope * T for an ohmic density while a flat
+    density makes the zero-frequency rate diverge and raises
+    UnsupportedModelError.
+    """
+    structure = _structure(system, freq_tol)
+    n_groups = structure.frequencies.size
+    zero_label = n_groups // 2
+    positive = structure.frequencies[zero_label + 1:]
+    group_rates = np.zeros((len(system.baths), n_groups))
+    for k, bath in enumerate(system.baths):
+        emission, absorption = _thermal_rates(bath.spectral, positive, bath.temperature)
+        group_rates[k, zero_label + 1:] = emission
+        group_rates[k, :zero_label] = absorption[::-1]
+        magnitude = structure.zero_magnitude[k]
+        if magnitude > ZERO_COMPONENT_ATOL:
+            if not isinstance(bath.spectral, OhmicDensity):
+                raise UnsupportedModelError(
+                    f"bath {k}: zero-frequency coupling component of magnitude "
+                    f"{magnitude:.3e} with a flat spectral density has a diverging rate; "
+                    "use an ohmic density or a model whose zero-frequency component vanishes"
+                )
+            group_rates[k, zero_label] = bath.spectral.slope * bath.temperature
+    coupling = structure.coupling
+    rates = group_rates[coupling.bath, structure.entry_labels]
+    max_rate = float(rates[structure.above_atol].max(initial=0.0))
+    w_val = rates * coupling.values
+    plan = _plan(structure, w_val != 0)
+    values = w_val[plan.w] * plan.jumps.values
+    p = values[plan.population]
+    decay = p.conj()
     return _EigenModel(
-        energies=energies,
-        states=states,
-        frequencies=frequencies,
-        labels=labels,
+        structure=structure,
+        plan=plan,
         group_rates=group_rates,
-        coupling=coupling,
-        jumps=jumps,
-        decay=decay,
-        currents=currents,
+        jumps=plan.jumps._replace(values=values),
+        decay=plan.decay._replace(values=decay),
+        currents=plan.currents._replace(values=plan.currents.values * np.concatenate((p, decay))),
         max_rate=max_rate,
     )
 
@@ -590,46 +819,22 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
     # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
     # ((l, i), (l, j)) for every level l; K lies in the zero group (module docstring)
+    at = model.plan.damping_at
     decay = model.decay
-    at = decay.rows * dim + decay.cols
     damping = -0.5 * (np.bincount(at, weights=decay.values.real, minlength=size)
                       + 1j * np.bincount(at, weights=decay.values.imag, minlength=size))
     damping[::dim + 1] -= 1j * energies
-    k_row, k_col = np.nonzero(damping.reshape(dim, dim))
-    k_val = damping[k_row * dim + k_col]
-    levels = np.arange(dim)
-    jumps = model.jumps
-    rows = np.concatenate((jumps.rows, (k_row[:, None] + dim * levels).ravel(),
-                           (dim * k_row[:, None] + levels).ravel()))
-    cols = np.concatenate((jumps.cols, (k_col[:, None] + dim * levels).ravel(),
-                           (dim * k_col[:, None] + levels).ravel()))
-    values = np.concatenate((jumps.values, np.repeat(k_val, dim), np.repeat(k_val.conj(), dim)))
-
-    # indices ordered by (component size, component, index): every stack, and
-    # every block within it, is a contiguous run that starts at the block's
-    # smallest index, its root; the blocks are laid out row-major one after
-    # another in ``flat``
-    root = _components(size, rows, cols)
-    extent = np.bincount(root, minlength=size)[root]
-    order = np.lexsort((root, extent))
-    place = np.empty(size, dtype=np.intp)
-    place[order] = np.arange(size)
-    within = place - place[root]
-    sorted_extent = extent[order]
-    # flat offset of each index's row in the concatenated row-major blocks
-    row_start = (np.cumsum(sorted_extent) - sorted_extent)[place - within] + within * extent
-    target = row_start[rows] + within[cols]
-    total = int(sorted_extent.sum())
-    flat = np.bincount(target, weights=values.real, minlength=total) + 1j * np.bincount(
-        target, weights=values.imag, minlength=total
+    k_at = np.flatnonzero(damping)
+    layout = _layout(model, k_at)
+    k_val = damping[k_at]
+    values = np.concatenate((model.jumps.values, np.repeat(k_val, dim), np.repeat(k_val.conj(), dim)))
+    flat = np.bincount(layout.target, weights=values.real, minlength=layout.total) + 1j * np.bincount(
+        layout.target, weights=values.imag, minlength=layout.total
     )
     indices, blocks = [], []
-    edges = [0, *(np.flatnonzero(sorted_extent[1:] != sorted_extent[:-1]) + 1).tolist(), size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = int(sorted_extent[lo])
-        first = int(row_start[order[lo]])
-        index = order[lo:hi].reshape(-1, m)
-        stack = flat[first:first + (hi - lo) * m].reshape(-1, m, m)
+    for first, index in layout.stacks:
+        count, m = index.shape
+        stack = flat[first:first + count * m * m].reshape(-1, m, m)
         if m > 1:
             # Grade every block, largest diagonal entries first.  A symmetric
             # permutation keeps the singular values, and the SVD's null
@@ -637,7 +842,7 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
             # more accurate in this order (1e-15 against 1e-10 for a cold
             # chain at weak tunneling).
             grade = (-abs(stack.diagonal(axis1=1, axis2=2))).argsort(axis=1, kind="stable")
-            block = np.arange(index.shape[0])[:, None]
+            block = np.arange(count)[:, None]
             index = index[block, grade]
             stack = stack[block[:, :, None], grade[:, :, None], grade[:, None, :]]
         indices.append(index)
@@ -654,6 +859,52 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         indices=tuple(indices),
         blocks=tuple(blocks),
     )
+
+
+def _layout(model: _EigenModel, k_at: np.ndarray) -> _Layout:
+    """The model's generator layout for the nonzeros ``k_at`` of K (flat
+    indices), built on first use and kept on the model's plan."""
+    plan = model.plan
+    key = k_at.tobytes()
+    layout = plan.layouts.get(key)
+    if layout is None:
+        layout = plan.layouts[key] = _build_layout(plan.jumps, k_at, model.energies.size)
+        _STRUCTURES.charge(model.structure, len(key) + layout.nbytes)
+    return layout
+
+
+def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:
+    """Where the jump entries and the Kronecker sum of K land in the blocks:
+    the components of their pattern, stacked by size."""
+    size = dim * dim
+    k_row, k_col = np.divmod(k_at, dim)
+    levels = np.arange(dim)
+    rows = np.concatenate((jumps.rows, (k_row[:, None] + dim * levels).ravel(),
+                           (dim * k_row[:, None] + levels).ravel()))
+    cols = np.concatenate((jumps.cols, (k_col[:, None] + dim * levels).ravel(),
+                           (dim * k_col[:, None] + levels).ravel()))
+
+    # indices ordered by (component size, component, index): every stack, and
+    # every block within it, is a contiguous run that starts at the block's
+    # smallest index, its root; the blocks are laid out row-major one after
+    # another
+    root = _components(size, rows, cols)
+    extent = np.bincount(root, minlength=size)[root]
+    order = np.lexsort((root, extent))
+    place = np.empty(size, dtype=np.intp)
+    place[order] = np.arange(size)
+    within = place - place[root]
+    sorted_extent = extent[order]
+    # flat offset of each index's row in the concatenated row-major blocks
+    row_start = (np.cumsum(sorted_extent) - sorted_extent)[place - within] + within * extent
+    target = row_start[rows] + within[cols]
+    edges = [0, *(np.flatnonzero(sorted_extent[1:] != sorted_extent[:-1]) + 1).tolist(), size]
+    stacks = tuple(
+        (int(row_start[order[lo]]), order[lo:hi].reshape(-1, int(sorted_extent[lo])))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    nbytes = _seal(target, order)
+    return _Layout(target, int(sorted_extent.sum()), stacks, nbytes)
 
 
 def _rk4_step(matrix: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from qthermo.davies import (
     Liouvillian,
     OhmicDensity,
     OpenSystem,
+    _coupling_nonzeros,
     _eigen_model,
     _frequency_groups,
     _joined_coupling_entries,
@@ -42,7 +43,7 @@ from qthermo.errors import (
 )
 from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system
 from qthermo.linalg import devectorize, eigh, hermitize, trace_distance, vectorize
-from qthermo.three_level import ThreeLevelParams, lambda_system
+from qthermo.three_level import ThreeLevelParams, lambda_system, three_level_system
 
 
 def lambda_params(n_1: float, n_2: float, gamma: float = 1.0) -> ThreeLevelParams:
@@ -628,7 +629,7 @@ class TestCouplingEntries:
     @staticmethod
     def check(system: OpenSystem) -> None:
         states, pattern, values = dense_coupling_entries(system)
-        joined = _joined_coupling_entries(states, system.baths)
+        joined = _joined_coupling_entries(states, _coupling_nonzeros(system.baths))
         assert np.array_equal(joined.bath, pattern[0])
         assert np.array_equal(joined.rows, pattern[1])
         assert np.array_equal(joined.cols, pattern[2])
@@ -659,7 +660,7 @@ class TestCouplingEntries:
         baths = (BathSpec(np.zeros((3, 3)), FlatDensity(1.0), 1.0),
                  BathSpec(np.diag([0.0, 0.0, 2.0]), OhmicDensity(1.0), 1.0))
         self.check(OpenSystem(h, baths))
-        entries = _joined_coupling_entries(np.eye(3, dtype=complex), baths)
+        entries = _joined_coupling_entries(np.eye(3, dtype=complex), _coupling_nonzeros(baths))
         assert entries.bath.tolist() == [1] and entries.values.tolist() == [2.0]
 
     @pytest.mark.parametrize(
@@ -1202,6 +1203,190 @@ class TestLargeChains:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+
+def crossed_system(t_1: float, t_2: float) -> OpenSystem:
+    """A ground level and two degenerate excited ones, with baths coupling
+    the ground to |1> + |2> and to |1> - |2>: M[1, 2] is r_1 - r_2, which
+    vanishes exactly at equal temperatures, so the pattern of K changes
+    with the temperatures while every rate stays nonzero."""
+    h = np.diag([0.0, 1.0, 1.0])
+    plus = np.zeros((3, 3))
+    plus[0, 1] = plus[1, 0] = plus[0, 2] = plus[2, 0] = 1.0
+    minus = plus.copy()
+    minus[0, 2] = minus[2, 0] = -1.0
+    return OpenSystem(h, (BathSpec(plus, FlatDensity(1.0), t_1), BathSpec(minus, FlatDensity(1.0), t_2)))
+
+
+def generator_bytes(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> list[bytes]:
+    """The bytes of the blocks, indices, default step, steady state and heat
+    currents of a system."""
+    liouv = liouvillian(system, freq_tol)
+    rho = steady_state(liouv)
+    arrays = (*liouv.blocks, *liouv.indices, np.float64(liouv.default_dt), rho,
+              heat_currents(system, rho, freq_tol))
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def kept_array_bytes(structure) -> int:
+    """The bytes a kept structure holds, counted from its arrays."""
+    _, h, couplings = structure.key
+    total = len(h) + sum(len(part) for coupling in couplings for part in coupling)
+    arrays = [structure.energies, structure.states, structure.frequencies, structure.labels,
+              *structure.coupling, structure.entry_labels, structure.zero_magnitude,
+              structure.above_atol, *structure.pairs]
+    for mask, plan in structure.plans.items():
+        total += len(mask)
+        arrays += [plan.w, *plan.jumps, plan.population, *plan.decay[:3], plan.damping_at, *plan.currents]
+        for pattern, layout in plan.layouts.items():
+            total += len(pattern)
+            arrays += [layout.target, layout.stacks[0][1].base]
+    return total + sum(a.nbytes for a in arrays)
+
+
+class TestReuse:
+    """The structure fixed by H, the couplings and the grouping tolerance is
+    built once and kept; a new temperature only refills the rates, and gives
+    the bytes a cold build gives."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        davies._STRUCTURES.clear()
+        yield
+        davies._STRUCTURES.clear()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda t, n=n, g=g: gradient_chain(n, g, *t) for n, g in ((3, 0.1), (10, 0.1), (12, 1.3))),
+            *(lambda t, c=c: three_level_system(ThreeLevelParams(c, 1.0, 1.0, 1.0, 1.0, *t))
+              for c in ("lambda", "vee")),
+            *(lambda t, d=d: rotated_chain(3, 1.3, *t, seed=d, ground_only=False) for d in (1, 2)),
+            lambda t: crossed_system(*t),
+        ],
+        ids=["chain-3", "chain-10", "chain-12", "lambda", "vee", "rotated-1", "rotated-2", "crossed"],
+    )
+    def test_warm_and_cold_give_the_same_bytes(self, make):
+        temperatures = [(0.8, 0.4), (0.3, 0.3), (0.6, 0.2)]
+        cold = []
+        for t in temperatures:
+            davies._STRUCTURES.clear()
+            cold.append(generator_bytes(make(t)))
+        davies._STRUCTURES.clear()
+        for _ in range(2):
+            assert [generator_bytes(make(t)) for t in temperatures] == cold
+        assert len(davies._STRUCTURES.kept) == 1
+
+    @pytest.mark.parametrize("dim, n_baths", [(3, 2), (4, 2), (6, 2), (8, 3)])
+    def test_random_systems_warm_and_cold(self, dim, n_baths):
+        # the same H and couplings at new temperatures: a warm structure
+        for seed in (1, 2):
+            system = degenerate_open_system(seed, dim, n_baths)
+            davies._STRUCTURES.clear()
+            cold = generator_bytes(system)
+            baths = tuple(BathSpec(b.coupling, b.spectral, 2.0 * b.temperature) for b in system.baths)
+            generator_bytes(OpenSystem(system.hamiltonian, baths))
+            assert generator_bytes(OpenSystem(system.hamiltonian, system.baths)) == cold
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["dense", "joined"])
+    def test_a_cold_end_switching_on_and_off(self, joined, monkeypatch):
+        # a bath at T = 0 drops its absorption entries: another plan
+        if joined:
+            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
+        ends = [(0.8, 0.0), (0.8, 0.4)]
+        cold = []
+        for t in ends:
+            davies._STRUCTURES.clear()
+            cold.append(generator_bytes(gradient_chain(6, 0.5, *t)))
+        davies._STRUCTURES.clear()
+        for t in ends * 2 + ends[::-1]:
+            assert generator_bytes(gradient_chain(6, 0.5, *t)) == cold[ends.index(t)]
+        (structure,) = davies._STRUCTURES.kept.values()
+        assert len(structure.plans) == 2
+
+    def test_two_grouping_tolerances(self):
+        system = gradient_chain(4, 0.3, 0.8, 0.4)
+        cold = {}
+        for tolerance in (1e-8, 1e-4):
+            davies._STRUCTURES.clear()
+            cold[tolerance] = generator_bytes(system, tolerance)
+        davies._STRUCTURES.clear()
+        for tolerance in (1e-8, 1e-4, 1e-8):
+            assert generator_bytes(gradient_chain(4, 0.3, 0.8, 0.4), tolerance) == cold[tolerance]
+        # too wide a tolerance for this spectrum fails on every call
+        for _ in range(2):
+            with pytest.raises(AmbiguousGroupingError):
+                liouvillian(gradient_chain(4, 0.3, 0.8, 0.4), 0.2)
+        assert len(davies._STRUCTURES.kept) == 2
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["dense", "joined"])
+    def test_coupling_values_are_in_the_key(self, joined, monkeypatch):
+        # the same pattern of nonzero couplings with other values
+        if joined:
+            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
+        system = gradient_chain(4, 0.5, 0.8, 0.4)
+        doubled = OpenSystem(system.hamiltonian, tuple(
+            BathSpec(2.0 * b.coupling, b.spectral, b.temperature) for b in system.baths))
+        cold = generator_bytes(doubled)
+        davies._STRUCTURES.clear()
+        generator_bytes(system)
+        assert generator_bytes(doubled) == cold
+
+    def test_the_pattern_of_k_selects_the_layout(self):
+        # one plan, two patterns of K: M[1, 2] vanishes at equal temperatures
+        davies._STRUCTURES.clear()
+        cold = [generator_bytes(crossed_system(0.5, t)) for t in (0.5, 0.3)]
+        davies._STRUCTURES.clear()
+        for t in (0.3, 0.5, 0.3):
+            assert generator_bytes(crossed_system(0.5, t)) == cold[(0.5, 0.3).index(t)]
+        (structure,) = davies._STRUCTURES.kept.values()
+        (plan,) = structure.plans.values()
+        assert len(plan.layouts) == 2
+
+    def test_zero_frequency_rule_on_every_call(self):
+        # the same structure under a flat and an ohmic density
+        system = random_open_system(3, 4)
+        flat = OpenSystem(system.hamiltonian, tuple(
+            BathSpec(b.coupling, FlatDensity(1.0), b.temperature) for b in system.baths))
+        liouvillian(system)
+        for _ in range(2):
+            with pytest.raises(UnsupportedModelError, match="bath 0: zero-frequency"):
+                liouvillian(OpenSystem(flat.hamiltonian, flat.baths))
+        assert len(davies._STRUCTURES.kept) == 1
+
+    def test_a_warm_call_builds_nothing(self, monkeypatch):
+        # no eigendecomposition, grouping, join, components or sort on a hit
+        generator_bytes(gradient_chain(5, 0.7, 0.8, 0.4))
+        for name in ("eigh", "_frequency_groups", "_equal_key_pairs", "_components"):
+            monkeypatch.setattr(davies, name, None)
+        monkeypatch.setattr(davies.np, "lexsort", None)
+        generator_bytes(gradient_chain(5, 0.7, 0.6, 0.1))
+
+    def test_kept_arrays_are_read_only(self):
+        system = gradient_chain(4, 0.5, 0.8, 0.4)
+        liouv = liouvillian(system)
+        with pytest.raises(ValueError):
+            liouv.basis[0, 0] = 1.0
+        (structure,) = davies._STRUCTURES.kept.values()
+        with pytest.raises(ValueError):
+            structure.coupling.values[0] = 0.0
+        with pytest.raises(ValueError):
+            next(iter(structure.plans.values())).jumps.rows[0] = 0
+
+    def test_kept_bytes_stay_within_the_bound(self):
+        # an N = 30 structure holds about 0.6 MiB, so 100 of them exceed the bound
+        for g in np.linspace(0.3, 1.5, 100):
+            steady_state(liouvillian(gradient_chain(30, float(g), 0.8, 0.4)))
+            cache = davies._STRUCTURES
+            assert cache.nbytes <= davies.STRUCTURE_CACHE_BYTES
+            assert cache.nbytes == sum(kept_array_bytes(s) for s in cache.kept.values())
+        assert 10 < len(davies._STRUCTURES.kept) < 100
+
+    def test_a_structure_above_the_bound_is_not_kept(self, monkeypatch):
+        liouvillian(gradient_chain(3, 0.5, 0.8, 0.4))
+        monkeypatch.setattr(davies._STRUCTURES, "limit", davies._STRUCTURES.nbytes + 1000)
+        liouvillian(gradient_chain(20, 0.5, 0.8, 0.4))
+        assert len(davies._STRUCTURES.kept) == 1
 
 
 class TestEdgeCases:
