@@ -111,6 +111,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .linalg import (
+    components,
     devectorize,
     eigh,
     hermitize,
@@ -779,32 +780,6 @@ def _equal_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, n
     return a, b
 
 
-def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Connected components of the graph on 0..size-1 with the edges
-    (rows[e], cols[e]): the smallest index of the component of every index.
-
-    Hooking and shortcutting: every index points at a root, the smallest
-    index of its tree.  Each round hooks the larger root of every edge that
-    joins two trees under the smaller one (any of them, so the forest stays
-    acyclic), then points every index straight at its new root; the number
-    of trees falls every round until no edge joins two.
-    """
-    root = np.arange(size)
-    while True:
-        a, b = root[rows], root[cols]
-        joining = a != b
-        if not joining.any():
-            return root
-        # an edge inside one tree stays inside one tree
-        rows, cols, a, b = rows[joining], cols[joining], a[joining], b[joining]
-        root[np.maximum(a, b)] = np.minimum(a, b)
-        while True:
-            up = root[root]
-            if (up == root).all():
-                break
-            root = up
-
-
 def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouvillian:
     """Build the generator, coherent commutator plus one dissipator per bath
     and transition frequency, from its nonzero entries in the eigenbasis and
@@ -888,7 +863,7 @@ def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:
     # every block within it, is a contiguous run that starts at the block's
     # smallest index, its root; the blocks are laid out row-major one after
     # another
-    root = _components(size, rows, cols)
+    root = components(size, rows, cols)
     extent = np.bincount(root, minlength=size)[root]
     order = np.lexsort((root, extent))
     place = np.empty(size, dtype=np.intp)

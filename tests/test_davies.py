@@ -197,6 +197,11 @@ def entropy_production(system: OpenSystem, currents: np.ndarray) -> float:
     return float(sum(j / bath.temperature for j, bath in zip(currents, system.baths)))
 
 
+# tunnelings at which numpy's eigh of a whole chain Hamiltonian returns the
+# uncoupled ground levels with spurious entries or rotated among themselves,
+# for every N from 10 to 40
+LAPACK_MIXING_TUNNELINGS = (0.09, 0.41, 0.47, 0.73, 0.79, 0.87, 0.91, 0.95, 1.27, 1.29)
+
 chain_cases = dict(
     n_sites=st.integers(3, 6),
     tunneling=st.sampled_from(DEFAULT_TUNNELING_SWEEP),
@@ -533,6 +538,12 @@ class TestDenseReference:
     @given(**chain_cases)
     def test_chains(self, n_sites, tunneling, t_left, t_right):
         self.check(gradient_chain(n_sites, tunneling, t_left, t_right))
+
+    @pytest.mark.parametrize("tunneling", LAPACK_MIXING_TUNNELINGS[::4])
+    def test_chains_where_a_whole_matrix_eigh_mixes_the_ground_levels(self, tunneling):
+        system = gradient_chain(10, tunneling, 0.8, 0.4)
+        assert max(index.shape[1] for index in liouvillian(system).indices) == 20
+        self.check(system)
 
     def test_blocks_cover_every_entry_once(self):
         # every index lies in one block, and no entry of the dense reference,
@@ -1183,6 +1194,18 @@ class TestLargeChains:
         assert np.max(np.abs(currents - expected_currents)) <= 1e-12
         assert np.max(np.abs(currents)) > 1e-5  # out of equilibrium
 
+    @pytest.mark.parametrize("n_sites", [10, 30])
+    @pytest.mark.parametrize("tunneling", LAPACK_MIXING_TUNNELINGS)
+    def test_where_a_whole_matrix_eigh_mixes_the_ground_levels(self, n_sites, tunneling):
+        spec = ChainSpec(n_sites, 1.0, tunneling, 0.02, LinearProfile(0.8, 0.4))
+        system = chain_system(spec)
+        liouv = liouvillian(system)
+        assert max(index.shape[1] for index in liouv.indices) == 2 * n_sites
+        rho = steady_state(liouv)
+        expected_rho, expected_currents = analytic_chain(n_sites, 1.0, tunneling, 0.02, spec.site_temperatures())
+        assert np.max(np.abs(rho - expected_rho)) <= 1e-12
+        assert np.max(np.abs(heat_currents(system, rho) - expected_currents)) <= 1e-12
+
     def test_hundred_sites_conserve_energy_and_produce_entropy(self):
         system = gradient_chain(100, 1.3, 0.8, 0.4)
         currents = heat_currents(system, steady_state(liouvillian(system)))
@@ -1357,7 +1380,7 @@ class TestReuse:
     def test_a_warm_call_builds_nothing(self, monkeypatch):
         # no eigendecomposition, grouping, join, components or sort on a hit
         generator_bytes(gradient_chain(5, 0.7, 0.8, 0.4))
-        for name in ("eigh", "_frequency_groups", "_equal_key_pairs", "_components"):
+        for name in ("eigh", "_frequency_groups", "_equal_key_pairs", "components"):
             monkeypatch.setattr(davies, name, None)
         monkeypatch.setattr(davies.np, "lexsort", None)
         generator_bytes(gradient_chain(5, 0.7, 0.6, 0.1))

@@ -60,6 +60,41 @@ class TestEigh:
         scale = max(np.max(np.abs(dec.energies)), 1e-30)
         assert np.max(np.abs(rebuilt - m)) / scale < 1e-10
 
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 12), seed=st.integers(0, 2**31 - 1), density=st.floats(0.0, 0.5))
+    def test_reconstruction_of_sparse_matrices(self, dim, seed, density):
+        # several components: each eigenvector is exactly zero off its own
+        rng = np.random.default_rng(seed)
+        m = random_hermitian(rng, dim) * hermitize(rng.random((dim, dim)) < density)
+        m[np.diag_indices(dim)] = rng.integers(0, 3, size=dim)  # degenerate levels across components
+        dec = eigh(m)
+        assert np.all(np.diff(dec.energies) >= 0)
+        assert np.max(np.abs(dec.states.conj().T @ dec.states - np.eye(dim))) < 1e-12
+        rebuilt = (dec.states * dec.energies) @ dec.states.conj().T
+        assert np.max(np.abs(rebuilt - m)) < 1e-12
+        assert np.max(np.abs(dec.energies - np.linalg.eigvalsh(m))) < 1e-12
+        coupled = m != 0
+        support = dec.states != 0
+        # no eigenvector reaches beyond what the pattern of m connects
+        reach = np.linalg.matrix_power(coupled | np.eye(dim, dtype=bool), dim).astype(bool)
+        assert not np.any(support & ~reach[:, support.argmax(axis=0)])
+
+    @pytest.mark.parametrize("n_sites", [10, 30])
+    @pytest.mark.parametrize("tunneling", [0.09, 0.41, 0.47, 0.73, 0.79, 0.87, 0.91, 0.95, 1.27, 1.29])
+    def test_uncoupled_levels_are_exact_unit_vectors(self, n_sites, tunneling):
+        # a chain's ground levels couple to nothing; on the whole matrix,
+        # LAPACK returns them with spurious entries or rotated among
+        # themselves at these tunnelings
+        dim = 2 * n_sites
+        h = np.zeros((dim, dim))
+        h[1::2, 1::2] = np.diag(np.ones(n_sites)) + tunneling * (np.eye(n_sites, k=1) + np.eye(n_sites, k=-1))
+        dec = eigh(h)
+        ground = dec.states[0::2]
+        assert np.count_nonzero(ground) == n_sites
+        assert np.all(np.abs(ground[ground != 0]) == 1.0)
+        assert np.count_nonzero(dec.states[1::2]) == n_sites * n_sites
+        assert np.max(np.abs((dec.states * dec.energies) @ dec.states.conj().T - h)) < 1e-13
+
 
 class TestVectorization:
     def test_column_stacking_convention(self):
