@@ -146,6 +146,13 @@ def chain_system(spec: ChainSpec) -> OpenSystem:
     return OpenSystem(hamiltonian=h, baths=tuple(baths))
 
 
+def chain_system_bytes(n_sites: int) -> int:
+    """Bytes of the dense complex arrays :func:`chain_system` builds for
+    ``n_sites`` sites: the Hamiltonian and one coupling per site, each
+    2N x 2N."""
+    return 16 * (n_sites + 1) * (2 * n_sites) ** 2
+
+
 def site_populations(rho, spec: ChainSpec) -> np.ndarray:
     """Per-site population: local ground plus local excited occupation.
     The vector sums to one within 1e-9."""

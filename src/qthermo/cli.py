@@ -27,6 +27,7 @@ from .chain import (
     ExplicitProfile,
     LinearProfile,
     chain_system,
+    chain_system_bytes,
     classify,
     default_survey_panels,
     population_sweep,
@@ -60,6 +61,10 @@ from .three_level import (
 # of this many steps took 6.6 s and peaked at 138 MiB (2 vCPUs), so any input
 # ends after bounded work.
 MAX_DUFOUR_STEPS = 100_000
+
+# Bytes a chain's dense Hamiltonian and couplings may take: 1.6 GiB at N = 300,
+# whose whole run peaks at 1.96 GiB; N = 322 is the longest chain admitted.
+MAX_CHAIN_BYTES = 2 * 2**30
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -277,6 +282,18 @@ def _resolve(config: RunConfig) -> None:
             default(T_L=0.8 * h, T_R=0.4 * h)
         if experiment == "sweep":
             default(g_list=tuple(g * h for g in DEFAULT_TUNNELING_SWEEP))
+            if not values["g_list"]:
+                raise ConfigError("g_list is empty; a sweep needs at least one tunneling value")
+        # decided before any solve: every point would fail to classify, or
+        # the system build would exhaust memory
+        n_sites = values["N"]
+        if n_sites < 3:
+            raise ConfigError(f"N = {n_sites}: classification needs at least 3 sites")
+        if chain_system_bytes(n_sites) > MAX_CHAIN_BYTES:
+            raise ConfigError(
+                f"N = {n_sites} needs {chain_system_bytes(n_sites) / 2**30:.3g} GiB for its dense "
+                f"Hamiltonian and couplings, above the limit of {MAX_CHAIN_BYTES / 2**30:g} GiB"
+            )
     else:
         default(n=1.0, P_1=0.2, P_2=0.3, omega=1.0, Gamma=1.0, capacity=10.0, horizon=5.0, samples=201)
 

@@ -149,6 +149,11 @@ EVOLUTION_POSITIVITY_FLOOR = -1e-7
 # and adds 1.6 MiB to the peak RSS (39.6 against 38.0 MiB); the wall time is
 # the same.
 LAB_MAP_CHUNK_ENTRIES = 8192
+# RK4 steps per grid interval.  The rounding of R(hB)^n grows about linearly
+# with n: over one unit of time on the lambda system the trace drifts by 3e-9
+# at 1e8 steps and by 2e-7, beyond TRACE_DRIFT_TOL, at 1e10, and a step of
+# 1e-300 would ask for 1e300.
+MAX_EVOLVE_SUBSTEPS = 10**8
 # Bytes of the arrays, keys included, that the eigenbasis structures kept
 # across systems may hold together ("Reuse" in the module docstring).
 STRUCTURE_CACHE_BYTES = 32 * 2**20
@@ -996,7 +1001,9 @@ def evolve(
     never formed.  Trace drift beyond 1e-7, an entry of magnitude above
     1 + 1e-7 (which no density matrix has, so an unstable step shows before
     its trace drifts) or non-finite entries raise AccuracyError suggesting a
-    smaller step, naming the first grid time that fails.
+    smaller step, naming the first grid time that fails.  A step that asks
+    for more than ``MAX_EVOLVE_SUBSTEPS`` steps in one interval raises
+    ValueError before any work, as a step <= 0 does.
     """
     rho = require_density_matrix(rho0)
     if rho.shape[0] != liouv.dim:
@@ -1009,6 +1016,14 @@ def evolve(
     step = dt if dt is not None else liouv.default_dt
     if not step > 0:
         raise ValueError(f"dt must be > 0, got {step}")
+    # compared as a float first: the quotient may be inf, or too large for ceil to be cheap
+    longest = float(np.max(np.diff(times), initial=0.0))
+    steps = longest / float(step)
+    if not steps <= MAX_EVOLVE_SUBSTEPS:
+        raise ValueError(
+            f"dt = {step!r} asks for {steps:.3g} RK4 steps over an interval of {longest!r}, "
+            f"above the limit {MAX_EVOLVE_SUBSTEPS}"
+        )
 
     lengths, interval_length, uses = np.unique(np.diff(times), return_inverse=True, return_counts=True)
     lengths, uses = lengths.tolist(), uses.tolist()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qthermo
+import qthermo.chain
 import qthermo.cli
 from qthermo.cli import (
     EXIT_OK,
@@ -345,6 +346,40 @@ class TestMainExitCodes:
         assert main(["chain", "--out", str(out)]) == EXIT_VALIDATION
         assert "cannot write output file" in capsys.readouterr().err
         assert solves == [] and not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["sweep", "--set", "g_list="], "g_list"),
+            (["sweep", "--set", "N=2"], "N"),
+            (["figure2", "--set", "N=2"], "N"),
+            (["chain", "--set", "N=2"], "N"),
+            (["chain", "--set", "N=100000"], "N"),
+            (["sweep", "--set", "N=100000"], "N"),
+            (["figure2", "--set", "N=100000"], "N"),
+        ],
+    )
+    def test_chains_that_cannot_run_stop_before_solving(self, argv, key, tmp_path, capsys, monkeypatch):
+        # an empty sweep, points that cannot classify and a chain whose
+        # dense arrays would exhaust memory are validation errors, decided
+        # before any system is built
+        builds = []
+        monkeypatch.setattr(qthermo.chain, "chain_system", lambda *args: builds.append(args))
+        monkeypatch.setattr(qthermo.cli, "chain_system", lambda *args: builds.append(args))
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert re.match(f"error: {key} ", capsys.readouterr().err)
+        assert builds == [] and not out.exists()
+
+    def test_the_chain_size_budget_admits_three_hundred_sites(self):
+        # checked on the estimate, which counts the arrays chain_system builds
+        spec = qthermo.chain.ChainSpec(5, 1.0, 0.5, 0.02, qthermo.chain.LinearProfile(0.8, 0.4))
+        system = qthermo.chain.chain_system(spec)
+        built = system.hamiltonian.nbytes + sum(bath.coupling.nbytes for bath in system.baths)
+        assert qthermo.chain.chain_system_bytes(5) == built
+        assert qthermo.chain.chain_system_bytes(300) <= qthermo.cli.MAX_CHAIN_BYTES
+        assert build_config("chain", overrides={"N": "300"}).values["N"] == 300
+        assert qthermo.chain.chain_system_bytes(100000) > qthermo.cli.MAX_CHAIN_BYTES
 
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -778,6 +778,26 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve(liouv, rho0, np.array([0.0, np.inf]))
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-12])
+    def test_substep_count_is_bounded(self, dt, monkeypatch):
+        # refused from span / dt as a float, before any ceil or stepping;
+        # 5e-324 made ceil(inf) raise OverflowError, and 1e-300 ran about
+        # 1000 squarings into a trace drift of 7.7
+        monkeypatch.setattr(davies, "_stack_path", None)
+        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        limit = davies.MAX_EVOLVE_SUBSTEPS
+        with pytest.raises(ValueError, match=f"^dt = .* RK4 steps over an interval of 1.0, above the limit {limit}$"):
+            evolve(liouv, rho0, [0, 1], dt=dt)
+        with pytest.raises(ValueError, match="^dt = "):
+            evolve(liouv, rho0, [0.0, 0.5, 0.5 + 2 * limit * 1e-3], dt=1e-3)
+
+    def test_substep_count_at_the_limit_runs(self):
+        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        states = evolve(liouv, rho0, [0.0, 1.0], dt=1.0 / davies.MAX_EVOLVE_SUBSTEPS)
+        assert np.max(np.abs(states[-1] - evolve(liouv, rho0, [0.0, 1.0])[-1])) <= 1e-8
+
 
 def rk4_loop(liouv, rho0, times, dt=None):
     """Classic RK4 stepped one substep at a time on the lab-basis generator,
