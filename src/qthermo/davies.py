@@ -358,11 +358,10 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ranked[starts], np.add.reduceat(values[order], starts)
 
 
-def _dense_coupling_entries(states: np.ndarray, baths: tuple[BathSpec, ...]) -> _Entries:
+def _dense_coupling_entries(states: np.ndarray, stacked: np.ndarray) -> _Entries:
     """The nonzero entries of every C_k = U^dagger V_k U, from the dense
-    products, where numpy's per-call cost rules (``DENSE_PRODUCT_ENTRIES``)."""
-    dim = states.shape[0]
-    stacked = np.array([bath.coupling for bath in baths], dtype=complex).reshape(-1, dim, dim)
+    products with the stacked (K, d, d) couplings, where numpy's per-call
+    cost rules (``DENSE_PRODUCT_ENTRIES``)."""
     couplings = states.conj().T @ stacked @ states
     bath, rows, cols = np.nonzero(couplings)
     return _Entries(bath, rows, cols, couplings[bath, rows, cols])
@@ -415,8 +414,18 @@ def _joined_coupling_entries(states: np.ndarray, nonzeros) -> _Entries:
 def _seal(*arrays: np.ndarray) -> int:
     """Make arrays read-only in place; returns the bytes they hold."""
     for a in arrays:
-        a.flags.writeable = False
+        a.setflags(write=False)
     return sum(a.nbytes for a in arrays)
+
+
+class _Key(tuple):
+    """A structure's cache key (tolerance, H bytes, coupling bytes): equal
+    only to a key with the same bytes, but hashed on the tolerance and H
+    alone, since hashing the couplings' bytes on every call (64 KB for a
+    10-site chain, 27 us) costs a tenth of a cold build."""
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 class _StructureCache:
@@ -592,35 +601,37 @@ def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
 def _structure(system: OpenSystem, freq_tol: float) -> _Structure:
     """The system's structure, from the cache or built and kept there.
 
-    The key is exact: the tolerance, the bytes of H, and the bytes of every
-    coupling or, on the joined path, of its nonzeros, which the join reads
-    anyway.  A structure whose build fails is not kept.
+    The key is exact: the tolerance, the bytes of H, and the bytes of the
+    stacked couplings or, on the joined path, of the (rows, cols, values) of
+    their nonzeros, which the join reads anyway.  A structure whose build
+    fails is not kept.
     """
     dim = system.dim
-    nonzeros = None
     if len(system.baths) * dim * dim > DENSE_PRODUCT_ENTRIES:
-        nonzeros = _coupling_nonzeros(system.baths)
-        couplings = tuple(tuple(a.tobytes() for a in triple) for triple in nonzeros)
+        couplings = _coupling_nonzeros(system.baths)
+        coupling_key = tuple(a.tobytes() for triple in couplings for a in triple)
     else:
-        couplings = tuple((bath.coupling.tobytes(),) for bath in system.baths)
-    key = (freq_tol, system.hamiltonian.tobytes(), couplings)
+        couplings = np.array([bath.coupling for bath in system.baths], dtype=complex).reshape(-1, dim, dim)
+        coupling_key = couplings.tobytes()
+    key = _Key((freq_tol, system.hamiltonian.tobytes(), coupling_key))
     structure = _STRUCTURES.get(key)
     if structure is None:
-        structure = _build_structure(system, freq_tol, key, nonzeros)
+        structure = _build_structure(system, freq_tol, key, couplings)
         _STRUCTURES.add(structure)
     return structure
 
 
-def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) -> _Structure:
+def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) -> _Structure:
     """Decompose H, group its transition frequencies, form the coupling
-    entries and join those of one bath and one group."""
+    entries, from the stacked couplings or their nonzeros, and join those of
+    one bath and one group."""
     eig = eigh(system.hamiltonian)
     energies, states = eig.energies, eig.states
     _check_grouping_tolerance(energies, freq_tol)
     frequencies, labels = _frequency_groups(energies, freq_tol)
     n_groups = frequencies.size
-    coupling = (_dense_coupling_entries(states, system.baths) if nonzeros is None
-                else _joined_coupling_entries(states, nonzeros))
+    coupling = (_dense_coupling_entries(states, couplings) if isinstance(couplings, np.ndarray)
+                else _joined_coupling_entries(states, couplings))
     entry_labels = labels[coupling.rows, coupling.cols]
     magnitude = np.abs(coupling.values)
     # the groups mirror under negation about the zero group, at the middle
@@ -632,7 +643,9 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) 
     pairs = _equal_key_pairs(group_key, group_key)
     nbytes = _seal(energies, states, frequencies, labels, *coupling, entry_labels, zero_magnitude,
                    above_atol, *pairs)
-    key_bytes = len(key[1]) + sum(len(part) for coupling_key in key[2] for part in coupling_key)
+    coupling_key = key[2]
+    key_bytes = len(key[1]) + (len(coupling_key) if isinstance(coupling_key, bytes)
+                               else sum(map(len, coupling_key)))
     return _Structure(
         key=key,
         energies=energies,
@@ -669,9 +682,10 @@ def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
     coupling = structure.coupling
     energies = structure.energies
     dim = energies.size
-    left, right = structure.pairs
-    kept = rated[left]
-    w, c = left[kept], right[kept]
+    w, c = structure.pairs
+    if not rated.all():
+        kept = rated[w]
+        w, c = w[kept], c[kept]
     bath, i, j = coupling.bath[w], coupling.rows[w], coupling.cols[w]
     i2, j2 = coupling.rows[c], coupling.cols[c]
     jumps = _Entries(bath, i + dim * i2, j + dim * j2, coupling.values[c].conj())
