@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
@@ -433,36 +434,54 @@ class _StructureCache:
 
     The bytes of the arrays they hold, keys, plans and layouts included, stay
     within ``limit``: a structure that would exceed it alone is not kept, and
-    the least recently used ones make room for the rest.
+    the least recently used ones make room for the rest.  Builds run outside
+    the lock; the first of two racing builds is kept and counted.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.kept: OrderedDict = OrderedDict()
         self.nbytes = 0
+        self.lock = threading.Lock()
 
-    def get(self, key):
-        structure = self.kept.get(key)
-        if structure is not None:
-            self.kept.move_to_end(key)
-        return structure
+    def structure(self, key: _Key, build) -> _Structure:
+        """The structure kept under ``key``, or ``build()`` kept there."""
+        with self.lock:
+            structure = self.kept.get(key)
+            if structure is not None:
+                self.kept.move_to_end(key)
+                return structure
+        built = build()
+        with self.lock:
+            structure = self.kept.get(key)
+            if structure is not None:
+                return structure
+            if built.nbytes <= self.limit:
+                self.kept[key] = built
+                self.nbytes += built.nbytes
+                self._trim()
+        return built
 
-    def add(self, structure: _Structure) -> None:
-        if structure.nbytes <= self.limit:
-            self.kept[structure.key] = structure
-            self.nbytes += structure.nbytes
-            self._trim()
-
-    def charge(self, structure: _Structure, nbytes: int) -> None:
-        """Count the bytes of a plan or a layout the structure has grown."""
-        structure.nbytes += nbytes
-        if self.kept.get(structure.key) is not structure:
-            return
-        self.nbytes += nbytes
-        if structure.nbytes > self.limit:
-            del self.kept[structure.key]
-            self.nbytes -= structure.nbytes
-        self._trim()
+    def part(self, structure: _Structure, table: dict, key: bytes, build):
+        """``table[key]``, a plan of the structure or a layout of one of its
+        plans, or ``build()`` put there and counted on the structure."""
+        part = table.get(key)
+        if part is not None:
+            return part
+        built = build()
+        with self.lock:
+            part = table.setdefault(key, built)
+            if part is not built:
+                return part
+            nbytes = len(key) + built.nbytes
+            structure.nbytes += nbytes
+            if self.kept.get(structure.key) is structure:
+                self.nbytes += nbytes
+                if structure.nbytes > self.limit:
+                    del self.kept[structure.key]
+                    self.nbytes -= structure.nbytes
+                self._trim()
+        return built
 
     def _trim(self) -> None:
         while self.nbytes > self.limit:
@@ -470,8 +489,9 @@ class _StructureCache:
             self.nbytes -= structure.nbytes
 
     def clear(self) -> None:
-        self.kept.clear()
-        self.nbytes = 0
+        with self.lock:
+            self.kept.clear()
+            self.nbytes = 0
 
 
 _STRUCTURES = _StructureCache(STRUCTURE_CACHE_BYTES)
@@ -614,11 +634,7 @@ def _structure(system: OpenSystem, freq_tol: float) -> _Structure:
         couplings = np.array([bath.coupling for bath in system.baths], dtype=complex).reshape(-1, dim, dim)
         coupling_key = couplings.tobytes()
     key = _Key((freq_tol, system.hamiltonian.tobytes(), coupling_key))
-    structure = _STRUCTURES.get(key)
-    if structure is None:
-        structure = _build_structure(system, freq_tol, key, couplings)
-        _STRUCTURES.add(structure)
-    return structure
+    return _STRUCTURES.structure(key, lambda: _build_structure(system, freq_tol, key, couplings))
 
 
 def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) -> _Structure:
@@ -659,17 +675,6 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) 
         pairs=pairs,
         nbytes=nbytes + key_bytes,
     )
-
-
-def _plan(structure: _Structure, rated: np.ndarray) -> _Plan:
-    """The structure's plan for the nonzero W entries ``rated``, built on
-    first use and kept on the structure."""
-    key = rated.tobytes()
-    plan = structure.plans.get(key)
-    if plan is None:
-        plan = structure.plans[key] = _build_plan(structure, rated)
-        _STRUCTURES.charge(structure, len(key) + plan.nbytes)
-    return plan
 
 
 def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
@@ -734,7 +739,9 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     rates = group_rates[coupling.bath, structure.entry_labels]
     max_rate = float(rates[structure.above_atol].max(initial=0.0))
     w_val = rates * coupling.values
-    plan = _plan(structure, w_val != 0)
+    rated = w_val != 0
+    plan = _STRUCTURES.part(structure, structure.plans, rated.tobytes(),
+                            lambda: _build_plan(structure, rated))
     values = w_val[plan.w] * plan.jumps.values
     p = values[plan.population]
     decay = p.conj()
@@ -813,13 +820,15 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
     # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
     # ((l, i), (l, j)) for every level l; K lies in the zero group (module docstring)
-    at = model.plan.damping_at
+    plan = model.plan
+    at = plan.damping_at
     decay = model.decay
     damping = -0.5 * (np.bincount(at, weights=decay.values.real, minlength=size)
                       + 1j * np.bincount(at, weights=decay.values.imag, minlength=size))
     damping[::dim + 1] -= 1j * energies
     k_at = np.flatnonzero(damping)
-    layout = _layout(model, k_at)
+    layout = _STRUCTURES.part(model.structure, plan.layouts, k_at.tobytes(),
+                              lambda: _build_layout(plan.jumps, k_at, dim))
     k_val = damping[k_at]
     values = np.concatenate((model.jumps.values, np.repeat(k_val, dim), np.repeat(k_val.conj(), dim)))
     flat = np.bincount(layout.target, weights=values.real, minlength=layout.total) + 1j * np.bincount(
@@ -853,18 +862,6 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         indices=tuple(indices),
         blocks=tuple(blocks),
     )
-
-
-def _layout(model: _EigenModel, k_at: np.ndarray) -> _Layout:
-    """The model's generator layout for the nonzeros ``k_at`` of K (flat
-    indices), built on first use and kept on the model's plan."""
-    plan = model.plan
-    key = k_at.tobytes()
-    layout = plan.layouts.get(key)
-    if layout is None:
-        layout = plan.layouts[key] = _build_layout(plan.jumps, k_at, model.energies.size)
-        _STRUCTURES.charge(model.structure, len(key) + layout.nbytes)
-    return layout
 
 
 def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:

@@ -1,6 +1,8 @@
 """Generator construction, thermal rates, time evolution, steady states, currents."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1426,6 +1428,43 @@ class TestReuse:
             assert cache.nbytes <= davies.STRUCTURE_CACHE_BYTES
             assert cache.nbytes == sum(kept_array_bytes(s) for s in cache.kept.values())
         assert 10 < len(davies._STRUCTURES.kept) < 100
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # more threads than cores race on structures, plans and layouts
+        # under a bound that evicts; every result is the cold one and the
+        # count of kept bytes stays exact
+        cases = [(n, g, t) for n in (4, 6) for g in (0.3, 0.9) for t in ((0.8, 0.4), (0.8, 0.0))]
+        cold, sizes = {}, []
+        for n, g, t in cases:
+            davies._STRUCTURES.clear()
+            cold[n, g, t] = generator_bytes(gradient_chain(n, g, *t))
+            sizes.append(davies._STRUCTURES.nbytes)
+        davies._STRUCTURES.clear()
+        monkeypatch.setattr(davies._STRUCTURES, "limit", 3 * max(sizes) // 2)
+        errors, results = [], []
+
+        def work(seed):
+            try:
+                for case in np.random.default_rng(seed).permutation(len(cases) * 20) % len(cases):
+                    n, g, t = cases[case]
+                    results.append(generator_bytes(gradient_chain(n, g, *t)) == cold[n, g, t])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 4 * 20 * len(cases) and all(results)
+        cache = davies._STRUCTURES
+        assert cache.nbytes == sum(kept_array_bytes(s) for s in cache.kept.values()) <= cache.limit
 
     def test_a_structure_above_the_bound_is_not_kept(self, monkeypatch):
         liouvillian(gradient_chain(3, 0.5, 0.8, 0.4))
