@@ -422,8 +422,8 @@ def _seal(*arrays: np.ndarray) -> int:
 class _Key(tuple):
     """A structure's cache key (tolerance, H bytes, coupling bytes): equal
     only to a key with the same bytes, but hashed on the tolerance and H
-    alone, since hashing the couplings' bytes on every call (64 KB for a
-    10-site chain, 27 us) costs a tenth of a cold build."""
+    alone.  Hashing the 64 KB of a 10-site chain's stacked couplings takes
+    27 us on every call, about a quarter of a warm model build."""
 
     def __hash__(self):
         return hash(self[:2])
@@ -526,8 +526,7 @@ class _Structure:
     plans: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
+class _Plan(NamedTuple):
     """Where the generator's jump, decay and current entries come from, for
     one set of nonzero W_k = R_k C_k entries; every value is a product of a
     per-call W entry and a kept factor.
@@ -547,11 +546,10 @@ class _Plan:
     damping_at: np.ndarray
     currents: _Entries
     nbytes: int
-    layouts: dict = field(default_factory=dict)
+    layouts: dict
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
+class _Layout(NamedTuple):
     """The generator's blocks for one plan and one pattern of K: entry e
     lands at ``target[e]`` of the row-major blocks laid end to end, ``total``
     entries long, and each stack is (``first``, ``index``), its first entry
@@ -588,26 +586,6 @@ class _EigenModel:
     decay: _Entries
     currents: _Entries
     max_rate: float
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.structure.energies
-
-    @property
-    def states(self) -> np.ndarray:
-        return self.structure.states
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.structure.frequencies
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.structure.labels
-
-    @property
-    def coupling(self) -> _Entries:
-        return self.structure.coupling
 
 
 def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
@@ -706,7 +684,7 @@ def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
     )
     damping_at = a * dim + b
     nbytes = _seal(w, *jumps, population, bath, a, b, damping_at, *currents)
-    return _Plan(w, jumps, population, _Entries(bath, a, b, None), damping_at, currents, nbytes)
+    return _Plan(w, jumps, population, _Entries(bath, a, b, None), damping_at, currents, nbytes, {})
 
 
 def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
@@ -765,10 +743,11 @@ class Liouvillian:
     matrices it maps, written in the orthonormal ``basis`` (column i is basis
     vector i).  No entry of the generator links two blocks, every index lies
     in exactly one block, and within a block the indices run by decreasing
-    magnitude of their diagonal entry.  ``matrix`` is the column-stacking
-    superoperator in the lab basis, d^2 x d^2, formed from the blocks only
-    when a caller reads it; :func:`evolve` and :func:`steady_state` work on
-    the blocks.
+    magnitude of their diagonal entry.  ``basis`` is read-only: generators of
+    one Hamiltonian and set of couplings share it (see "Reuse" in the module
+    docstring).  ``matrix`` is the column-stacking superoperator in the lab
+    basis, d^2 x d^2, formed from the blocks only when a caller reads it;
+    :func:`evolve` and :func:`steady_state` work on the blocks.
     """
 
     dim: int
@@ -815,7 +794,7 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     model = _eigen_model(system, freq_tol)
     dim = system.dim
     size = dim * dim
-    energies = model.energies
+    energies = model.structure.energies
 
     # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
     # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
@@ -858,7 +837,7 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     return Liouvillian(
         dim=dim,
         default_dt=default_dt,
-        basis=model.states,
+        basis=model.structure.states,
         indices=tuple(indices),
         blocks=tuple(blocks),
     )
@@ -1158,7 +1137,7 @@ def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -
     if state.shape[0] != system.dim:
         raise InvariantViolationError(f"state dimension {state.shape[0]} differs from system {system.dim}")
     model = _eigen_model(system, freq_tol)
-    states = model.states
+    states = model.structure.states
     state_eig = states.conj().T @ state @ states
     terms = model.currents
     values = terms.values * state_eig[terms.rows, terms.cols]

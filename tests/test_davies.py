@@ -274,14 +274,14 @@ class TestVectorRates:
         # every group gets thermal_rate at its frequency; the zero group gets
         # slope * T where an ohmic bath has a zero-frequency component, else 0
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
-        zero = model.frequencies.size // 2
-        assert model.frequencies[zero] == 0.0
+        zero = model.structure.frequencies.size // 2
+        assert model.structure.frequencies[zero] == 0.0
         for bath, rates in zip(system.baths, model.group_rates):
-            coupling = model.states.conj().T @ bath.coupling @ model.states
-            for frequency, rate in zip(model.frequencies.tolist(), rates.tolist()):
+            coupling = model.structure.states.conj().T @ bath.coupling @ model.structure.states
+            for frequency, rate in zip(model.structure.frequencies.tolist(), rates.tolist()):
                 if frequency != 0.0:
                     expected = thermal_rate(bath.spectral, frequency, bath.temperature)
-                elif np.max(np.abs(coupling[model.labels == zero])) > 1e-10:
+                elif np.max(np.abs(coupling[model.structure.labels == zero])) > 1e-10:
                     expected = bath.spectral.slope * bath.temperature
                 else:
                     expected = 0.0
@@ -380,19 +380,19 @@ class TestJumpOperators:
     def test_zero_temperature_kills_upward_rates(self):
         system = lambda_system(ThreeLevelParams("lambda", temp_1=0.0, temp_2=0.0))
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
-        upward = model.frequencies < 0
+        upward = model.structure.frequencies < 0
         assert upward.any()
         assert not model.group_rates[:, upward].any()
-        assert model.group_rates[:, model.frequencies > 0].all()
+        assert model.group_rates[:, model.structure.frequencies > 0].all()
 
     def test_chain_zero_frequency_component_vanishes(self):
         # a chain bath joins a ground level to a band mode, never two levels
         # of equal energy: the zero-frequency component has no entry above
         # 1e-10 and its rate is zero, as the flat density requires
         model = _eigen_model(gradient_chain(10, 0.1, 0.8, 0.4), DEFAULT_FREQ_TOL)
-        zero = model.frequencies.size // 2
-        coupling = model.coupling
-        at_zero = model.labels[coupling.rows, coupling.cols] == zero
+        zero = model.structure.frequencies.size // 2
+        coupling = model.structure.coupling
+        at_zero = model.structure.labels[coupling.rows, coupling.cols] == zero
         assert np.max(np.abs(coupling.values[at_zero]), initial=0.0) <= 1e-10
         assert not model.group_rates[:, zero].any()
 
@@ -409,7 +409,7 @@ class TestJumpOperators:
         slope, temp = 0.5, 2.0
         system = OpenSystem(h, (BathSpec(dephasing, OhmicDensity(slope), temp),))
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
-        assert model.frequencies[1] == 0.0
+        assert model.structure.frequencies[1] == 0.0
         assert model.group_rates[0, 1] == pytest.approx(slope * temp, rel=1e-15)
 
     @settings(max_examples=20, deadline=None)
@@ -503,7 +503,7 @@ class TestLiouvillian:
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
         decay = model.decay
         assert decay.values.size
-        assert np.all(model.labels[decay.rows, decay.cols] == model.frequencies.size // 2)
+        assert np.all(model.structure.labels[decay.rows, decay.cols] == model.structure.frequencies.size // 2)
 
 
 class TestDenseReference:
@@ -603,7 +603,7 @@ class TestDenseReference:
         # a sector: the pairs (i, i') whose E_i' - E_i share a group
         liouv = liouvillian(system)
         label = block_labels(liouv)
-        sector = _eigen_model(system, DEFAULT_FREQ_TOL).labels.reshape(-1, order="F")
+        sector = _eigen_model(system, DEFAULT_FREQ_TOL).structure.labels.reshape(-1, order="F")
         for s in np.unique(sector):
             assert np.unique(label[sector == s]).size == 1
         assert np.unique(label).size == np.unique(sector).size
@@ -627,7 +627,7 @@ class TestDenseReference:
 
 def dense_coupling_entries(system: OpenSystem):
     """The nonzeros of the dense products U^dagger V_k U, with the model's U."""
-    states = _eigen_model(system, DEFAULT_FREQ_TOL).states
+    states = _eigen_model(system, DEFAULT_FREQ_TOL).structure.states
     stacked = np.array([b.coupling for b in system.baths], dtype=complex).reshape(-1, system.dim, system.dim)
     couplings = states.conj().T @ stacked @ states
     bath, rows, cols = np.nonzero(couplings)
@@ -660,7 +660,7 @@ class TestCouplingEntries:
         system = gradient_chain(n_sites, tunneling, 0.8, 0.4)
         self.check(system)
         # a chain bath has 2N nonzero couplings, one per ground-band pair
-        counts = np.bincount(_eigen_model(system, DEFAULT_FREQ_TOL).coupling.bath)
+        counts = np.bincount(_eigen_model(system, DEFAULT_FREQ_TOL).structure.coupling.bath)
         assert counts.tolist() == [2 * n_sites] * n_sites
 
     @pytest.mark.parametrize("ground_only", [True, False], ids=["ground", "whole-space"])
@@ -789,7 +789,8 @@ class TestEvolve:
         liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         limit = davies.MAX_EVOLVE_SUBSTEPS
-        with pytest.raises(ValueError, match=f"^dt = .* RK4 steps over an interval of 1.0, above the limit {limit}$"):
+        message = f"^dt = .* RK4 steps over an interval of 1.0, above the limit {limit}$"
+        with pytest.raises(ValueError, match=message):
             evolve(liouv, rho0, [0, 1], dt=dt)
         with pytest.raises(ValueError, match="^dt = "):
             evolve(liouv, rho0, [0.0, 0.5, 0.5 + 2 * limit * 1e-3], dt=1e-3)
@@ -1016,12 +1017,13 @@ class TestSteadyState:
         # by up to 1e-10
         system = gradient_chain(*case)
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
+        labels, states = model.structure.labels, model.structure.states
         rates = sum(
-            bath_rates[model.labels] * np.abs(model.states.conj().T @ bath.coupling @ model.states) ** 2
+            bath_rates[labels] * np.abs(states.conj().T @ bath.coupling @ states) ** 2
             for bath, bath_rates in zip(system.baths, model.group_rates)
         )
         rho = steady_state(liouvillian(system))
-        populations = np.diagonal(model.states.conj().T @ rho @ model.states).real
+        populations = np.diagonal(states.conj().T @ rho @ states).real
         assert np.max(np.abs(populations - gth_stationary(rates))) <= 1e-13
 
 
@@ -1224,7 +1226,8 @@ class TestLargeChains:
         liouv = liouvillian(system)
         assert max(index.shape[1] for index in liouv.indices) == 2 * n_sites
         rho = steady_state(liouv)
-        expected_rho, expected_currents = analytic_chain(n_sites, 1.0, tunneling, 0.02, spec.site_temperatures())
+        expected_rho, expected_currents = analytic_chain(n_sites, 1.0, tunneling, 0.02,
+                                                         spec.site_temperatures())
         assert np.max(np.abs(rho - expected_rho)) <= 1e-12
         assert np.max(np.abs(heat_currents(system, rho) - expected_currents)) <= 1e-12
 
