@@ -113,6 +113,7 @@ from .errors import (
 )
 from .linalg import (
     components,
+    stacked_order,
     devectorize,
     eigh,
     hermitize,
@@ -859,16 +860,13 @@ def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:
     # smallest index, its root; the blocks are laid out row-major one after
     # another
     root = components(size, rows, cols)
-    extent = np.bincount(root, minlength=size)[root]
-    order = np.lexsort((root, extent))
+    order, sorted_extent, edges = stacked_order(root)
     place = np.empty(size, dtype=np.intp)
     place[order] = np.arange(size)
     within = place - place[root]
-    sorted_extent = extent[order]
     # flat offset of each index's row in the concatenated row-major blocks
-    row_start = (np.cumsum(sorted_extent) - sorted_extent)[place - within] + within * extent
+    row_start = (np.cumsum(sorted_extent) - sorted_extent)[place - within] + within * sorted_extent[place]
     target = row_start[rows] + within[cols]
-    edges = [0, *(np.flatnonzero(sorted_extent[1:] != sorted_extent[:-1]) + 1).tolist(), size]
     stacks = tuple(
         (int(row_start[order[lo]]), order[lo:hi].reshape(-1, int(sorted_extent[lo])))
         for lo, hi in zip(edges[:-1], edges[1:])
