@@ -1336,6 +1336,27 @@ class TestReuse:
             generator_bytes(OpenSystem(system.hamiltonian, baths))
             assert generator_bytes(OpenSystem(system.hamiltonian, system.baths)) == cold
 
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(2, 6), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1),
+           degenerate=st.booleans(), scale=st.sampled_from([0.0, 0.5, 3.0]))
+    def test_random_systems_at_other_temperatures(self, dim, n_baths, seed, degenerate, scale):
+        # a structure built at scaled temperatures (0: every bath at T = 0)
+        # gives the cold bytes at the drawn ones
+        system = (degenerate_open_system if degenerate else random_open_system)(seed, dim, n_baths)
+
+        def at(factor):
+            return OpenSystem(system.hamiltonian, tuple(
+                BathSpec(b.coupling, b.spectral, factor * b.temperature) for b in system.baths))
+
+        davies._STRUCTURES.clear()
+        try:
+            cold = generator_bytes(at(1.0))
+        except NonUniqueSteadyStateError:
+            return
+        davies._STRUCTURES.clear()
+        liouvillian(at(scale))
+        assert generator_bytes(at(1.0)) == cold
+
     @pytest.mark.parametrize("joined", [False, True], ids=["dense", "joined"])
     def test_a_cold_end_switching_on_and_off(self, joined, monkeypatch):
         # a bath at T = 0 drops its absorption entries: another plan
