@@ -157,7 +157,10 @@ LAB_MAP_CHUNK_ENTRIES = 8192
 # 1e-300 would ask for 1e300.
 MAX_EVOLVE_SUBSTEPS = 10**8
 # Bytes of the arrays, keys included, that the eigenbasis structures kept
-# across systems may hold together ("Reuse" in the module docstring).
+# across systems may hold together ("Reuse" in the module docstring).  A chain
+# structure with its plan and layout holds 0.13 MiB at 10 sites, 0.6 MiB at
+# 30, 6.8 MiB at 100 and 15.3 MiB at 150, so one chain of up to about 200
+# sites is kept, and hundreds of the paper's 10-site chains.
 STRUCTURE_CACHE_BYTES = 32 * 2**20
 
 
