@@ -46,6 +46,7 @@ from qthermo.errors import (
 from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system
 from qthermo.linalg import devectorize, eigh, hermitize, trace_distance, vectorize
 from qthermo.three_level import ThreeLevelParams, lambda_system, three_level_system
+from test_linalg import LAPACK_MIXING_TUNNELINGS
 
 
 def lambda_params(n_1: float, n_2: float, gamma: float = 1.0) -> ThreeLevelParams:
@@ -198,11 +199,6 @@ def entropy_production(system: OpenSystem, currents: np.ndarray) -> float:
     """sum_k J_k / T_k: the entropy the baths gain per unit time."""
     return float(sum(j / bath.temperature for j, bath in zip(currents, system.baths)))
 
-
-# tunnelings at which numpy's eigh of a whole chain Hamiltonian returns the
-# uncoupled ground levels with spurious entries or rotated among themselves,
-# for every N from 10 to 40
-LAPACK_MIXING_TUNNELINGS = (0.09, 0.41, 0.47, 0.73, 0.79, 0.87, 0.91, 0.95, 1.27, 1.29)
 
 chain_cases = dict(
     n_sites=st.integers(3, 6),
@@ -540,12 +536,6 @@ class TestDenseReference:
     @given(**chain_cases)
     def test_chains(self, n_sites, tunneling, t_left, t_right):
         self.check(gradient_chain(n_sites, tunneling, t_left, t_right))
-
-    @pytest.mark.parametrize("tunneling", LAPACK_MIXING_TUNNELINGS[::4])
-    def test_chains_where_a_whole_matrix_eigh_mixes_the_ground_levels(self, tunneling):
-        system = gradient_chain(10, tunneling, 0.8, 0.4)
-        assert max(index.shape[1] for index in liouvillian(system).indices) == 20
-        self.check(system)
 
     def test_blocks_cover_every_entry_once(self):
         # every index lies in one block, and no entry of the dense reference,
@@ -1230,6 +1220,8 @@ class TestLargeChains:
                                                          spec.site_temperatures())
         assert np.max(np.abs(rho - expected_rho)) <= 1e-12
         assert np.max(np.abs(heat_currents(system, rho) - expected_currents)) <= 1e-12
+        if n_sites == 10:
+            TestDenseReference.check(system)
 
     def test_hundred_sites_conserve_energy_and_produce_entropy(self):
         system = gradient_chain(100, 1.3, 0.8, 0.4)

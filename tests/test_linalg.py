@@ -15,6 +15,12 @@ from qthermo.linalg import (
 )
 
 
+# tunnelings at which numpy's eigh of a whole chain Hamiltonian returns the
+# uncoupled ground levels with spurious entries or rotated among themselves,
+# for every N from 10 to 40
+LAPACK_MIXING_TUNNELINGS = (0.09, 0.41, 0.47, 0.73, 0.79, 0.87, 0.91, 0.95, 1.27, 1.29)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return hermitize(m)
@@ -42,6 +48,10 @@ class TestEigh:
         assert np.allclose(np.abs(minus), [target, target], atol=1e-12)
         assert np.isclose(abs(np.vdot(minus, np.array([1.0, -1.0]) * target)), 1.0)
         assert np.isclose(abs(np.vdot(plus, np.array([1.0, 1.0]) * target)), 1.0)
+
+    def test_empty_matrix(self):
+        dec = eigh(np.zeros((0, 0)))
+        assert dec.energies.shape == (0,) and dec.states.shape == (0, 0)
 
     def test_non_hermitian_rejected_naming_defect(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -80,7 +90,7 @@ class TestEigh:
         assert not np.any(support & ~reach[:, support.argmax(axis=0)])
 
     @pytest.mark.parametrize("n_sites", [10, 30])
-    @pytest.mark.parametrize("tunneling", [0.09, 0.41, 0.47, 0.73, 0.79, 0.87, 0.91, 0.95, 1.27, 1.29])
+    @pytest.mark.parametrize("tunneling", LAPACK_MIXING_TUNNELINGS)
     def test_uncoupled_levels_are_exact_unit_vectors(self, n_sites, tunneling):
         # a chain's ground levels couple to nothing; on the whole matrix,
         # LAPACK returns them with spurious entries or rotated among
