@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import itertools
 import math
 import os
 import sys
@@ -63,8 +64,10 @@ from .three_level import (
 MAX_DUFOUR_STEPS = 100_000
 
 # Bytes a chain's dense Hamiltonian and couplings may take: 1.6 GiB at N = 300,
-# whose whole run peaks at 1.96 GiB; N = 322 is the longest chain admitted.
+# whose whole run peaks at 1.96 GiB.  N is checked against the longest chain
+# that fits, 322 sites, so no estimate of an unbounded N is ever formed.
 MAX_CHAIN_BYTES = 2 * 2**30
+MAX_CHAIN_SITES = next(n for n in itertools.count(1) if chain_system_bytes(n + 1) > MAX_CHAIN_BYTES)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -289,10 +292,10 @@ def _resolve(config: RunConfig) -> None:
         n_sites = values["N"]
         if n_sites < 3:
             raise ConfigError(f"N = {n_sites}: classification needs at least 3 sites")
-        if chain_system_bytes(n_sites) > MAX_CHAIN_BYTES:
+        if n_sites > MAX_CHAIN_SITES:
             raise ConfigError(
-                f"N = {n_sites} needs {chain_system_bytes(n_sites) / 2**30:.3g} GiB for its dense "
-                f"Hamiltonian and couplings, above the limit of {MAX_CHAIN_BYTES / 2**30:g} GiB"
+                f"N = {n_sites} is above {MAX_CHAIN_SITES}, the longest chain whose dense "
+                f"Hamiltonian and couplings fit the limit of {MAX_CHAIN_BYTES / 2**30:g} GiB"
             )
     else:
         default(n=1.0, P_1=0.2, P_2=0.3, omega=1.0, Gamma=1.0, capacity=10.0, horizon=5.0, samples=201)

@@ -357,6 +357,10 @@ class TestMainExitCodes:
             (["chain", "--set", "N=100000"], "N"),
             (["sweep", "--set", "N=100000"], "N"),
             (["figure2", "--set", "N=100000"], "N"),
+            # an estimate of the bytes of this N overflows a float
+            (["chain", "--set", f"N={10**106}"], "N"),
+            (["sweep", "--set", f"N={10**106}"], "N"),
+            (["figure2", "--set", f"N={10**106}"], "N"),
         ],
     )
     def test_chains_that_cannot_run_stop_before_solving(self, argv, key, tmp_path, capsys, monkeypatch):
@@ -376,10 +380,14 @@ class TestMainExitCodes:
         spec = qthermo.chain.ChainSpec(5, 1.0, 0.5, 0.02, qthermo.chain.LinearProfile(0.8, 0.4))
         system = qthermo.chain.chain_system(spec)
         built = system.hamiltonian.nbytes + sum(bath.coupling.nbytes for bath in system.baths)
-        assert qthermo.chain.chain_system_bytes(5) == built
-        assert qthermo.chain.chain_system_bytes(300) <= qthermo.cli.MAX_CHAIN_BYTES
-        assert build_config("chain", overrides={"N": "300"}).values["N"] == 300
-        assert qthermo.chain.chain_system_bytes(100000) > qthermo.cli.MAX_CHAIN_BYTES
+        estimate = qthermo.chain.chain_system_bytes
+        assert estimate(5) == built
+        longest = qthermo.cli.MAX_CHAIN_SITES
+        assert estimate(longest) <= qthermo.cli.MAX_CHAIN_BYTES < estimate(longest + 1)
+        assert longest >= 300
+        assert build_config("chain", overrides={"N": str(longest)}).values["N"] == longest
+        with pytest.raises(ConfigError, match=f"N = {longest + 1} "):
+            build_config("chain", overrides={"N": str(longest + 1)})
 
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
