@@ -29,7 +29,6 @@ from .davies import (
     OpenSystem,
     bose_occupation,
     evolve,
-    gibbs_state,
     heat_currents,
     liouvillian,
     steady_state,
@@ -49,11 +48,8 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
-    devectorize,
     eigh,
     hermitize,
-    trace_distance,
-    vectorize,
 )
 from .three_level import (
     LevelPopulations,

@@ -48,6 +48,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .three_level import (
+    MAX_DUFOUR_STEPS,
     LevelPopulations,
     ThreeLevelParams,
     dufour_currents,
@@ -58,16 +59,18 @@ from .three_level import (
     three_level_system,
 )
 
-# The Dufour heating takes one RK4 step per output row in a Python loop; a run
-# of this many steps took 6.6 s and peaked at 138 MiB (2 vCPUs), so any input
-# ends after bounded work.
-MAX_DUFOUR_STEPS = 100_000
-
 # Bytes a chain's dense Hamiltonian and couplings may take: 1.6 GiB at N = 300,
 # whose whole run peaks at 1.96 GiB.  N is checked against the longest chain
 # that fits, 322 sites, so no estimate of an unbounded N is ever formed.
 MAX_CHAIN_BYTES = 2 * 2**30
 MAX_CHAIN_SITES = next(n for n in itertools.count(1) if chain_system_bytes(n + 1) > MAX_CHAIN_BYTES)
+
+# Bound on h, Gamma and h * Gamma in a chain.  A heat-current coefficient is an
+# energy times a rate, of order h * Gamma (at the default Gamma = 0.01 h it
+# overflows from h = 1e200), and the rates and the frequency grouping overflow
+# as Gamma or h near the float range; the bound leaves a factor 1e8 for the
+# band width, the occupations and the sums.
+MAX_CHAIN_SCALE = 1e300
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -297,6 +300,14 @@ def _resolve(config: RunConfig) -> None:
                 f"N = {n_sites} is above {MAX_CHAIN_SITES}, the longest chain whose dense "
                 f"Hamiltonian and couplings fit the limit of {MAX_CHAIN_BYTES / 2**30:g} GiB"
             )
+        gamma = values["Gamma"]
+        for key, scale, shown in (("h", h, f"{h:.3g}"), ("Gamma", gamma, f"{gamma:.3g}"),
+                                  ("h * Gamma", h * gamma, f"{h:.3g} * {gamma:.3g}")):
+            if scale > MAX_CHAIN_SCALE:
+                raise ConfigError(
+                    f"{key} = {shown} is above {MAX_CHAIN_SCALE:.0e}: the heat currents "
+                    f"(of order h * Gamma) and the rates would overflow"
+                )
     else:
         default(n=1.0, P_1=0.2, P_2=0.3, omega=1.0, Gamma=1.0, capacity=10.0, horizon=5.0, samples=201)
 
@@ -519,8 +530,6 @@ def _run_dufour(config: RunConfig) -> list[tuple[str, ResultTable]]:
                 f"{values['horizon']!r}, above the limit {MAX_DUFOUR_STEPS}"
             )
         samples = max(2, math.ceil(steps) + 1)
-    elif samples - 1 > MAX_DUFOUR_STEPS:
-        raise ConfigError(f"samples = {samples} asks for {samples - 1} RK4 steps, above the limit {MAX_DUFOUR_STEPS}")
     history = finite_capacity_heating(
         pops,
         omega=omega,

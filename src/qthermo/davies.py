@@ -36,9 +36,8 @@ rho -> K rho + rho K^dagger enters whole, as the Kronecker sum
 pattern these entries fill; no stored entry links two blocks, so the
 singular values of L are those of the blocks together.  The blocks are
 stacked by size: the steady state, the null vector of one block, comes from
-one batched SVD per block size, and the lab-basis superoperator is formed
-only when a caller reads it; nothing in the package does.  A system with no
-exact zeros gets its sectors as blocks.
+one batched SVD per block size.  A system with no exact zeros gets its
+sectors as blocks.
 
 Heat currents.  J_k = -Tr[H D_k(rho)] reads the same population rows,
 E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
@@ -93,7 +92,6 @@ Sign and rate conventions:
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
@@ -749,9 +747,7 @@ class Liouvillian:
     in exactly one block, and within a block the indices run by decreasing
     magnitude of their diagonal entry.  ``basis`` is read-only: generators of
     one Hamiltonian and set of couplings share it (see "Reuse" in the module
-    docstring).  ``matrix`` is the column-stacking superoperator in the lab
-    basis, d^2 x d^2, formed from the blocks only when a caller reads it;
-    :func:`evolve` and :func:`steady_state` work on the blocks.
+    docstring).  :func:`evolve` and :func:`steady_state` work on the blocks.
     """
 
     dim: int
@@ -759,20 +755,6 @@ class Liouvillian:
     basis: np.ndarray
     indices: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        size = self.dim * self.dim
-        in_basis = np.zeros((size, size), dtype=complex)
-        for index, stack in zip(self.indices, self.blocks):
-            in_basis[index[:, :, None], index[:, None, :]] = stack
-        # vec(U X U^dagger) = (conj(U) kron U) vec(X)
-        change = np.kron(self.basis.conj(), self.basis)
-        return change @ in_basis @ change.conj().T
-
-    def apply(self, m) -> np.ndarray:
-        """Action on a matrix: devectorize(matrix @ vectorize(m))."""
-        return devectorize(self.matrix @ vectorize(m))
 
 
 def _equal_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1110,13 +1092,15 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
         raise SolverFailureError("null vector is traceless; no normalizable stationary state")
     rho_in_basis = candidate / trace
     stacked = vectorize(rho_in_basis)
-    residual = math.sqrt(sum(
-        float(np.sum(np.abs(stack @ stacked[index][:, :, None]) ** 2))
-        for index, stack in zip(liouv.indices, liouv.blocks)
-    ))
-    if residual > STEADY_RESIDUAL_RTOL * top:
+    # relative to top, so that squaring cannot overflow on a finite generator
+    square = 0.0
+    for index, stack in zip(liouv.indices, liouv.blocks):
+        scaled = stack @ stacked[index][:, :, None] / top
+        square += np.vdot(scaled, scaled).real
+    relative = math.sqrt(square)
+    if relative > STEADY_RESIDUAL_RTOL:
         raise SolverFailureError(
-            f"stationary residual {residual:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
+            f"stationary residual {relative * top:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
             f"{STEADY_RESIDUAL_RTOL * top:.3e}"
         )
     basis = liouv.basis
@@ -1150,15 +1134,3 @@ def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -
             f"heat current has imaginary residue {residues[large[0]]:.3e} above 1e-10"
         )
     return np.bincount(terms.bath, weights=values.real, minlength=n_baths)
-
-
-def gibbs_state(hamiltonian, temperature: float) -> np.ndarray:
-    """Thermal equilibrium state exp(-H/T)/Z, built from the eigendecomposition
-    with the spectrum shifted for overflow safety."""
-    if not temperature > 0:
-        raise ValueError(f"gibbs_state needs temperature > 0, got {temperature}")
-    eig = eigh(hamiltonian)
-    weights = np.exp(-(eig.energies - eig.energies.min()) / temperature)
-    weights /= weights.sum()
-    rho = (eig.states * weights) @ eig.states.conj().T
-    return hermitize(rho)

@@ -211,9 +211,3 @@ def devectorize(v) -> np.ndarray:
     if dim * dim != vec.size:
         raise DimensionMismatchError(f"vector of length {vec.size} is not a stacked square matrix")
     return vec.reshape((dim, dim), order="F")
-
-
-def trace_distance(a, b) -> float:
-    """(1/2) * sum of absolute eigenvalues of the Hermitian difference."""
-    diff = hermitize(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

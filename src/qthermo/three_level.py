@@ -30,6 +30,10 @@ LAMBDA = "lambda"
 VEE = "vee"
 # slack of the range [0, 1] and of the unit sum of LevelPopulations
 POPULATION_ATOL = 1e-12
+# The Dufour heating takes one RK4 step per output row in a Python loop; a run
+# of this many steps took 6.6 s and peaked at 138 MiB (2 vCPUs), so any input
+# ends after bounded work.
+MAX_DUFOUR_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -520,8 +524,13 @@ def finite_capacity_heating(
     temperatures at every stage.
 
     The populations stay clamped for the whole horizon.  Integration halts
-    with the partial history if a temperature reaches zero.
+    with the partial history if a temperature reaches zero.  More than
+    ``MAX_DUFOUR_STEPS`` steps raise ValueError before any is taken, and a
+    step whose temperatures or rates overflow raises InvariantViolationError
+    naming the heat capacity and the time.
     """
+    if samples - 1 > MAX_DUFOUR_STEPS:
+        raise ValueError(f"samples = {samples} asks for {samples - 1} RK4 steps, above the limit {MAX_DUFOUR_STEPS}")
     if not (math.isfinite(capacity) and math.isfinite(temp_start)):
         raise InvariantViolationError(
             f"heat capacity and starting temperature must be finite, got {capacity}, {temp_start}"
@@ -539,8 +548,21 @@ def finite_capacity_heating(
         j_1, j_2, _ = dufour_currents(pops, n_1, n_2, omega, gamma)
         return j_1, j_2
 
-    def rhs(s: np.ndarray) -> np.ndarray:
-        return np.array(currents(s[0], s[1])) / capacity
+    def overflow(t: float) -> InvariantViolationError:
+        return InvariantViolationError(
+            f"the bath temperatures leave the finite range in the step from t = {t:g} "
+            f"(dT/dt = J / C with heat capacity C = {capacity!r})"
+        )
+
+    def rhs(s: np.ndarray, t: float) -> np.ndarray:
+        # dT/dt = J / C in Python floats, whose overflow gives inf without a warning
+        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+            raise overflow(t)
+        j_1, j_2 = currents(s[0], s[1])
+        rate = (j_1 / capacity, j_2 / capacity)
+        if not (math.isfinite(rate[0]) and math.isfinite(rate[1])):
+            raise overflow(t)
+        return np.array(rate)
 
     dt = horizon / (samples - 1)
     times = [0.0]
@@ -551,21 +573,26 @@ def finite_capacity_heating(
     j2_hist = [j0[1]]
     truncated = False
     state = np.array([temp_start, temp_start])
-    for i in range(1, samples):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if state.min() <= 0.0:
-            truncated = True
-            break
-        j = currents(state[0], state[1])
-        times.append(i * dt)
-        t1_hist.append(float(state[0]))
-        t2_hist.append(float(state[1]))
-        j1_hist.append(j[0])
-        j2_hist.append(j[1])
+    # a stage that overflows is caught by rhs or the check after the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, samples):
+            start = (i - 1) * dt
+            k1 = rhs(state, start)
+            k2 = rhs(state + 0.5 * dt * k1, start)
+            k3 = rhs(state + 0.5 * dt * k2, start)
+            k4 = rhs(state + dt * k3, start)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (math.isfinite(state[0]) and math.isfinite(state[1])):
+                raise overflow(start)
+            if state.min() <= 0.0:
+                truncated = True
+                break
+            j = currents(state[0], state[1])
+            times.append(i * dt)
+            t1_hist.append(float(state[0]))
+            t2_hist.append(float(state[1]))
+            j1_hist.append(j[0])
+            j2_hist.append(j[1])
     return BathHeatingHistory(
         times=np.array(times),
         temp_1=np.array(t1_hist),

@@ -21,8 +21,8 @@ from qthermo.chain import (
     classify,
     site_populations,
 )
-from qthermo.davies import evolve, gibbs_state, heat_currents, liouvillian, steady_state
-from qthermo.linalg import hermitize, trace_distance
+from qthermo.davies import evolve, heat_currents, liouvillian, steady_state
+from qthermo.linalg import hermitize
 from qthermo.three_level import (
     LevelPopulations,
     ThreeLevelParams,
@@ -36,6 +36,7 @@ from qthermo.three_level import (
     thermo_diagnostics,
     vee_system,
 )
+from test_davies import thermal_state, trace_distance
 
 OCCUPATION_GRID = (0.5, 1.0, 2.0, 3.0, 5.0)
 
@@ -195,7 +196,7 @@ def test_criterion_10_weak_negative_signal(warm_chain_strong):
 
 def test_criterion_11_detailed_balance():
     spec, system, rho, _ = chain_solution(0.5, 0.6, 0.6)
-    distance = trace_distance(rho, gibbs_state(system.hamiltonian, 0.6))
+    distance = trace_distance(rho, thermal_state(system.hamiltonian, 0.6))
     assert distance <= 1e-6
     print(f"criterion 11 PASS: uniform-temperature chain within {distance:.2e} of the Gibbs state")
 

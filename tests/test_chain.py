@@ -20,9 +20,10 @@ from qthermo.chain import (
     population_sweep,
     site_populations,
 )
-from qthermo.davies import gibbs_state, liouvillian, steady_state
+from qthermo.davies import liouvillian, steady_state
 from qthermo.errors import InvariantViolationError, UnsupportedModelError
-from qthermo.linalg import eigh, trace_distance
+from qthermo.linalg import eigh
+from test_davies import thermal_state, trace_distance
 
 
 def spec_for(n_sites=4, g=0.3, rate=0.01, t_left=0.8, t_right=0.4, h=1.0) -> ChainSpec:
@@ -105,7 +106,7 @@ class TestSitePopulations:
         spec = spec_for(n_sites=4, t_left=0.6, t_right=0.6)
         system = chain_system(spec)
         populations = solve_populations(spec)
-        oracle = site_populations(gibbs_state(system.hamiltonian, 0.6), spec)
+        oracle = site_populations(thermal_state(system.hamiltonian, 0.6), spec)
         assert np.allclose(populations, oracle, atol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -206,7 +207,7 @@ class TestInvariants:
         spec = spec_for(n_sites=4, t_left=0.6, t_right=0.6)
         system = chain_system(spec)
         rho = steady_state(liouvillian(system))
-        assert trace_distance(rho, gibbs_state(system.hamiltonian, 0.6)) <= 1e-6
+        assert trace_distance(rho, thermal_state(system.hamiltonian, 0.6)) <= 1e-6
         verdict = classify(site_populations(rho, spec), spec.profile)
         assert verdict.kind == NOT_APPLICABLE
 

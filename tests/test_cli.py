@@ -189,21 +189,23 @@ class TestRun:
             ({"dt": "1e-320"}, "dt"),  # horizon / dt overflows to inf
             ({"horizon": "1e300", "dt": "1"}, "dt"),
             ({"samples": str(10**18)}, "samples"),
-            ({"samples": str(qthermo.cli.MAX_DUFOUR_STEPS + 2)}, "samples"),
+            ({"samples": str(qthermo.three_level.MAX_DUFOUR_STEPS + 2)}, "samples"),
         ],
     )
     def test_dufour_step_count_is_bounded(self, overrides, key, monkeypatch):
-        # refused from the estimate, before the integration loop runs
-        heatings = []
-        monkeypatch.setattr(qthermo.cli, "finite_capacity_heating", lambda *args, **kwargs: heatings.append(kwargs))
-        with pytest.raises(ConfigError, match=f"^{key} = .* above the limit {qthermo.cli.MAX_DUFOUR_STEPS}$"):
+        # refused from the estimate, before the integration takes a step: the
+        # CLI checks horizon / dt, finite_capacity_heating the sample count
+        steps = []
+        monkeypatch.setattr(qthermo.three_level, "dufour_currents", lambda *args: steps.append(args))
+        limit = qthermo.three_level.MAX_DUFOUR_STEPS
+        with pytest.raises((ConfigError, ValueError), match=f"^{key} = .* above the limit {limit}$"):
             run(build_config("dufour", overrides=overrides))
-        assert heatings == []
+        assert steps == []
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"samples": str(qthermo.cli.MAX_DUFOUR_STEPS + 1)},
-         {"horizon": "5", "dt": repr(5.0 / qthermo.cli.MAX_DUFOUR_STEPS)}],
+        [{"samples": str(qthermo.three_level.MAX_DUFOUR_STEPS + 1)},
+         {"horizon": "5", "dt": repr(5.0 / qthermo.three_level.MAX_DUFOUR_STEPS)}],
         ids=["samples", "dt"],
     )
     def test_dufour_step_count_at_the_limit_runs(self, overrides, monkeypatch):
@@ -215,7 +217,7 @@ class TestRun:
         monkeypatch.setattr(qthermo.cli, "finite_capacity_heating", stub)
         with pytest.raises(DegenerateInputError, match="stub"):
             run(build_config("dufour", overrides=overrides))
-        assert samples == [qthermo.cli.MAX_DUFOUR_STEPS + 1]
+        assert samples == [qthermo.three_level.MAX_DUFOUR_STEPS + 1]
 
     def test_sweep_annotates_failures(self):
         # 1/(2 cos(pi/5)) puts the bottom of the four-site excited band exactly
@@ -361,6 +363,10 @@ class TestMainExitCodes:
             (["chain", "--set", f"N={10**106}"], "N"),
             (["sweep", "--set", f"N={10**106}"], "N"),
             (["figure2", "--set", f"N={10**106}"], "N"),
+            # heat currents of order h * Gamma would overflow
+            (["chain", "--set", "h=1e300"], "h"),
+            (["sweep", "--set", "Gamma=1e301"], "Gamma"),
+            (["figure2", "--set", "h=1e301"], "h"),
         ],
     )
     def test_chains_that_cannot_run_stop_before_solving(self, argv, key, tmp_path, capsys, monkeypatch):
@@ -388,6 +394,27 @@ class TestMainExitCodes:
         assert build_config("chain", overrides={"N": str(longest)}).values["N"] == longest
         with pytest.raises(ConfigError, match=f"N = {longest + 1} "):
             build_config("chain", overrides={"N": str(longest + 1)})
+
+    @pytest.mark.parametrize(
+        "args,code,named",
+        [
+            (["dufour", "--set", "capacity=1e-300"], EXIT_VALIDATION, "heat capacity C = 1e-300"),
+            (["chain", "--set", "Gamma=1e300"], EXIT_OK, None),
+            (["chain", "--set", "h=1e300"], EXIT_VALIDATION, "error: h * Gamma = "),
+        ],
+        ids=["dufour-capacity", "chain-Gamma", "chain-h"],
+    )
+    def test_overflowing_scales_end_named_or_finite(self, args, code, named):
+        # in a fresh interpreter, where a RuntimeWarning is printed, not raised
+        result = subprocess.run([sys.executable, "-m", "qthermo.cli", *args, "--quiet"], env=package_env(),
+                                capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
+        if named is None:
+            rows = [line.split(",") for line in body_of(result.stdout).splitlines()[1:]]
+            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[:3])
+        else:
+            assert named in result.stderr
 
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -514,6 +541,39 @@ class TestRuntime:
                                 env=package_env(), capture_output=True, text=True, timeout=30)
         assert result.returncode == EXIT_VALIDATION
         assert "error: dt = 1e-300 asks for 5e+300 RK4 steps" in result.stderr
+
+    def test_public_api(self):
+        # a name added to or dropped from the package namespace is a deliberate diff here
+        assert sorted(qthermo.__all__) == [
+            "AccuracyError", "AmbiguousGroupingError", "BathSpec", "ChainSpec", "ConfigError",
+            "DEFAULT_FREQ_TOL", "DegenerateInputError", "DimensionMismatchError", "EigenDecomposition",
+            "ExplicitProfile", "FlatDensity", "InvariantViolationError", "LevelPopulations",
+            "LinearProfile", "Liouvillian", "NonUniqueSteadyStateError", "NumericalConsistencyError",
+            "OhmicDensity", "OpenSystem", "QThermoError", "SolverFailureError", "SweepPoint",
+            "ThermoDiagnostics", "ThermophoresisVerdict", "ThreeLevelParams", "UnsupportedModelError",
+            "bose_occupation", "chain", "chain_system", "classify", "davies", "default_survey_panels",
+            "dufour_currents", "eigh", "errors", "evolve", "finite_capacity_heating", "heat_currents",
+            "hermitize", "high_temperature_force", "lambda_system", "linalg", "liouvillian",
+            "mean_position_trajectory", "occupations", "overdamped_ratio", "population_sweep",
+            "populations_from_state", "rate_matrix", "site_populations", "steady_state",
+            "thermo_diagnostics", "three_level", "three_level_system", "vee_system",
+        ]
+
+    def test_readme_examples_run(self, capsys):
+        # every python block of the README, in order and in one namespace;
+        # the printed values are the ones its comments state
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 4
+        assert abs(float(printed[0]) - 1.0 / 9.0) <= 1e-12
+        assert abs(float(printed[1]) - 1.0 / 9.0) <= 1e-12
+        assert float(printed[2]) == 0.0625
+        assert printed[3].startswith("ThermophoresisVerdict(kind='negative', argmax_site=3, ")
 
     def test_imports_only_numpy(self):
         # numpy is the one runtime dependency; the tests import scipy,

@@ -29,7 +29,6 @@ from qthermo.davies import (
     _thermal_rates,
     bose_occupation,
     evolve,
-    gibbs_state,
     heat_currents,
     liouvillian,
     steady_state,
@@ -44,7 +43,7 @@ from qthermo.errors import (
     UnsupportedModelError,
 )
 from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system
-from qthermo.linalg import devectorize, eigh, hermitize, trace_distance, vectorize
+from qthermo.linalg import devectorize, eigh, hermitize, vectorize
 from qthermo.three_level import ThreeLevelParams, lambda_system, three_level_system
 from test_linalg import LAPACK_MIXING_TUNNELINGS
 
@@ -188,11 +187,36 @@ def block_labels(liouv) -> np.ndarray:
 
 def dense_liouvillian(matrix, dt: float) -> Liouvillian:
     """A generator given as one dense matrix: one block in the identity
-    basis, whose ``matrix`` comes back exactly."""
+    basis, which :func:`lab_matrix` gives back exactly."""
     matrix = np.asarray(matrix, dtype=complex)
     dim = math.isqrt(matrix.shape[0])
     return Liouvillian(dim=dim, default_dt=dt, basis=np.eye(dim, dtype=complex),
                        indices=(np.arange(dim * dim)[None, :],), blocks=(matrix[None],))
+
+
+def lab_matrix(liouv: Liouvillian) -> np.ndarray:
+    """The generator as one d^2 x d^2 matrix on column-stacked lab-basis
+    states: the blocks scattered at their indices, then the change of basis
+    vec(U X U^dagger) = (conj(U) kron U) vec(X)."""
+    size = liouv.dim * liouv.dim
+    in_basis = np.zeros((size, size), dtype=complex)
+    for index, stack in zip(liouv.indices, liouv.blocks):
+        in_basis[index[:, :, None], index[:, None, :]] = stack
+    change = np.kron(liouv.basis.conj(), liouv.basis)
+    return change @ in_basis @ change.conj().T
+
+
+def thermal_state(hamiltonian, temperature: float) -> np.ndarray:
+    """Gibbs state exp(-H / T) / Z by a matrix exponential, sharing no code
+    with the package."""
+    gibbs = expm(-np.asarray(hamiltonian, dtype=complex) / temperature)
+    return gibbs / np.trace(gibbs)
+
+
+def trace_distance(a, b) -> float:
+    """Half the sum of the absolute eigenvalues of the Hermitian part of a - b."""
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
 def entropy_production(system: OpenSystem, currents: np.ndarray) -> float:
@@ -428,7 +452,7 @@ class TestLiouvillian:
         system = OpenSystem(h, (BathSpec(np.zeros((2, 2)), FlatDensity(1.0), 1.0),))
         liouv = liouvillian(system)
         rho = np.diag([0.3, 0.7]).astype(complex)
-        assert np.max(np.abs(liouv.apply(rho))) < 1e-14
+        assert np.max(np.abs(devectorize(lab_matrix(liouv) @ vectorize(rho)))) < 1e-14
 
     def test_lambda_action_matches_rate_equations(self):
         # inline oracle: dP_k = gamma (n_k + 1) P_e - gamma n_k P_k
@@ -436,7 +460,7 @@ class TestLiouvillian:
         params = lambda_params(2.0, 1.0, gamma=gamma)
         liouv = liouvillian(lambda_system(params))
         pops = np.array([0.5, 0.3, 0.2])
-        derivative = liouv.apply(np.diag(pops).astype(complex))
+        derivative = devectorize(lab_matrix(liouv) @ vectorize(np.diag(pops).astype(complex)))
         n_values = (2.0, 1.0)
         for k in (0, 1):
             expected = gamma * (n_values[k] + 1.0) * pops[2] - gamma * n_values[k] * pops[k]
@@ -453,9 +477,10 @@ class TestLiouvillian:
         spec = ChainSpec(3, 1.0, 0.4, 0.05, LinearProfile(0.7, 0.7))
         system = chain_system(spec)
         liouv = liouvillian(system)
-        thermal = gibbs_state(system.hamiltonian, 0.7)
-        norm = np.linalg.norm(liouv.matrix, 2)
-        assert np.linalg.norm(liouv.matrix @ vectorize(thermal)) <= 1e-9 * norm
+        thermal = thermal_state(system.hamiltonian, 0.7)
+        matrix = lab_matrix(liouv)
+        norm = np.linalg.norm(matrix, 2)
+        assert np.linalg.norm(matrix @ vectorize(thermal)) <= 1e-9 * norm
 
     def test_default_step_scales_with_rates_and_spectrum(self):
         # dt = 0.01 / (largest rate + spectral norm): rates peak at
@@ -477,7 +502,7 @@ class TestLiouvillian:
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         system = OpenSystem(np.diag([0.0, 1.0]), (BathSpec(flip, OhmicDensity(0.5), 0.7),))
         rho = steady_state(liouvillian(system))
-        assert trace_distance(rho, gibbs_state(np.diag([0.0, 1.0]), 0.7)) < 1e-9
+        assert trace_distance(rho, thermal_state(np.diag([0.0, 1.0]), 0.7)) < 1e-9
 
     @settings(max_examples=15, deadline=None)
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**31 - 1))
@@ -486,9 +511,10 @@ class TestLiouvillian:
         system = random_open_system(seed, dim)
         liouv = liouvillian(system)
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        image = liouv.apply(m)
+        matrix = lab_matrix(liouv)
+        image = devectorize(matrix @ vectorize(m))
         assert abs(np.trace(image)) < 1e-10
-        assert np.max(np.abs(liouv.apply(m.conj().T) - image.conj().T)) < 1e-10
+        assert np.max(np.abs(devectorize(matrix @ vectorize(m.conj().T)) - image.conj().T)) < 1e-10
 
     @settings(max_examples=30, deadline=None)
     @given(system=open_systems)
@@ -503,14 +529,15 @@ class TestLiouvillian:
 
 
 class TestDenseReference:
-    """The block generator against the dense Kronecker-sum generator built
-    above; evolve and apply read the same matrix."""
+    """The block generator, scattered into the lab basis by
+    :func:`lab_matrix`, against the dense Kronecker-sum generator built
+    above."""
 
     @staticmethod
     def check(system: OpenSystem) -> None:
         reference = reference_generator(system)
         liouv = liouvillian(system)
-        assert np.max(np.abs(liouv.matrix - reference)) <= 1e-12
+        assert np.max(np.abs(lab_matrix(liouv) - reference)) <= 1e-12
         _, singulars, vh = np.linalg.svd(reference)
         null_dim = int(np.count_nonzero(singulars <= 1e-10 * singulars[0]))
         if null_dim > 1:
@@ -798,7 +825,7 @@ def rk4_loop(liouv, rho0, times, dt=None):
     to the first grid time whose state has a non-finite entry, a trace drift
     above 1e-7 or an entry of magnitude above 1 + 1e-7, and the index of that
     time (None if every state passes)."""
-    matrix = liouv.matrix
+    matrix = lab_matrix(liouv)
     step = liouv.default_dt if dt is None else dt
     vec = vectorize(rho0)
     states = [np.asarray(rho0, dtype=complex)]
@@ -960,7 +987,7 @@ class TestEvolveAgainstStepLoop:
         matrix[0, 0] = matrix[0, 3] = -1.0
         matrix[3, 0] = matrix[3, 3] = 1.0
         liouv = dense_liouvillian(matrix, 0.01)
-        assert np.array_equal(liouv.matrix, matrix)
+        assert np.array_equal(lab_matrix(liouv), matrix)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 2.0, 5)
         # validate=True names the negative eigenvalue; without it the entry
@@ -1046,7 +1073,7 @@ class TestSteadyState:
         spec = ChainSpec(4, 1.0, 0.3, 0.01, LinearProfile(0.6, 0.6))
         system = chain_system(spec)
         rho = steady_state(liouvillian(system))
-        assert trace_distance(rho, gibbs_state(system.hamiltonian, 0.6)) <= 1e-6
+        assert trace_distance(rho, thermal_state(system.hamiltonian, 0.6)) <= 1e-6
 
     def test_degenerate_generator_reports_dimension(self):
         system = OpenSystem(np.diag([0.0, 1.0]), (BathSpec(np.zeros((2, 2)), FlatDensity(1.0), 1.0),))
@@ -1066,6 +1093,16 @@ class TestSteadyState:
         generator = np.eye(4, dtype=complex) - np.outer(v, v)
         with pytest.raises(SolverFailureError, match="stationary residual"):
             steady_state(dense_liouvillian(generator, 0.1))
+
+    def test_residual_check_does_not_overflow_at_huge_rates(self):
+        # rates of 1e300 leave a residual of order 1e284, whose square
+        # overflowed; the state does not depend on the scale of the rates
+        def chain(rate):
+            return chain_system(ChainSpec(10, 1.0, 1.3, rate, LinearProfile(0.8, 0.4)))
+
+        huge = steady_state(liouvillian(chain(1e300)))
+        assert np.max(np.abs(huge - steady_state(liouvillian(chain(0.01))))) <= 1e-12
+        assert np.all(np.isfinite(heat_currents(chain(1e300), huge)))
 
     def test_rate_scaling_invariance(self):
         base = steady_state(liouvillian(lambda_system(lambda_params(2.0, 1.0, gamma=0.5))))
@@ -1087,7 +1124,7 @@ class TestHeatCurrents:
 
         spec = ChainSpec(3, 1.0, 0.4, 0.05, LinearProfile(0.7, 0.7))
         system = chain_system(spec)
-        currents = heat_currents(system, gibbs_state(system.hamiltonian, 0.7))
+        currents = heat_currents(system, thermal_state(system.hamiltonian, 0.7))
         assert np.max(np.abs(currents)) <= 1e-9
 
     def test_lambda_steady_state_balances_each_bath(self):
@@ -1571,20 +1608,3 @@ class TestEdgeCases:
             OhmicDensity(value)
         with pytest.raises(InvariantViolationError, match="finite"):
             BathSpec(np.eye(2), FlatDensity(1.0), value)
-
-
-class TestGibbsState:
-    def test_high_temperature_is_maximally_mixed(self):
-        rho = gibbs_state(np.diag([0.0, 1.0]), 1e12)
-        assert np.allclose(rho, np.eye(2) / 2.0, atol=1e-10)
-
-    def test_two_level_boltzmann_weights(self):
-        h = 0.8
-        rho = gibbs_state(np.diag([0.0, h]), h)
-        z = 1.0 + math.exp(-1.0)
-        assert rho[0, 0].real == pytest.approx(1.0 / z)
-        assert rho[1, 1].real == pytest.approx(math.exp(-1.0) / z)
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            gibbs_state(np.diag([0.0, 1.0]), 0.0)

@@ -10,7 +10,6 @@ from qthermo.linalg import (
     devectorize,
     eigh,
     hermitize,
-    trace_distance,
     vectorize,
 )
 
@@ -129,10 +128,3 @@ class TestVectorization:
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert np.array_equal(devectorize(vectorize(m)), m)
-
-
-def test_trace_distance_of_orthogonal_pure_states():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    assert trace_distance(a, b) == pytest.approx(1.0)
-    assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-15)

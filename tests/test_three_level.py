@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthermo import three_level
 from qthermo.davies import evolve, liouvillian, steady_state
 from qthermo.errors import DegenerateInputError, InvariantViolationError
 from qthermo.three_level import (
@@ -497,6 +498,24 @@ class TestDufour:
                 finite_capacity_heating(pops, 1.0, 1.0, temp_start=bad, capacity=5.0, horizon=3.0)
         with pytest.raises(ValueError, match="horizon"):
             finite_capacity_heating(pops, 1.0, 1.0, temp_start=1.0, capacity=5.0, horizon=math.inf)
+
+    def test_step_budget_is_checked_before_any_step(self, monkeypatch):
+        pops = LevelPopulations(0.2, 0.3, 0.5)
+        steps = []
+        monkeypatch.setattr(three_level, "MAX_DUFOUR_STEPS", 10)
+        monkeypatch.setattr(three_level, "dufour_currents", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="^samples = 12 asks for 11 RK4 steps, above the limit 10$"):
+            finite_capacity_heating(pops, 1.0, 1.0, temp_start=1.0, capacity=5.0, horizon=3.0, samples=12)
+        assert steps == []
+
+    @pytest.mark.parametrize("capacity,start", [(1e-300, "0"), (1e-50, "0.025"), (1e-20, "0.1")])
+    def test_overflow_names_the_heat_capacity_and_the_time(self, capacity, start):
+        # dT/dt = J / C leaves the float range, at once or after a few steps
+        # of exponential growth; no RuntimeWarning escapes
+        pops = LevelPopulations(0.2, 0.3, 0.5)
+        message = rf"from t = {start} \(dT/dt = J / C with heat capacity C = {capacity!r}\)$"
+        with pytest.raises(InvariantViolationError, match=message):
+            finite_capacity_heating(pops, 1.0, 1.0, temp_start=1.0, capacity=capacity, horizon=5.0)
 
     def test_symmetric_clamp_heats_evenly(self):
         pops = LevelPopulations(0.25, 0.25, 0.5)
