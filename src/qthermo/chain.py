@@ -131,18 +131,17 @@ def chain_system(spec: ChainSpec) -> OpenSystem:
     between neighboring excited levels, one local bath per site."""
     dim = spec.dim
     h = np.zeros((dim, dim), dtype=complex)
-    for site in range(spec.n_sites):
-        h[_excited_index(site), _excited_index(site)] = spec.site_energy
-    for site in range(spec.n_sites - 1):
-        h[_excited_index(site), _excited_index(site + 1)] = spec.tunneling
-        h[_excited_index(site + 1), _excited_index(site)] = spec.tunneling
-    temperatures = spec.site_temperatures()
+    excited = np.arange(1, dim, 2)
+    h[excited, excited] = spec.site_energy
+    h[excited[:-1], excited[1:]] = spec.tunneling
+    h[excited[1:], excited[:-1]] = spec.tunneling
+    density = FlatDensity(spec.bath_rate)
     baths = []
-    for site in range(spec.n_sites):
+    for site, temperature in enumerate(spec.site_temperatures().tolist()):
         coupling = np.zeros((dim, dim), dtype=complex)
         coupling[_ground_index(site), _excited_index(site)] = 1.0
         coupling[_excited_index(site), _ground_index(site)] = 1.0
-        baths.append(BathSpec(coupling, FlatDensity(spec.bath_rate), float(temperatures[site])))
+        baths.append(BathSpec(coupling, density, temperature))
     return OpenSystem(hamiltonian=h, baths=tuple(baths))
 
 
@@ -162,9 +161,8 @@ def site_populations(rho, spec: ChainSpec) -> np.ndarray:
             f"state dimension {state.shape[0]} does not match the chain dimension {spec.dim}"
         )
     diag = state.diagonal().real
-    populations = np.array(
-        [diag[_ground_index(i)] + diag[_excited_index(i)] for i in range(spec.n_sites)]
-    )
+    # the basis runs (g_1, e_1, g_2, e_2, ...)
+    populations = diag[0::2] + diag[1::2]
     total = float(populations.sum())
     if abs(total - 1.0) > 1e-9:
         raise InvariantViolationError(f"site populations sum to {total}, not 1")
@@ -185,7 +183,7 @@ class ThermophoresisVerdict:
     symmetry: float
 
 
-def _longest_run(flags: np.ndarray) -> int:
+def _longest_run(flags: list[bool]) -> int:
     best = count = 0
     for f in flags:
         count = count + 1 if f else 0
@@ -214,27 +212,28 @@ def classify(
     if not np.all(np.isfinite(p)):
         raise InvariantViolationError("site populations must be finite")
     temps = profile.temperatures(n)
+    values = p.tolist()
     # the lowest site within ARGMAX_TIE_ATOL of the maximum, so mirror-symmetric
     # profiles do not pick a site by rounding
-    argmax_site = int(np.flatnonzero(p >= p.max() - ARGMAX_TIE_ATOL)[0]) + 1
+    top = max(values) - ARGMAX_TIE_ATOL
+    argmax_site = next(i for i, value in enumerate(values) if value >= top) + 1
     symmetry = 1.0 - 0.5 * float(np.abs(p - p[::-1]).sum())
 
     if abs(float(temps[0]) - float(temps[-1])) == 0.0:
         return ThermophoresisVerdict(NOT_APPLICABLE, argmax_site, 0, 0, symmetry)
 
     # orient hot -> cold so one code path covers both gradient directions
-    hot_left = temps[0] > temps[-1]
-    oriented = p if hot_left else p[::-1]
-    diffs = np.diff(oriented)
-    run_up = _longest_run(diffs > POPULATION_TOL)
-    run_down = _longest_run(diffs < -POPULATION_TOL)
-    peak = int(np.argmax(oriented))
+    oriented = values if temps[0] > temps[-1] else values[::-1]
+    diffs = [b - a for a, b in zip(oriented, oriented[1:])]
+    run_up = _longest_run([d > POPULATION_TOL for d in diffs])
+    run_down = _longest_run([d < -POPULATION_TOL for d in diffs])
+    peak = oriented.index(max(oriented))
 
-    if bool(np.all(diffs > POPULATION_TOL)):
+    if run_up == n - 1:  # every step rises
         kind = POSITIVE
     elif peak in _middle_fifth(n) and symmetry >= SYMMETRY_THRESHOLD:
         kind = DELOCALIZED
-    elif peak < n / 2 and bool(np.all(diffs[peak:] < -POPULATION_TOL)):
+    elif peak < n / 2 and all(d < -POPULATION_TOL for d in diffs[peak:]):
         kind = NEGATIVE
     else:
         kind = MIXED

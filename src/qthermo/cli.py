@@ -65,11 +65,12 @@ from .three_level import (
 MAX_CHAIN_BYTES = 2 * 2**30
 MAX_CHAIN_SITES = next(n for n in itertools.count(1) if chain_system_bytes(n + 1) > MAX_CHAIN_BYTES)
 
-# Bound on h, Gamma and h * Gamma in a chain.  A heat-current coefficient is an
-# energy times a rate, of order h * Gamma (at the default Gamma = 0.01 h it
-# overflows from h = 1e200), and the rates and the frequency grouping overflow
-# as Gamma or h near the float range; the bound leaves a factor 1e8 for the
-# band width, the occupations and the sums.
+# Bound on h, Gamma, h * Gamma and Gamma * T in a chain, T the hottest bath.  A
+# heat-current coefficient is an energy times a rate, of order h * Gamma (at
+# the default Gamma = 0.01 h it overflows from h = 1e200), a rate grows as
+# Gamma * T / omega, and the rates and the frequency grouping overflow as
+# Gamma or h near the float range; the bound leaves a factor 1e8 for the band
+# width, the occupations and the sums.
 MAX_CHAIN_SCALE = 1e300
 
 EXIT_OK = 0
@@ -301,13 +302,20 @@ def _resolve(config: RunConfig) -> None:
                 f"Hamiltonian and couplings fit the limit of {MAX_CHAIN_BYTES / 2**30:g} GiB"
             )
         gamma = values["Gamma"]
-        for key, scale, shown in (("h", h, f"{h:.3g}"), ("Gamma", gamma, f"{gamma:.3g}"),
-                                  ("h * Gamma", h * gamma, f"{h:.3g} * {gamma:.3g}")):
+        overflow = "the heat currents (of order h * Gamma) and the rates would overflow"
+        bounded = [("h", h, f"{h:.3g}", overflow), ("Gamma", gamma, f"{gamma:.3g}", overflow),
+                   ("h * Gamma", h * gamma, f"{h:.3g} * {gamma:.3g}", overflow)]
+        if experiment != "figure2":  # figure2's temperatures are at most 1.1 h
+            if "temperatures" in values:
+                key, hottest = "temperatures", max(values["temperatures"], default=0.0)
+            else:
+                key = max(("T_L", "T_R"), key=values.get)
+                hottest = values[key]
+            bounded.append((f"Gamma * {key}", gamma * hottest, f"{gamma:.3g} * {hottest:.3g}",
+                            "the rates (of order Gamma * T / omega) would overflow"))
+        for key, scale, shown, reason in bounded:
             if scale > MAX_CHAIN_SCALE:
-                raise ConfigError(
-                    f"{key} = {shown} is above {MAX_CHAIN_SCALE:.0e}: the heat currents "
-                    f"(of order h * Gamma) and the rates would overflow"
-                )
+                raise ConfigError(f"{key} = {shown} is above {MAX_CHAIN_SCALE:.0e}: {reason}")
     else:
         default(n=1.0, P_1=0.2, P_2=0.3, omega=1.0, Gamma=1.0, capacity=10.0, horizon=5.0, samples=201)
 
@@ -335,6 +343,12 @@ class Column:
     kind: str  # int | float | str
 
 
+# per column kind: how a cell is coerced on entry and how it is written; any
+# other kind is a string
+_COERCERS = {"int": int, "float": float}
+_FORMATTERS = {"int": str, "float": _fmt_float}
+
+
 @dataclass
 class ResultTable:
     """Schema-checked rows plus a metadata block (resolved config, version)."""
@@ -342,25 +356,21 @@ class ResultTable:
     columns: tuple[Column, ...]
     rows: list[tuple] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    _coercers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._coercers = tuple(_COERCERS.get(column.kind, str) for column in self.columns)
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
             raise DimensionMismatchError(
                 f"row with {len(values)} fields does not match {len(self.columns)} columns"
             )
-        coerced = []
-        for column, value in zip(self.columns, values):
-            if column.kind == "int":
-                coerced.append(int(value))
-            elif column.kind == "float":
-                coerced.append(float(value))
-            else:
-                coerced.append(str(value))
-        self.rows.append(tuple(coerced))
+        self.rows.append(tuple([coerce(value) for coerce, value in zip(self._coercers, values)]))
 
 
 def _csv_escape(text: str) -> str:
-    if any(ch in text for ch in (",", '"', "\n")):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -369,10 +379,8 @@ def render(table: ResultTable, fmt: str = "csv") -> str:
     """Serialize a table; CSV uses comma separators, 17-significant-digit
     floats, '#'-prefixed metadata lines and LF endings."""
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
-    rendered = [
-        [_csv_escape(value) if isinstance(value, str) else _fmt_value(value) for value in row]
-        for row in table.rows
-    ]
+    formatters = [_FORMATTERS.get(column.kind, _csv_escape) for column in table.columns]
+    rendered = [[write(value) for write, value in zip(formatters, row)] for row in table.rows]
     if fmt == "csv":
         lines.append(",".join(column.name for column in table.columns))
         lines.extend(",".join(r) for r in rendered)
@@ -604,9 +612,17 @@ def _run_figure2(config: RunConfig) -> list[tuple[str, ResultTable]]:
         bath_rate=values["Gamma"],
         profile=LinearProfile(0.8 * values["h"], 0.4 * values["h"]),
     )
+    # the panels share points, (0.1 h, 0.8 h, 0.4 h) is in b, c and d: each
+    # distinct point is solved once, in the order population_sweep lists them
+    solved = {}
     outputs = []
     for panel, (g_values, pairs) in default_survey_panels(values["h"]).items():
-        points = population_sweep(base, g_values, pairs, freq_tol=config.eps_omega)
+        points = []
+        for pair in pairs:
+            for g in g_values:
+                if (g, pair) not in solved:
+                    (solved[g, pair],) = population_sweep(base, (g,), (pair,), freq_tol=config.eps_omega)
+                points.append(solved[g, pair])
         table = _sweep_table(config, points)
         table.metadata["panel"] = panel
         outputs.append((f"panel_{panel}", table))

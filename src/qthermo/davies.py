@@ -110,9 +110,9 @@ from .errors import (
     UnsupportedModelError,
 )
 from .linalg import (
+    _record_density_matrix,
     components,
     stacked_order,
-    devectorize,
     eigh,
     hermitize,
     require_density_matrix,
@@ -321,17 +321,18 @@ def _frequency_groups(energies: np.ndarray, freq_tol: float) -> tuple[np.ndarray
 
 
 def _thermal_rates(
-    spectral: SpectralDensity, omega: np.ndarray, temperature: float
+    density: np.ndarray, omega: np.ndarray, temperature: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`thermal_rate` at every frequency w > 0 of an array and at its
-    negative, emission and absorption, in one array expression each."""
-    if temperature == 0:
-        occupation = np.zeros_like(omega)
-    else:
-        # the occupation is 0 above x = omega / T = 700, where exp overflows
-        cap = 700.0 * temperature
-        occupation = np.where(omega > cap, 0.0, 1.0 / np.expm1(np.minimum(omega, cap) / temperature))
-    density = spectral.value(omega)
+    negative, emission and absorption, in one array expression each, given
+    the spectral density J(w) and the temperature of each frequency (each
+    an array of the shape of ``omega`` or a scalar).  A frequency w = 0 gets
+    a zero occupation."""
+    # the occupation 1 / expm1(x) is 0 above x = omega / T = 700, where exp
+    # overflows, and at T = 0: there x stays inf and expm1(inf) = inf
+    x = np.full(omega.shape, np.inf)
+    np.divide(omega, temperature, out=x, where=(omega > 0) & (omega <= 700.0 * temperature))
+    occupation = 1.0 / np.expm1(x)
     return density * (1.0 + occupation), density * occupation
 
 
@@ -570,8 +571,9 @@ class _EigenModel:
     (K, d, d) array.
 
     The temperature-free part is the shared :class:`_Structure`, and the
-    entries' places are the shared :class:`_Plan`'s.  ``group_rates[k, n]``
-    is the rate of bath k at group n.  The per-bath matrices are entry lists
+    entries' places are the shared :class:`_Plan`'s.  ``rates[e]`` is the
+    rate of coupling entry e (``structure.coupling``), that of its bath at
+    its frequency group.  The per-bath matrices are entry lists
     (:class:`_Entries`): ``jumps`` the entries of the map
     rho -> sum_w rate A_w rho A_w^dagger at the column-stacked generator
     indices (row, col), and ``decay`` the terms of
@@ -583,7 +585,7 @@ class _EigenModel:
 
     structure: _Structure
     plan: _Plan
-    group_rates: np.ndarray
+    rates: np.ndarray
     jumps: _Entries
     decay: _Entries
     currents: _Entries
@@ -690,7 +692,8 @@ def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
 
 
 def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
-    """Attach the baths' rates to the system's structure.
+    """Attach the baths' rates to the system's structure, at the coupling
+    entries of every bath in one array expression.
 
     The zero-frequency component is always examined: if it vanishes its rate
     is zero, if not the rate is slope * T for an ohmic density while a flat
@@ -698,25 +701,32 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     UnsupportedModelError.
     """
     structure = _structure(system, freq_tol)
-    n_groups = structure.frequencies.size
-    zero_label = n_groups // 2
-    positive = structure.frequencies[zero_label + 1:]
-    group_rates = np.zeros((len(system.baths), n_groups))
-    for k, bath in enumerate(system.baths):
-        emission, absorption = _thermal_rates(bath.spectral, positive, bath.temperature)
-        group_rates[k, zero_label + 1:] = emission
-        group_rates[k, :zero_label] = absorption[::-1]
-        magnitude = structure.zero_magnitude[k]
-        if magnitude > ZERO_COMPONENT_ATOL:
-            if not isinstance(bath.spectral, OhmicDensity):
-                raise UnsupportedModelError(
-                    f"bath {k}: zero-frequency coupling component of magnitude "
-                    f"{magnitude:.3e} with a flat spectral density has a diverging rate; "
-                    "use an ohmic density or a model whose zero-frequency component vanishes"
-                )
-            group_rates[k, zero_label] = bath.spectral.slope * bath.temperature
+    baths = system.baths
+    ohmic = np.array([isinstance(bath.spectral, OhmicDensity) for bath in baths], dtype=bool)
+    # J(w) is the coefficient times w for an ohmic density, the coefficient for a flat one
+    coefficient = np.array([bath.spectral.slope if is_ohmic else bath.spectral.rate
+                            for bath, is_ohmic in zip(baths, ohmic.tolist())])
+    temperature = np.array([bath.temperature for bath in baths])
+    present = structure.zero_magnitude > ZERO_COMPONENT_ATOL
+    unsupported = np.flatnonzero(present & ~ohmic)
+    if unsupported.size:
+        k = int(unsupported[0])
+        raise UnsupportedModelError(
+            f"bath {k}: zero-frequency coupling component of magnitude "
+            f"{structure.zero_magnitude[k]:.3e} with a flat spectral density has a diverging rate; "
+            "use an ohmic density or a model whose zero-frequency component vanishes"
+        )
     coupling = structure.coupling
-    rates = group_rates[coupling.bath, structure.entry_labels]
+    bath = coupling.bath
+    # the groups mirror under negation about the zero group, at the middle
+    zero_label = structure.frequencies.size // 2
+    omega = np.abs(structure.frequencies)[structure.entry_labels]
+    emission, absorption = _thermal_rates(
+        coefficient[bath] * np.where(ohmic[bath], omega, 1.0), omega, temperature[bath]
+    )
+    rates = np.where(structure.entry_labels > zero_label, emission, absorption)
+    at_zero = structure.entry_labels == zero_label
+    rates[at_zero] = np.where(present, coefficient * temperature, 0.0)[bath[at_zero]]
     max_rate = float(rates[structure.above_atol].max(initial=0.0))
     w_val = rates * coupling.values
     rated = w_val != 0
@@ -728,7 +738,7 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     return _EigenModel(
         structure=structure,
         plan=plan,
-        group_rates=group_rates,
+        rates=rates,
         jumps=plan.jumps._replace(values=values),
         decay=plan.decay._replace(values=decay),
         currents=plan.currents._replace(values=plan.currents.values * np.concatenate((p, decay))),
@@ -1084,14 +1094,16 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
         )
     holder = next(n for n, mask in enumerate(null) if mask.any())
     block = int(np.flatnonzero(null[holder].any(axis=1))[0])
-    null_vector = np.zeros(liouv.dim * liouv.dim, dtype=complex)
-    null_vector[liouv.indices[holder][block]] = decompositions[holder][1][block, -1].conj()
-    candidate = hermitize(devectorize(null_vector))
+    # the column-stacked index i + dim * j of the block holds entry (i, j)
+    cols, rows = np.divmod(liouv.indices[holder][block], liouv.dim)
+    null_matrix = np.zeros((liouv.dim, liouv.dim), dtype=complex)
+    null_matrix[rows, cols] = decompositions[holder][1][block, -1].conj()
+    candidate = hermitize(null_matrix)
     trace = complex(np.trace(candidate)).real
     if abs(trace) < 1e-12:
         raise SolverFailureError("null vector is traceless; no normalizable stationary state")
     rho_in_basis = candidate / trace
-    stacked = vectorize(rho_in_basis)
+    stacked = rho_in_basis.ravel(order="F")
     # relative to top, so that squaring cannot overflow on a finite generator
     square = 0.0
     for index, stack in zip(liouv.indices, liouv.blocks):
@@ -1105,7 +1117,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
         )
     basis = liouv.basis
     rho = hermitize(basis @ rho_in_basis @ basis.conj().T)
-    return require_density_matrix(rho, name="steady state")
+    return _record_density_matrix(rho, name="steady state")
 
 
 def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -> np.ndarray:

@@ -5,13 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthermo.chain import (
+    ARGMAX_TIE_ATOL,
     DELOCALIZED,
     MIXED,
     NEGATIVE,
     NOT_APPLICABLE,
+    POPULATION_TOL,
     POSITIVE,
+    SYMMETRY_THRESHOLD,
     ChainSpec,
     ExplicitProfile,
     LinearProfile,
@@ -131,7 +136,49 @@ class TestProfiles:
                 ExplicitProfile((0.5, bad, 0.3))
 
 
+def array_classify(p: np.ndarray, temps: np.ndarray) -> tuple:
+    """The verdict's fields by numpy array operations, the reference for
+    :func:`classify`'s loops over Python floats."""
+    n = p.size
+    argmax_site = int(np.flatnonzero(p >= p.max() - ARGMAX_TIE_ATOL)[0]) + 1
+    symmetry = 1.0 - 0.5 * float(np.abs(p - p[::-1]).sum())
+    if temps[0] == temps[-1]:
+        return NOT_APPLICABLE, argmax_site, 0, 0, symmetry
+    oriented = p if temps[0] > temps[-1] else p[::-1]
+    diffs = np.diff(oriented)
+
+    def longest(flags):
+        padded = np.concatenate(([0], flags.astype(int), [0]))
+        edges = np.flatnonzero(np.diff(padded))
+        return int((edges[1::2] - edges[::2]).max(initial=0))
+
+    peak = int(np.argmax(oriented))
+    lo, hi = (2 * n) // 5, (3 * n + 4) // 5
+    if np.all(diffs > POPULATION_TOL):
+        kind = POSITIVE
+    elif lo <= peak < hi and symmetry >= SYMMETRY_THRESHOLD:
+        kind = DELOCALIZED
+    elif peak < n / 2 and np.all(diffs[peak:] < -POPULATION_TOL):
+        kind = NEGATIVE
+    else:
+        kind = MIXED
+    return kind, argmax_site, longest(diffs > POPULATION_TOL), longest(diffs < -POPULATION_TOL), symmetry
+
+
 class TestClassify:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # few distinct values, so ties, runs and mirror pairs are common
+        values=st.lists(st.sampled_from([0.0, 1e-7, 0.05, 0.1, 0.1 + 1e-13, 0.2, 0.3]), min_size=3, max_size=14),
+        ends=st.sampled_from([(0.8, 0.4), (0.4, 0.8), (0.6, 0.6)]),
+    )
+    def test_matches_the_array_reference(self, values, ends):
+        p = np.array(values)
+        profile = LinearProfile(*ends)
+        verdict = classify(p, profile)
+        fields = (verdict.kind, verdict.argmax_site, verdict.run_up, verdict.run_down, verdict.symmetry)
+        assert fields == array_classify(p, profile.temperatures(p.size))
+
     def test_strictly_increasing_toward_cold(self):
         populations = np.linspace(0.05, 0.3, 5)
         populations /= populations.sum()

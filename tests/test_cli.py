@@ -238,6 +238,75 @@ class TestRun:
         for _, table in outcome.tables:
             assert table.metadata["warnings"] == "0"
 
+    def test_figure2_solves_each_point_once(self, monkeypatch):
+        # (0.1 h, 0.8 h, 0.4 h) is in panels b, c and d; every panel still
+        # lists it, with the bytes of a sweep of that panel alone
+        config = build_config("figure2", overrides={"N": "5", "h": "1.5"})
+        h = config.values["h"]
+        # the tunneling and the profile are replaced at every point
+        base = qthermo.chain.ChainSpec(5, h, h, config.values["Gamma"], qthermo.chain.LinearProfile(h, h))
+        expected = []
+        for panel, (g_values, pairs) in qthermo.chain.default_survey_panels(h).items():
+            table = qthermo.cli._sweep_table(config, qthermo.chain.population_sweep(base, g_values, pairs))
+            table.metadata["panel"] = panel
+            expected.append((f"panel_{panel}", render(table)))
+        solves = counting(monkeypatch, qthermo.chain, "steady_state")
+        outcome = run(config)
+        assert [(name, render(table)) for name, table in outcome.tables] == expected
+        assert len(solves) == 18
+
+
+def counting(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that notes each call; returns the
+    list of notes."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestSolveCosts:
+    """Calls counted, not timed: a steady state is checked in full once, by
+    the solve that computes it, and its readers find it in the record of
+    passed checks; figure2 solves each of its distinct points once."""
+
+    def test_warm_figure2(self, monkeypatch):
+        config = build_config("figure2")
+        run(config)
+        solves = counting(monkeypatch, qthermo.chain, "steady_state")
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        run(config)
+        assert len(solves) == 18
+        assert len(spectra) == 18
+
+    def test_chain_run(self, monkeypatch):
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        run(build_config("chain", overrides={"N": "12"}))
+        assert len(spectra) == 1
+
+    def test_lambda_point(self, monkeypatch):
+        params = qthermo.ThreeLevelParams.from_occupations("lambda", 1.7, 0.4)
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        system = qthermo.three_level_system(params)
+        rho = qthermo.steady_state(qthermo.liouvillian(system))
+        qthermo.populations_from_state(rho, params)
+        qthermo.heat_currents(system, rho)
+        assert len(spectra) == 1
+
+    def test_a_repeated_chain_is_checked_at_every_solve(self, monkeypatch):
+        spec = qthermo.chain.ChainSpec(6, 1.0, 0.3, 0.01, qthermo.chain.LinearProfile(0.8, 0.4))
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        states = []
+        for solve in (1, 2):
+            states.append(qthermo.steady_state(qthermo.liouvillian(qthermo.chain_system(spec))))
+            assert len(spectra) == solve
+        assert np.array_equal(*states)
+
 
 class TestEmit:
     def make_table(self) -> ResultTable:
@@ -367,6 +436,11 @@ class TestMainExitCodes:
             (["chain", "--set", "h=1e300"], "h"),
             (["sweep", "--set", "Gamma=1e301"], "Gamma"),
             (["figure2", "--set", "h=1e301"], "h"),
+            # rates of order Gamma * T / omega would overflow
+            (["chain", "--set", "Gamma=1e200", "--set", "T_R=1e101"], r"Gamma \* T_R ="),
+            (["chain", "--set", "N=3", "--set", "Gamma=1e200", "--set", "temperatures=1,1e101,0"],
+             r"Gamma \* temperatures ="),
+            (["sweep", "--set", "Gamma=1e200", "--set", "T_L=1e101"], r"Gamma \* T_L ="),
         ],
     )
     def test_chains_that_cannot_run_stop_before_solving(self, argv, key, tmp_path, capsys, monkeypatch):
@@ -401,8 +475,10 @@ class TestMainExitCodes:
             (["dufour", "--set", "capacity=1e-300"], EXIT_VALIDATION, "heat capacity C = 1e-300"),
             (["chain", "--set", "Gamma=1e300"], EXIT_OK, None),
             (["chain", "--set", "h=1e300"], EXIT_VALIDATION, "error: h * Gamma = "),
+            (["chain", "--set", "h=1e150", "--set", "Gamma=1e150", "--set", "T_L=1e300", "--set", "T_R=1e300"],
+             EXIT_VALIDATION, "error: Gamma * T_L = 1e+150 * 1e+300 is above 1e+300"),
         ],
-        ids=["dufour-capacity", "chain-Gamma", "chain-h"],
+        ids=["dufour-capacity", "chain-Gamma", "chain-h", "chain-Gamma-T"],
     )
     def test_overflowing_scales_end_named_or_finite(self, args, code, named):
         # in a fresh interpreter, where a RuntimeWarning is printed, not raised

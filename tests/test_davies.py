@@ -270,7 +270,7 @@ class TestVectorRates:
     def test_matches_the_scalar_rates(self, spectral, temperature):
         # at T = 1e-3 the frequencies from 1 up have x = omega / T > 700
         omega = np.array([1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 40.0])
-        emission, absorption = _thermal_rates(spectral, omega, temperature)
+        emission, absorption = _thermal_rates(spectral.value(omega), omega, temperature)
         for w, up, down in zip(omega.tolist(), emission.tolist(), absorption.tolist()):
             assert up == pytest.approx(thermal_rate(spectral, w, temperature), rel=1e-15, abs=0.0)
             assert down == pytest.approx(thermal_rate(spectral, -w, temperature), rel=1e-15, abs=0.0)
@@ -278,7 +278,7 @@ class TestVectorRates:
             assert down == pytest.approx(spectral.value(w) * occupation, rel=1e-15, abs=0.0)
 
     def test_beyond_the_overflow_cut_the_occupation_is_zero(self):
-        emission, absorption = _thermal_rates(FlatDensity(0.5), np.array([0.71, 0.8, 5.0]), 1e-3)
+        emission, absorption = _thermal_rates(0.5, np.array([0.71, 0.8, 5.0]), 1e-3)
         assert absorption.tolist() == [0.0, 0.0, 0.0]
         assert emission.tolist() == [0.5, 0.5, 0.5]
 
@@ -291,17 +291,24 @@ class TestVectorRates:
         ids=["ohmic", "flat-chain"],
     )
     def test_group_rates_of_the_model(self, system):
-        # every group gets thermal_rate at its frequency; the zero group gets
-        # slope * T where an ohmic bath has a zero-frequency component, else 0
+        # every coupling entry gets thermal_rate at the frequency of its group;
+        # an entry of the zero group gets slope * T where an ohmic bath has a
+        # zero-frequency component, else 0
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
-        zero = model.structure.frequencies.size // 2
-        assert model.structure.frequencies[zero] == 0.0
-        for bath, rates in zip(system.baths, model.group_rates):
-            coupling = model.structure.states.conj().T @ bath.coupling @ model.structure.states
-            for frequency, rate in zip(model.structure.frequencies.tolist(), rates.tolist()):
+        structure = model.structure
+        zero = structure.frequencies.size // 2
+        assert structure.frequencies[zero] == 0.0
+        coupling = structure.coupling
+        assert model.rates.shape == coupling.values.shape
+        for k, bath in enumerate(system.baths):
+            dense = structure.states.conj().T @ bath.coupling @ structure.states
+            has_zero = np.max(np.abs(dense[structure.labels == zero])) > 1e-10
+            mine = coupling.bath == k
+            for label, rate in zip(structure.entry_labels[mine].tolist(), model.rates[mine].tolist()):
+                frequency = float(structure.frequencies[label])
                 if frequency != 0.0:
                     expected = thermal_rate(bath.spectral, frequency, bath.temperature)
-                elif np.max(np.abs(coupling[model.structure.labels == zero])) > 1e-10:
+                elif has_zero:
                     expected = bath.spectral.slope * bath.temperature
                 else:
                     expected = 0.0
@@ -400,10 +407,16 @@ class TestJumpOperators:
     def test_zero_temperature_kills_upward_rates(self):
         system = lambda_system(ThreeLevelParams("lambda", temp_1=0.0, temp_2=0.0))
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
-        upward = model.structure.frequencies < 0
+        frequency = model.structure.frequencies[model.structure.entry_labels]
+        upward = frequency < 0
         assert upward.any()
-        assert not model.group_rates[:, upward].any()
-        assert model.group_rates[:, model.structure.frequencies > 0].all()
+        assert not model.rates[upward].any()
+        downward = frequency > 0
+        for bath, omega, rate in zip(model.structure.coupling.bath[downward].tolist(),
+                                     frequency[downward].tolist(), model.rates[downward].tolist()):
+            spec = system.baths[bath]
+            assert rate == pytest.approx(thermal_rate(spec.spectral, omega, spec.temperature), rel=1e-15, abs=0.0)
+            assert rate > 0
 
     def test_chain_zero_frequency_component_vanishes(self):
         # a chain bath joins a ground level to a band mode, never two levels
@@ -414,7 +427,7 @@ class TestJumpOperators:
         coupling = model.structure.coupling
         at_zero = model.structure.labels[coupling.rows, coupling.cols] == zero
         assert np.max(np.abs(coupling.values[at_zero]), initial=0.0) <= 1e-10
-        assert not model.group_rates[:, zero].any()
+        assert not model.rates[at_zero].any()
 
     def test_flat_density_with_zero_frequency_component_fails(self):
         h = np.diag([0.0, 1.0])
@@ -430,7 +443,10 @@ class TestJumpOperators:
         system = OpenSystem(h, (BathSpec(dephasing, OhmicDensity(slope), temp),))
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
         assert model.structure.frequencies[1] == 0.0
-        assert model.group_rates[0, 1] == pytest.approx(slope * temp, rel=1e-15)
+        at_zero = model.structure.entry_labels == 1
+        assert at_zero.any()
+        for rate in model.rates[at_zero].tolist():
+            assert rate == pytest.approx(slope * temp, rel=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
@@ -1035,9 +1051,12 @@ class TestSteadyState:
         system = gradient_chain(*case)
         model = _eigen_model(system, DEFAULT_FREQ_TOL)
         labels, states = model.structure.labels, model.structure.states
+        # a chain bath's zero-frequency component vanishes, so its rate is 0
         rates = sum(
-            bath_rates[labels] * np.abs(states.conj().T @ bath.coupling @ states) ** 2
-            for bath, bath_rates in zip(system.baths, model.group_rates)
+            np.array([thermal_rate(bath.spectral, w, bath.temperature) if w != 0.0 else 0.0
+                      for w in model.structure.frequencies.tolist()])[labels]
+            * np.abs(states.conj().T @ bath.coupling @ states) ** 2
+            for bath in system.baths
         )
         rho = steady_state(liouvillian(system))
         populations = np.diagonal(states.conj().T @ rho @ states).real

@@ -1,15 +1,23 @@
-"""Linear algebra primitives: eigendecomposition, vectorization."""
+"""Linear algebra primitives: eigendecomposition, vectorization, the checks
+of Hermitian operators and density matrices and their record."""
+
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthermo import linalg
 from qthermo.errors import DimensionMismatchError, InvariantViolationError
 from qthermo.linalg import (
     devectorize,
     eigh,
     hermitize,
+    require_density_matrix,
+    require_hermitian,
     vectorize,
 )
 
@@ -128,3 +136,194 @@ class TestVectorization:
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert np.array_equal(devectorize(vectorize(m)), m)
+
+
+def error_of(check, *args, **kwargs) -> str | None:
+    """The message a check raises, or None when it passes."""
+    try:
+        check(*args, **kwargs)
+    except (InvariantViolationError, DimensionMismatchError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def held(record) -> int:
+    """The bytes the record counts for what it keeps."""
+    return sum(len(data) + linalg.CHECK_ENTRY_BYTES for data in record.kept.values())
+
+
+def recorded(record, a) -> bool:
+    """Whether any check of these exact bytes is in the record."""
+    return np.asarray(a, dtype=complex).tobytes() in record.kept.values()
+
+
+@pytest.fixture
+def record(monkeypatch):
+    """A fresh record of passed checks in place of the module's."""
+    fresh = linalg._CheckRecord(linalg.CHECK_RECORD_BYTES)
+    monkeypatch.setattr(linalg, "_PASSED", fresh)
+    return fresh
+
+
+class TestCheckRecord:
+    def test_a_state_changed_in_place_is_checked_again(self, record):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        assert require_density_matrix(rho) is not None
+        assert recorded(record, rho)
+        rho[0, 0] = 0.7
+        assert error_of(require_density_matrix, rho) == (
+            "InvariantViolationError: density matrix trace 1.2+0j differs from 1 beyond 1e-09"
+        )
+        rho[0, 0], rho[0, 1], rho[1, 0] = 0.5, 0.6, 0.6
+        assert error_of(require_density_matrix, rho) == (
+            "InvariantViolationError: density matrix has eigenvalue -1.000e-01 below -1e-09"
+        )
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], "state is not Hermitian: max asymmetry 1.000e+00 exceeds 1e-12"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "state contains non-finite entries"),
+            ([[0.5, 0.0], [0.0, 0.4]], "state trace 0.9+0j differs from 1 beyond 1e-09"),
+            ([[1.5, 0.0], [0.0, -0.5]], "state has eigenvalue -5.000e-01 below -1e-09"),
+            ([[1.0, 0.0, 0.0]], "state must be square, got shape (1, 3)"),
+        ],
+    )
+    def test_a_failing_input_fails_alike_every_time_and_is_never_recorded(self, record, bad, message):
+        for _ in range(3):
+            assert error_of(require_density_matrix, bad, name="state").endswith(message)
+        assert len(record.kept) == 0 and record.nbytes == 0
+
+    def test_matrices_that_share_a_slot_are_told_apart(self, record):
+        # the slot samples the real parts alone
+        identity = np.eye(2, dtype=complex)
+        skewed = identity.copy()
+        skewed[0, 1] = 1e-3j
+        hermitian = skewed.copy()
+        hermitian[1, 0] = -1e-3j
+        check = ("hermitian", linalg.HERMITICITY_ATOL)
+        slots = {record.key(m, check)[0] for m in (identity, skewed, hermitian)}
+        assert len(slots) == 1
+        require_hermitian(identity)
+        assert error_of(require_hermitian, skewed) == (
+            "InvariantViolationError: operator is not Hermitian: max asymmetry 1.000e-03 exceeds 1e-12"
+        )
+        assert recorded(record, identity)
+        require_hermitian(hermitian)
+        assert recorded(record, hermitian) and not recorded(record, identity)
+        assert record.nbytes == held(record)
+
+    def test_a_loose_pass_does_not_pass_a_stricter_check(self, record):
+        rho = np.diag([0.5, 0.5 + 1e-6])
+        assert error_of(require_density_matrix, rho, trace_atol=1e-5) is None
+        assert error_of(require_density_matrix, rho) == (
+            "InvariantViolationError: density matrix trace 1.000001+0j differs from 1 beyond 1e-09"
+        )
+        skewed = np.array([[1.0, 1e-10], [0.0, 1.0]])
+        assert error_of(require_hermitian, skewed, atol=1e-9) is None
+        assert error_of(require_hermitian, skewed) == (
+            "InvariantViolationError: operator is not Hermitian: max asymmetry 1.000e-10 exceeds 1e-12"
+        )
+        # the stricter pass is its own entry, the looser one stays
+        assert error_of(require_density_matrix, rho, trace_atol=1e-5) is None
+        assert len(record.kept) == 2
+
+    @pytest.mark.parametrize("check", [require_hermitian, require_density_matrix])
+    def test_lists_and_real_arrays_give_the_results_of_a_full_check(self, record, check):
+        as_list = [[0.25, 0.125], [0.125, 0.75]]
+        expected = np.array(as_list, dtype=complex)
+        for m in (as_list, np.array(as_list), expected, as_list, np.array(as_list)):
+            result = check(m)
+            assert result.dtype == complex and np.array_equal(result, expected)
+        # the coerced bytes are the key: one entry for all five
+        assert len(record.kept) == 1
+        assert error_of(check, [[0.25, 0.5], [0.125, 0.75]]) == error_of(
+            check, np.array([[0.25, 0.5], [0.125, 0.75]], dtype=complex)
+        )
+
+    def test_the_record_stays_within_its_bound(self, monkeypatch):
+        # a 4 x 4 matrix, 256 bytes, is the largest this record keeps
+        limit = 32 * 256
+        record = linalg._CheckRecord(limit)
+        monkeypatch.setattr(linalg, "_PASSED", record)
+        rng = np.random.default_rng(5)
+        kept = []
+        for _ in range(60):
+            m = random_hermitian(rng, 4)
+            require_hermitian(m)
+            kept.append(m)
+            assert record.nbytes == held(record) <= limit
+            # the least recently used go first: the first matrix, checked
+            # again after every other, stays
+            assert recorded(record, kept[0]) and recorded(record, m)
+            require_hermitian(kept[0])
+        entry = 256 + linalg.CHECK_ENTRY_BYTES
+        assert limit - entry < record.nbytes <= limit and not recorded(record, kept[1])
+        for dim in (5, 100):  # above a 32nd of the bound, and above the bound
+            large = random_hermitian(rng, dim)
+            for _ in range(2):
+                require_hermitian(large)
+                assert not recorded(record, large)
+            large[0, 1] += 1.0
+            assert "not Hermitian" in error_of(require_hermitian, large)
+        assert record.nbytes == held(record) <= limit
+
+    def test_the_bound_covers_what_the_record_holds(self, monkeypatch):
+        # thousands of 2 x 2 matrices, whose own bytes are a fifth of what
+        # keeping one costs
+        limit = 2**16
+        record = linalg._CheckRecord(limit)
+        monkeypatch.setattr(linalg, "_PASSED", record)
+        matrices = [np.array([[1.0, x], [x, 1.0]]) for x in np.linspace(0.0, 1.0, 4000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in matrices:
+                require_hermitian(m)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(record.kept) < len(matrices)
+        assert grown <= record.nbytes <= limit
+
+    def test_the_module_record_has_the_module_bound(self):
+        assert linalg._PASSED.limit == linalg.CHECK_RECORD_BYTES
+
+    def test_checks_from_several_threads_agree(self, monkeypatch):
+        # a record of ten states' worth makes the threads evict one another
+        record = linalg._CheckRecord(32 * 16 * 16)
+        monkeypatch.setattr(linalg, "_PASSED", record)
+        rng = np.random.default_rng(11)
+        states = []
+        for n in range(120):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho)
+            if n % 3 == 1:
+                rho[0, 0] += 0.1  # trace off 1
+            elif n % 3 == 2:
+                rho[0, 1] += 1e-6  # not Hermitian
+            states.append(rho)
+        expected = [error_of(linalg._check_density_matrix, s, 1e-12, 1e-9, -1e-9, "density matrix")
+                    for s in states]
+        assert expected.count(None) == 40
+        results = {}
+
+        def work(worker):
+            order = np.random.default_rng(worker).permutation(len(states)).tolist() * 5
+            results[worker] = [(i, error_of(require_density_matrix, states[i])) for i in order]
+
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == 4
+        for outcomes in results.values():
+            assert all(message == expected[i] for i, message in outcomes)
+        assert record.nbytes == held(record) <= record.limit
