@@ -27,13 +27,19 @@ from .davies import (
     BathSpec,
     FlatDensity,
     OpenSystem,
+    _steady_states,
     liouvillian,
-    steady_state,
 )
 from .errors import InvariantViolationError, QThermoError
 from .linalg import require_density_matrix
 
 POPULATION_TOL = 1e-6
+# Bytes of generator blocks and indices a sweep holds before it solves them as
+# one batch.  A 10-site chain's generator holds 15 KiB, so figure2's 18
+# points are one batch; a 30-site one 140 KiB, so seven points share one; from
+# about 90 sites every point is a batch of its own, whose SVD of the 2N x 2N
+# population block outweighs the per-call costs a batch saves.
+SWEEP_BATCH_BYTES = 2**20
 SYMMETRY_THRESHOLD = 0.95
 ARGMAX_TIE_ATOL = 1e-12
 
@@ -260,18 +266,21 @@ class SweepPoint:
     error: str | None
 
 
-def _solve_point(
-    base: ChainSpec, tunneling: float, pair: tuple[float, float], freq_tol: float
-) -> SweepPoint:
-    t_left, t_right = pair
+def _generator_bytes(liouv) -> int:
+    return sum(block.nbytes for block in liouv.blocks) + sum(index.nbytes for index in liouv.indices)
+
+
+def _read_point(spec: ChainSpec, state) -> SweepPoint:
+    """The sweep point of a solved chain, or of the error its solve raised."""
+    t_left, t_right = spec.profile.t_left, spec.profile.t_right
     try:
-        spec = replace(base, tunneling=tunneling, profile=LinearProfile(t_left, t_right))
-        rho = steady_state(liouvillian(chain_system(spec), freq_tol))
-        populations = site_populations(rho, spec)
+        if isinstance(state, Exception):
+            raise state
+        populations = site_populations(state, spec)
         verdict = classify(populations, spec.profile)
     except (QThermoError, ValueError) as exc:
-        return SweepPoint(tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
-    return SweepPoint(tunneling, t_left, t_right, populations, verdict, None)
+        return SweepPoint(spec.tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
+    return SweepPoint(spec.tunneling, t_left, t_right, populations, verdict, None)
 
 
 def population_sweep(
@@ -279,19 +288,66 @@ def population_sweep(
     tunneling_values,
     temperature_pairs,
     freq_tol: float = DEFAULT_FREQ_TOL,
+    points=(),
 ) -> list[SweepPoint]:
-    """Steady-state solve over a (temperature pair) x (tunneling) grid.
+    """Steady-state solve over a (temperature pair) x (tunneling) grid,
+    followed by the listed ``points``, each a (tunneling, (t_left, t_right))
+    pair.
 
     Each point is ``base`` with its tunneling and temperature profile
     replaced by the point's values.  Rows come back in deterministic order:
-    temperature pairs outermost, then tunneling values.  Failing grid points
-    are annotated and do not abort the sweep.
+    the grid first, temperature pairs outermost, then tunneling values, and
+    then ``points`` as listed.  Failing points are annotated and do not
+    abort the sweep.
+
+    One chain system is built per distinct tunneling, and the points are
+    worked through tunneling by tunneling, so it is dropped after the last
+    of them; each point takes it at its own temperatures
+    (:meth:`OpenSystem.with_temperatures`), so a point costs its rates and
+    its generator.  The generators are solved as one batch
+    (``davies._steady_states``) once they hold ``SWEEP_BATCH_BYTES``, and at
+    the end; each point's state, error and row are those of a solve of the
+    point alone.
     """
-    return [
-        _solve_point(base, float(g), (float(pair[0]), float(pair[1])), freq_tol)
-        for pair in temperature_pairs
-        for g in tunneling_values
-    ]
+    swept = [(float(g), (float(pair[0]), float(pair[1]))) for pair in temperature_pairs for g in tunneling_values]
+    swept += [(float(g), (float(pair[0]), float(pair[1]))) for g, pair in points]
+    rows: list[SweepPoint | None] = [None] * len(swept)
+    # the points of one tunneling share one system, built at the first of them
+    # and dropped after the last; keyed on the exact bits, since -0.0 and 0.0
+    # give Hamiltonians of other bytes
+    by_tunneling: dict[str, list[int]] = {}
+    for row, (tunneling, _) in enumerate(swept):
+        by_tunneling.setdefault(tunneling.hex(), []).append(row)
+    batch: list[tuple[int, ChainSpec, object]] = []
+    held = 0
+
+    def solve_batch() -> None:
+        for (row, spec, _), state in zip(batch, _steady_states([liouv for _, _, liouv in batch])):
+            rows[row] = _read_point(spec, state)
+        batch.clear()
+
+    for group in by_tunneling.values():
+        system = None
+        for row in group:
+            tunneling, (t_left, t_right) = swept[row]
+            try:
+                spec = replace(base, tunneling=tunneling, profile=LinearProfile(t_left, t_right))
+                if system is None:
+                    system = chain_system(spec)
+                # the point's system, and with it its eigenbasis model, lives
+                # only until its generator is built
+                liouv = liouvillian(system.with_temperatures(spec.site_temperatures().tolist()), freq_tol)
+            except (QThermoError, ValueError) as exc:
+                rows[row] = SweepPoint(tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
+                continue
+            batch.append((row, spec, liouv))
+            held += _generator_bytes(liouv)
+            if held >= SWEEP_BATCH_BYTES:
+                solve_batch()
+                held = 0
+    if batch:
+        solve_batch()
+    return rows
 
 
 DEFAULT_TUNNELING_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3)

@@ -612,18 +612,17 @@ def _run_figure2(config: RunConfig) -> list[tuple[str, ResultTable]]:
         bath_rate=values["Gamma"],
         profile=LinearProfile(0.8 * values["h"], 0.4 * values["h"]),
     )
-    # the panels share points, (0.1 h, 0.8 h, 0.4 h) is in b, c and d: each
-    # distinct point is solved once, in the order population_sweep lists them
-    solved = {}
+    # the panels share points, (0.1 h, 0.8 h, 0.4 h) is in b, c and d: the
+    # distinct points, in the order a sweep of each panel lists them, are
+    # solved once, by one sweep
+    panels = default_survey_panels(values["h"])
+    distinct = list(dict.fromkeys(
+        (g, pair) for g_values, pairs in panels.values() for pair in pairs for g in g_values
+    ))
+    solved = dict(zip(distinct, population_sweep(base, (), (), freq_tol=config.eps_omega, points=distinct)))
     outputs = []
-    for panel, (g_values, pairs) in default_survey_panels(values["h"]).items():
-        points = []
-        for pair in pairs:
-            for g in g_values:
-                if (g, pair) not in solved:
-                    (solved[g, pair],) = population_sweep(base, (g,), (pair,), freq_tol=config.eps_omega)
-                points.append(solved[g, pair])
-        table = _sweep_table(config, points)
+    for panel, (g_values, pairs) in panels.items():
+        table = _sweep_table(config, [solved[g, pair] for pair in pairs for g in g_values])
         table.metadata["panel"] = panel
         outputs.append((f"panel_{panel}", table))
     return outputs
@@ -780,7 +779,10 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(_summarize(outcome))
     except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        # grouping is decided in a solve, after the config is built
+        hint = (f" (eps_omega = {_fmt_float(config.eps_omega)}; a smaller eps_omega may separate the cluster)"
+                if isinstance(exc, AmbiguousGroupingError) else "")
+        print(f"solver failure: {exc}{hint}", file=sys.stderr)
         return EXIT_SOLVER
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,8 +36,9 @@ rho -> K rho + rho K^dagger enters whole, as the Kronecker sum
 pattern these entries fill; no stored entry links two blocks, so the
 singular values of L are those of the blocks together.  The blocks are
 stacked by size: the steady state, the null vector of one block, comes from
-one batched SVD per block size.  A system with no exact zeros gets its
-sectors as blocks.
+one batched SVD per block size, and a batch of generators (a sweep) shares
+one SVD per block size across all of them.  A system with no exact zeros
+gets its sectors as blocks.
 
 Heat currents.  J_k = -Tr[H D_k(rho)] reads the same population rows,
 E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
@@ -48,10 +49,15 @@ sum per bath.
 Reuse.  The eigendecomposition, the frequency groups, the entries of C_k and
 their join on (bath, group) depend on H, the couplings and the grouping
 tolerance alone, and a study runs one Hamiltonian at many bath temperatures.
-They form a read-only structure, kept in one module-level cache keyed on the
-exact bytes of the tolerance, H and the couplings (on the joined path, the
-nonzeros of the couplings) and bounded by the bytes it holds
-(``STRUCTURE_CACHE_BYTES``, least recently used out first).  A structure
+They form a read-only structure.  ``OpenSystem.with_temperatures`` states
+the reuse explicitly: the system it gives shares the checked read-only H and
+couplings, and the structures, by reference, so no key is built, nothing is
+looked up and nothing is checked again but the temperatures; a sweep builds
+one system per Hamiltonian this way.  A system built afresh finds its
+structure in one module-level cache keyed on the exact bytes of the
+tolerance, H and the couplings (on the joined path, the nonzeros of the
+couplings) and bounded by the bytes it holds (``STRUCTURE_CACHE_BYTES``,
+least recently used out first), and shares it from then on.  A structure
 keeps a plan per set of nonzero W_k entries, which changes only where a rate
 vanishes (T = 0, or an occupation below the overflow cut): the pairs the join
 selects and the places of the jump, decay and current entries.  A plan keeps
@@ -106,15 +112,15 @@ from .errors import (
     InvariantViolationError,
     NonUniqueSteadyStateError,
     NumericalConsistencyError,
+    QThermoError,
     SolverFailureError,
     UnsupportedModelError,
 )
 from .linalg import (
-    _record_density_matrix,
+    _record_density_matrices,
     components,
     stacked_order,
     eigh,
-    hermitize,
     require_density_matrix,
     require_hermitian,
     screen_states,
@@ -214,10 +220,20 @@ class BathSpec:
     def __post_init__(self):
         coupling = _frozen(require_hermitian(self.coupling, name="bath coupling"))
         object.__setattr__(self, "coupling", coupling)
-        if not 0 <= self.temperature < math.inf:
-            raise InvariantViolationError(
-                f"bath temperature must be finite and >= 0, got {self.temperature}"
-            )
+        _check_temperature(self.temperature)
+
+    def _at_temperature(self, temperature: float) -> BathSpec:
+        """This bath at another temperature, sharing the checked read-only
+        coupling; only the temperature is checked."""
+        _check_temperature(temperature)
+        bath = object.__new__(BathSpec)
+        bath.__dict__.update(self.__dict__, temperature=temperature)
+        return bath
+
+
+def _check_temperature(temperature: float) -> None:
+    if not 0 <= temperature < math.inf:
+        raise InvariantViolationError(f"bath temperature must be finite and >= 0, got {temperature}")
 
 
 @dataclass(frozen=True)
@@ -226,12 +242,14 @@ class OpenSystem:
 
     The arrays are read-only copies, so the eigenbasis models kept in
     ``_models`` (one per grouping tolerance, built on first use) cannot go
-    stale.
+    stale, and neither can the temperature-free structures kept in
+    ``_structures``, which the systems of :meth:`with_temperatures` share.
     """
 
     hamiltonian: np.ndarray
     baths: tuple[BathSpec, ...]
     _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _structures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = _frozen(require_hermitian(self.hamiltonian, name="hamiltonian"))
@@ -246,6 +264,25 @@ class OpenSystem:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    def with_temperatures(self, temperatures) -> OpenSystem:
+        """The same system with bath k at ``temperatures[k]``.
+
+        The new system shares this one's checked read-only Hamiltonian and
+        couplings, and its eigenbasis structures by reference (see "Reuse" in
+        the module docstring), so its generator costs the rates alone.  Only
+        the temperatures are checked, with :class:`BathSpec`'s errors; a
+        count other than one per bath raises InvariantViolationError.
+        """
+        temperatures = tuple(temperatures)
+        if len(temperatures) != len(self.baths):
+            raise InvariantViolationError(
+                f"{len(temperatures)} temperatures for {len(self.baths)} baths"
+            )
+        baths = tuple(bath._at_temperature(temperature) for bath, temperature in zip(self.baths, temperatures))
+        system = object.__new__(OpenSystem)
+        system.__dict__.update(self.__dict__, baths=baths, _models={})
+        return system
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -601,13 +638,22 @@ def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
 
 
 def _structure(system: OpenSystem, freq_tol: float) -> _Structure:
-    """The system's structure, from the cache or built and kept there.
+    """The system's structure: the one it shares with the systems it was
+    derived from or gave (:meth:`OpenSystem.with_temperatures`), or one from
+    the cache or built and kept there, then shared.
 
-    The key is exact: the tolerance, the bytes of H, and the bytes of the
-    stacked couplings or, on the joined path, of the (rows, cols, values) of
-    their nonzeros, which the join reads anyway.  A structure whose build
-    fails is not kept.
+    The cache key is exact: the tolerance, the bytes of H, and the bytes of
+    the stacked couplings or, on the joined path, of the (rows, cols,
+    values) of their nonzeros, which the join reads anyway.  A structure
+    whose build fails is not kept.
     """
+    structure = system._structures.get(freq_tol)
+    if structure is None:
+        structure = system._structures.setdefault(freq_tol, _cached_structure(system, freq_tol))
+    return structure
+
+
+def _cached_structure(system: OpenSystem, freq_tol: float) -> _Structure:
     dim = system.dim
     if len(system.baths) * dim * dim > DENSE_PRODUCT_ENTRIES:
         couplings = _coupling_nonzeros(system.baths)
@@ -1073,10 +1119,84 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     below ``NULL_SPACE_RTOL`` times the largest; zero raises
     SolverFailureError and more than one raises NonUniqueSteadyStateError
     reporting the dimension found.  The state is the null vector of the block
-    that holds it, mapped back to the lab basis.
+    that holds it, mapped back to the lab basis, and checked as a density
+    matrix in full.  This is the batch of one of the solve a sweep runs over
+    many generators (:func:`_steady_states`).
     """
-    decompositions = [_singular_values_and_vectors(stack) for stack in liouv.blocks]
-    singulars = [s for s, _ in decompositions]
+    (state,) = _steady_states((liouv,))
+    if isinstance(state, Exception):
+        raise state
+    return state
+
+
+def _steady_states(liouvs) -> list[np.ndarray | Exception]:
+    """The steady state of every generator of a sequence, or the error its
+    own solve raises (a QThermoError or a ValueError), as
+    :func:`steady_state` solves one.
+
+    The stacks of one block size from all generators go through one batched
+    SVD, whose singular values and vectors are those of each block alone.
+    Each generator's null rule reads its own largest singular value, and its
+    null count, null vector and residual are its own.  The null vectors of
+    the generators of one dimension are made Hermitian, normalized, mapped
+    back to the lab basis and checked as density matrices as one stack (one
+    ``eigvalsh``), each state exactly as it would be alone, and then
+    recorded.  An SVD that fails to converge fails only the generators whose
+    blocks it holds.
+    """
+    results: list = [None] * len(liouvs)
+    decompositions = _block_decompositions(liouvs, results)
+    nulls: dict[int, list] = {}  # by dimension: (generator, top, null vector entries)
+    for g, (liouv, decomposition) in enumerate(zip(liouvs, decompositions)):
+        if results[g] is None:
+            try:
+                top, entries = _null_vector(liouv, decomposition)
+            except (QThermoError, ValueError) as exc:
+                results[g] = exc
+            else:
+                nulls.setdefault(liouv.dim, []).append((g, top, entries))
+    for dim, group in nulls.items():
+        _stationary_states(liouvs, dim, group, results)
+    return results
+
+
+def _block_decompositions(liouvs, results: list) -> list[list]:
+    """The singular values and right singular vectors of every block of
+    every generator, one batched SVD per block size; a generator whose
+    blocks the SVD cannot decompose gets its error in ``results``."""
+    by_size: dict[int, list[tuple[int, int]]] = {}
+    for g, liouv in enumerate(liouvs):
+        for n, stack in enumerate(liouv.blocks):
+            by_size.setdefault(stack.shape[-1], []).append((g, n))
+    decompositions = [[None] * len(liouv.blocks) for liouv in liouvs]
+    for members in by_size.values():
+        stacks = [liouvs[g].blocks[n] for g, n in members]
+        try:
+            joined = _singular_values_and_vectors(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        except np.linalg.LinAlgError:
+            parts = []
+            for (g, _), stack in zip(members, stacks):
+                try:
+                    parts.append(_singular_values_and_vectors(stack))
+                except np.linalg.LinAlgError as exc:
+                    results[g] = exc
+                    parts.append(None)
+        else:
+            parts, lo = [], 0
+            for stack in stacks:
+                hi = lo + len(stack)
+                parts.append((joined[0][lo:hi], joined[1][lo:hi]))
+                lo = hi
+        for (g, n), part in zip(members, parts):
+            decompositions[g][n] = part
+    return decompositions
+
+
+def _null_vector(liouv: Liouvillian, decomposition: list) -> tuple[float, tuple]:
+    """The null rule of one generator on the singular values of its blocks:
+    its largest singular value and the (rows, cols, values) of its null
+    vector as a matrix in the eigenbasis."""
+    singulars = [s for s, _ in decomposition]
     top = max((float(s.max()) for s in singulars if s.size), default=0.0)
     if top == 0.0:
         raise SolverFailureError("generator is identically zero; every state is stationary")
@@ -1096,28 +1216,53 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     block = int(np.flatnonzero(null[holder].any(axis=1))[0])
     # the column-stacked index i + dim * j of the block holds entry (i, j)
     cols, rows = np.divmod(liouv.indices[holder][block], liouv.dim)
-    null_matrix = np.zeros((liouv.dim, liouv.dim), dtype=complex)
-    null_matrix[rows, cols] = decompositions[holder][1][block, -1].conj()
-    candidate = hermitize(null_matrix)
-    trace = complex(np.trace(candidate)).real
-    if abs(trace) < 1e-12:
-        raise SolverFailureError("null vector is traceless; no normalizable stationary state")
-    rho_in_basis = candidate / trace
-    stacked = rho_in_basis.ravel(order="F")
-    # relative to top, so that squaring cannot overflow on a finite generator
-    square = 0.0
-    for index, stack in zip(liouv.indices, liouv.blocks):
-        scaled = stack @ stacked[index][:, :, None] / top
-        square += np.vdot(scaled, scaled).real
-    relative = math.sqrt(square)
-    if relative > STEADY_RESIDUAL_RTOL:
-        raise SolverFailureError(
-            f"stationary residual {relative * top:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
-            f"{STEADY_RESIDUAL_RTOL * top:.3e}"
-        )
-    basis = liouv.basis
-    rho = hermitize(basis @ rho_in_basis @ basis.conj().T)
-    return _record_density_matrix(rho, name="steady state")
+    return top, (rows, cols, decomposition[holder][1][block, -1].conj())
+
+
+def _stationary_states(liouvs, dim: int, group: list, results: list) -> None:
+    """Finish the solves of the generators of one dimension from their null
+    vectors (:func:`_null_vector`): each state, or its error, goes into
+    ``results``.  Every step acts on the stack of states entry by entry or
+    matrix by matrix, so each state is the one its generator gives alone."""
+    # the Hermitian parts (M + M^dagger) / 2 and their normalization, in place
+    candidates = np.zeros((len(group), dim, dim), dtype=complex)
+    for candidate, (_, _, (rows, cols, values)) in zip(candidates, group):
+        candidate[rows, cols] = values
+    candidates += candidates.conj().swapaxes(1, 2)
+    candidates *= 0.5
+    traces = candidates.trace(axis1=1, axis2=2).real.tolist()
+    kept = []
+    for k, (rho_in_basis, (g, top, _), trace) in enumerate(zip(candidates, group, traces)):
+        if abs(trace) < 1e-12:
+            results[g] = SolverFailureError("null vector is traceless; no normalizable stationary state")
+            continue
+        rho_in_basis /= trace
+        liouv = liouvs[g]
+        stacked = rho_in_basis.ravel(order="F")
+        # relative to top, so that squaring cannot overflow on a finite generator
+        square = 0.0
+        for index, stack in zip(liouv.indices, liouv.blocks):
+            scaled = stack @ stacked[index][:, :, None] / top
+            square += np.vdot(scaled, scaled).real
+        relative = math.sqrt(square)
+        if relative > STEADY_RESIDUAL_RTOL:
+            results[g] = SolverFailureError(
+                f"stationary residual {relative * top:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
+                f"{STEADY_RESIDUAL_RTOL * top:.3e}"
+            )
+            continue
+        kept.append((k, g))
+    if not kept:
+        return
+    if len(kept) < len(group):
+        candidates = candidates[[k for k, _ in kept]]
+    bases = liouvs[kept[0][1]].basis[None] if len(kept) == 1 else np.stack([liouvs[g].basis for _, g in kept])
+    states = bases @ candidates @ bases.conj().swapaxes(1, 2)
+    del candidates, bases  # before the check allocates its own stacks
+    states += states.conj().swapaxes(1, 2)
+    states *= 0.5
+    for (_, g), state, error in zip(kept, states, _record_density_matrices(states, name="steady state")):
+        results[g] = state if error is None else error
 
 
 def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -> np.ndarray:

@@ -152,15 +152,45 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _density_errors(states: np.ndarray, herm_atol: float, trace_atol: float, eig_floor: float,
+                    name: str) -> list[InvariantViolationError | None]:
+    """The checks of :func:`require_density_matrix` on a stack of square
+    matrices, in one batched pass with one ``eigvalsh``: the error of each
+    matrix, its first failing check's, or None where every check passes."""
+    finite = np.isfinite(states).all(axis=(1, 2)).tolist()
+    good = states if all(finite) else states[finite]
+    adjoint = good.conj().swapaxes(1, 2)
+    defects = np.abs(good - adjoint).max(axis=(1, 2), initial=0.0).tolist()
+    traces = good.trace(axis1=1, axis2=2).tolist()
+    # eigenvalues ascend; a 0 x 0 matrix has none, and fails on its trace
+    lowest = np.linalg.eigvalsh(0.5 * (good + adjoint))[:, 0].tolist() if good.shape[-1] else [0.0] * len(good)
+    errors: list[InvariantViolationError | None] = []
+    checked = iter(zip(defects, traces, lowest))
+    for is_finite in finite:
+        if not is_finite:
+            errors.append(InvariantViolationError(f"{name} contains non-finite entries"))
+            continue
+        defect, tr, low = next(checked)
+        if defect > herm_atol:
+            errors.append(InvariantViolationError(
+                f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {herm_atol:.0e}"
+            ))
+        elif abs(tr - 1.0) > trace_atol:
+            errors.append(InvariantViolationError(
+                f"{name} trace {tr:.12g} differs from 1 beyond {trace_atol:.0e}"
+            ))
+        elif low < eig_floor:
+            errors.append(InvariantViolationError(f"{name} has eigenvalue {low:.3e} below {eig_floor:.0e}"))
+        else:
+            errors.append(None)
+    return errors
+
+
 def _check_density_matrix(a: np.ndarray, herm_atol: float, trace_atol: float, eig_floor: float,
                           name: str) -> None:
-    _check_hermitian(a, herm_atol, name)
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > trace_atol:
-        raise InvariantViolationError(f"{name} trace {tr:.12g} differs from 1 beyond {trace_atol:.0e}")
-    lowest = float(np.linalg.eigvalsh(hermitize(a)).min())
-    if lowest < eig_floor:
-        raise InvariantViolationError(f"{name} has eigenvalue {lowest:.3e} below {eig_floor:.0e}")
+    (error,) = _density_errors(a[None], herm_atol, trace_atol, eig_floor, name)
+    if error is not None:
+        raise error
 
 
 def require_density_matrix(
@@ -184,14 +214,18 @@ def require_density_matrix(
     return a
 
 
-def _record_density_matrix(rho: np.ndarray, name: str) -> np.ndarray:
-    """:func:`require_density_matrix` at its default tolerances for a state
-    just computed: checked in full whatever the record holds, then recorded,
-    so the observables that read the state skip the repeat."""
-    a = _as_square_complex(rho, name)
-    _check_density_matrix(a, HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR, name)
-    _PASSED.add(_PASSED.key(a, ("density", HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR)))
-    return a
+def _record_density_matrices(states: np.ndarray, name: str) -> list[InvariantViolationError | None]:
+    """:func:`require_density_matrix` at its default tolerances for a stack of
+    states just computed: each checked in full whatever the record holds, in
+    one batched pass, and each that passes recorded, so the observables that
+    read it skip the repeat.  Returns the error of each state, None where it
+    passes."""
+    errors = _density_errors(states, HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR, name)
+    check = ("density", HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR)
+    for state, error in zip(states, errors):
+        if error is None:
+            _PASSED.add(_PASSED.key(state, check))
+    return errors
 
 
 # Matrix entries screened per batch, so the temporaries of a screen stay a few
@@ -326,11 +360,3 @@ def vectorize(m) -> np.ndarray:
     a = as_complex_matrix(m)
     return a.reshape(-1, order="F")
 
-
-def devectorize(v) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the length must be a perfect square."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
-        raise DimensionMismatchError(f"vector of length {vec.size} is not a stacked square matrix")
-    return vec.reshape((dim, dim), order="F")

@@ -30,9 +30,9 @@ LAMBDA = "lambda"
 VEE = "vee"
 # slack of the range [0, 1] and of the unit sum of LevelPopulations
 POPULATION_ATOL = 1e-12
-# The Dufour heating takes one RK4 step per output row in a Python loop; a run
-# of this many steps took 6.6 s and peaked at 138 MiB (2 vCPUs), so any input
-# ends after bounded work.
+# The Dufour heating takes one RK4 step per output row in a Python loop; this
+# many steps take 0.45-0.8 s, and the CLI run that writes them as CSV 1.9-2.0 s
+# at a peak of 138 MiB (2 vCPUs), so any input ends after bounded work.
 MAX_DUFOUR_STEPS = 100_000
 
 
@@ -480,7 +480,8 @@ def dufour_currents(
 ) -> tuple[float, float, bool]:
     """Heat currents of the lambda system at clamped populations,
     J_k = omega gamma [(n_k + 1) P_shared - n_k P_k], and whether they are
-    ordered J_1 > J_2 > 0.
+    ordered J_1 > J_2 > 0.  Non-finite inputs, and currents that overflow,
+    raise InvariantViolationError.
 
     A clamped concentration unbalance P_2 > P_1 with population inversion
     makes bath 1 heat up faster: the reciprocal of thermophoresis.
@@ -493,6 +494,11 @@ def dufour_currents(
         raise InvariantViolationError("occupations must be >= 0")
     j_1 = omega * gamma * ((n_1 + 1.0) * pops.p_shared - n_1 * pops.p_1)
     j_2 = omega * gamma * ((n_2 + 1.0) * pops.p_shared - n_2 * pops.p_2)
+    if not (math.isfinite(j_1) and math.isfinite(j_2)):
+        raise InvariantViolationError(
+            f"the heat currents J_k = omega gamma [(n_k + 1) P_shared - n_k P_k] overflow at "
+            f"omega = {omega!r}, gamma = {gamma!r} and occupations n = {n_1:.6g}, {n_2:.6g}"
+        )
     return j_1, j_2, bool(j_1 > j_2 > 0.0)
 
 
@@ -525,9 +531,12 @@ def finite_capacity_heating(
 
     The populations stay clamped for the whole horizon.  Integration halts
     with the partial history if a temperature reaches zero.  More than
-    ``MAX_DUFOUR_STEPS`` steps raise ValueError before any is taken, and a
-    step whose temperatures or rates overflow raises InvariantViolationError
-    naming the heat capacity and the time.
+    ``MAX_DUFOUR_STEPS`` steps raise ValueError before any is taken; a
+    current that overflows raises the InvariantViolationError of
+    :func:`dufour_currents`, and a step whose temperatures or rates
+    overflow one naming the heat capacity and the time.  The steps run in
+    Python floats, in the operation order of a loop on a numpy state
+    vector, whose bytes they give.
     """
     if samples - 1 > MAX_DUFOUR_STEPS:
         raise ValueError(f"samples = {samples} asks for {samples - 1} RK4 steps, above the limit {MAX_DUFOUR_STEPS}")
@@ -542,10 +551,31 @@ def finite_capacity_heating(
     if samples < 2 or not 0 < horizon < math.inf:
         raise ValueError("need horizon > 0 and at least two samples")
 
+    # the first currents go through the library functions, which check
+    # omega, gamma and the occupations; every later stage repeats their
+    # arithmetic in Python floats, in the same order, and calls them again
+    # only to raise their error when a current leaves the finite range
+    n_start = bose_occupation(omega, temp_start)
+    j_start = dufour_currents(pops, n_start, n_start, omega, gamma)[:2]
+    rate = omega * gamma
+    p_shared, p_1, p_2 = pops.p_shared, pops.p_1, pops.p_2
+    expm1, isfinite = math.expm1, math.isfinite
+
     def currents(t1: float, t2: float) -> tuple[float, float]:
-        n_1 = bose_occupation(omega, max(t1, 0.0))
-        n_2 = bose_occupation(omega, max(t2, 0.0))
-        j_1, j_2, _ = dufour_currents(pops, n_1, n_2, omega, gamma)
+        # bose_occupation at max(t, 0) for the finite t here, inline
+        n_1 = n_2 = 0.0
+        if t1 > 0.0:
+            x = omega / t1
+            if x <= 700:
+                n_1 = 1.0 / expm1(x)
+        if t2 > 0.0:
+            x = omega / t2
+            if x <= 700:
+                n_2 = 1.0 / expm1(x)
+        j_1 = rate * ((n_1 + 1.0) * p_shared - n_1 * p_1)
+        j_2 = rate * ((n_2 + 1.0) * p_shared - n_2 * p_2)
+        if not (isfinite(j_1) and isfinite(j_2)):
+            dufour_currents(pops, n_1, n_2, omega, gamma)
         return j_1, j_2
 
     def overflow(t: float) -> InvariantViolationError:
@@ -554,50 +584,46 @@ def finite_capacity_heating(
             f"(dT/dt = J / C with heat capacity C = {capacity!r})"
         )
 
-    def rhs(s: np.ndarray, t: float) -> np.ndarray:
+    def rhs(t1: float, t2: float, t: float) -> tuple[float, float]:
         # dT/dt = J / C in Python floats, whose overflow gives inf without a warning
-        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+        if not (isfinite(t1) and isfinite(t2)):
             raise overflow(t)
-        j_1, j_2 = currents(s[0], s[1])
-        rate = (j_1 / capacity, j_2 / capacity)
-        if not (math.isfinite(rate[0]) and math.isfinite(rate[1])):
+        j_1, j_2 = currents(t1, t2)
+        r_1, r_2 = j_1 / capacity, j_2 / capacity
+        if not (isfinite(r_1) and isfinite(r_2)):
             raise overflow(t)
-        return np.array(rate)
+        return r_1, r_2
 
     dt = horizon / (samples - 1)
-    times = [0.0]
-    t1_hist = [temp_start]
-    t2_hist = [temp_start]
-    j0 = currents(temp_start, temp_start)
-    j1_hist = [j0[0]]
-    j2_hist = [j0[1]]
+    half, sixth = 0.5 * dt, dt / 6.0
+    times, temp_1, temp_2, current_1, current_2 = (np.empty(samples) for _ in range(5))
+    times[0], temp_1[0], temp_2[0] = 0.0, temp_start, temp_start
+    current_1[0], current_2[0] = j_start
+    s_1 = s_2 = temp_start
+    kept = samples
     truncated = False
-    state = np.array([temp_start, temp_start])
-    # a stage that overflows is caught by rhs or the check after the step
+    # numpy scalars among the inputs would warn where Python floats overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, samples):
             start = (i - 1) * dt
-            k1 = rhs(state, start)
-            k2 = rhs(state + 0.5 * dt * k1, start)
-            k3 = rhs(state + 0.5 * dt * k2, start)
-            k4 = rhs(state + dt * k3, start)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (math.isfinite(state[0]) and math.isfinite(state[1])):
+            a_1, a_2 = rhs(s_1, s_2, start)
+            b_1, b_2 = rhs(s_1 + half * a_1, s_2 + half * a_2, start)
+            c_1, c_2 = rhs(s_1 + half * b_1, s_2 + half * b_2, start)
+            d_1, d_2 = rhs(s_1 + dt * c_1, s_2 + dt * c_2, start)
+            s_1 = s_1 + sixth * (a_1 + 2.0 * b_1 + 2.0 * c_1 + d_1)
+            s_2 = s_2 + sixth * (a_2 + 2.0 * b_2 + 2.0 * c_2 + d_2)
+            if not (isfinite(s_1) and isfinite(s_2)):
                 raise overflow(start)
-            if state.min() <= 0.0:
-                truncated = True
+            if s_1 <= 0.0 or s_2 <= 0.0:
+                kept, truncated = i, True
                 break
-            j = currents(state[0], state[1])
-            times.append(i * dt)
-            t1_hist.append(float(state[0]))
-            t2_hist.append(float(state[1]))
-            j1_hist.append(j[0])
-            j2_hist.append(j[1])
+            times[i], temp_1[i], temp_2[i] = i * dt, s_1, s_2
+            current_1[i], current_2[i] = currents(s_1, s_2)
     return BathHeatingHistory(
-        times=np.array(times),
-        temp_1=np.array(t1_hist),
-        temp_2=np.array(t2_hist),
-        current_1=np.array(j1_hist),
-        current_2=np.array(j2_hist),
+        times=times[:kept],
+        temp_1=temp_1[:kept],
+        temp_2=temp_2[:kept],
+        current_1=current_1[:kept],
+        current_2=current_2[:kept],
         truncated=truncated,
     )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthermo import chain
 from qthermo.chain import (
     ARGMAX_TIE_ATOL,
     DELOCALIZED,
@@ -20,13 +21,14 @@ from qthermo.chain import (
     ChainSpec,
     ExplicitProfile,
     LinearProfile,
+    SweepPoint,
     chain_system,
     classify,
     population_sweep,
     site_populations,
 )
 from qthermo.davies import liouvillian, steady_state
-from qthermo.errors import InvariantViolationError, UnsupportedModelError
+from qthermo.errors import InvariantViolationError, QThermoError, UnsupportedModelError
 from qthermo.linalg import eigh
 from test_davies import thermal_state, trace_distance
 
@@ -310,3 +312,78 @@ class TestPopulationSweep:
         assert points[1].error is not None
         assert points[1].populations is None
         assert "InvariantViolationError" in points[1].error
+
+
+def point_alone(base: ChainSpec, g: float, pair: tuple[float, float]) -> SweepPoint:
+    """The sweep row of one point, from a system built for it alone and a
+    solve of its generator alone."""
+    try:
+        spec = replace(base, tunneling=g, profile=LinearProfile(*pair))
+        populations = site_populations(steady_state(liouvillian(chain_system(spec))), spec)
+        verdict = classify(populations, spec.profile)
+    except (QThermoError, ValueError) as exc:
+        return SweepPoint(g, *pair, None, None, f"{type(exc).__name__}: {exc}")
+    return SweepPoint(g, *pair, populations, verdict, None)
+
+
+def same_rows(points, expected) -> bool:
+    return len(points) == len(expected) and all(
+        (p.tunneling, p.t_left, p.t_right, p.verdict, p.error) == (e.tunneling, e.t_left, e.t_right, e.verdict, e.error)
+        and (p.populations is None if e.populations is None else np.array_equal(p.populations, e.populations))
+        for p, e in zip(points, expected)
+    )
+
+
+class TestBatchedSweep:
+    """A sweep builds one system per tunneling and solves its generators in
+    batches; every row is the row of its point solved alone, in order."""
+
+    def test_good_points_around_failing_ones(self):
+        base = spec_for(n_sites=10)
+        # T = (0, 0) leaves a null space at both tunnelings (of dimension 100
+        # at g = 0.1); a negative temperature and a negative tunneling fail
+        # before the solve
+        grid = population_sweep(base, (0.1, 1.3), ((0.8, 0.4), (0.0, 0.0), (0.3, 0.1), (0.5, -1.0)))
+        listed = population_sweep(base, (), (), points=[(-0.5, (0.8, 0.4)), (0.1, (0.0, 0.0)), (0.7, (0.3, 0.1))])
+        expected = [point_alone(base, g, pair)
+                    for pair in ((0.8, 0.4), (0.0, 0.0), (0.3, 0.1), (0.5, -1.0)) for g in (0.1, 1.3)]
+        assert same_rows(grid, expected)
+        assert grid[2].error == "NonUniqueSteadyStateError: steady state is not unique: null space has dimension 100"
+        assert [p.error is None for p in grid] == [True, True, False, False, True, True, False, False]
+        assert same_rows(listed, [point_alone(base, g, pair)
+                                  for g, pair in ((-0.5, (0.8, 0.4)), (0.1, (0.0, 0.0)), (0.7, (0.3, 0.1)))])
+        assert "tunneling must be >= 0" in listed[0].error
+
+    def test_one_system_per_tunneling(self, monkeypatch):
+        built = []
+        original = chain.chain_system
+        monkeypatch.setattr(chain, "chain_system", lambda spec: built.append(spec.tunneling) or original(spec))
+        population_sweep(spec_for(n_sites=5), (0.1, 0.5, 0.1), ((0.8, 0.4), (0.3, 0.1)),
+                         points=[(0.5, (0.6, 0.6)), (0.9, (0.6, 0.6))])
+        assert built == [0.1, 0.5, 0.9]
+
+    def test_batches_are_bounded_by_bytes(self, monkeypatch):
+        base = spec_for(n_sites=6)
+        points = [(g, pair) for pair in ((0.8, 0.4), (0.3, 0.1), (0.6, 0.6)) for g in (0.1, 0.5, 1.3)]
+        whole = population_sweep(base, (), (), points=points)
+        batches = []
+        original = chain._steady_states
+        monkeypatch.setattr(chain, "_steady_states", lambda liouvs: batches.append(len(liouvs)) or original(liouvs))
+        one = sum(chain._generator_bytes(liouvillian(chain_system(replace(base, tunneling=0.5)))) for _ in (1, 2))
+        monkeypatch.setattr(chain, "SWEEP_BATCH_BYTES", one)
+        assert same_rows(population_sweep(base, (), (), points=points), whole)
+        # every batch holds two generators' bytes at most, and the last the rest
+        assert sum(batches) == len(points) and max(batches) <= 2 and len(batches) >= 5
+        monkeypatch.setattr(chain, "SWEEP_BATCH_BYTES", 1)
+        batches.clear()
+        assert same_rows(population_sweep(base, (), (), points=points), whole)
+        assert batches == [1] * len(points)
+
+    def test_the_paper_survey_fits_one_batch(self, monkeypatch):
+        batches = []
+        original = chain._steady_states
+        monkeypatch.setattr(chain, "_steady_states", lambda liouvs: batches.append(len(liouvs)) or original(liouvs))
+        panels = chain.default_survey_panels()
+        points = list(dict.fromkeys((g, pair) for gs, pairs in panels.values() for pair in pairs for g in gs))
+        population_sweep(spec_for(n_sites=10), (), (), points=points)
+        assert batches == [18]

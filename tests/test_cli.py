@@ -250,20 +250,42 @@ class TestRun:
             table = qthermo.cli._sweep_table(config, qthermo.chain.population_sweep(base, g_values, pairs))
             table.metadata["panel"] = panel
             expected.append((f"panel_{panel}", render(table)))
-        solves = counting(monkeypatch, qthermo.chain, "steady_state")
+        solves = counting(monkeypatch, qthermo.chain, "_steady_states")
         outcome = run(config)
         assert [(name, render(table)) for name, table in outcome.tables] == expected
-        assert len(solves) == 18
+        assert sum(len(liouvs) for (liouvs,) in solves) == 18
+
+
+    def test_figure2_bytes_of_points_solved_alone(self):
+        # every point from a chain system built for it and a solve of its
+        # generator alone, panel by panel, shared points solved again
+        config = build_config("figure2")
+        h = config.values["h"]
+        expected = []
+        for panel, (g_values, pairs) in qthermo.chain.default_survey_panels(h).items():
+            points = []
+            for t_left, t_right in pairs:
+                for g in g_values:
+                    spec = qthermo.chain.ChainSpec(10, h, g, config.values["Gamma"],
+                                                   qthermo.chain.LinearProfile(t_left, t_right))
+                    rho = qthermo.steady_state(qthermo.liouvillian(qthermo.chain_system(spec)))
+                    populations = qthermo.site_populations(rho, spec)
+                    verdict = qthermo.classify(populations, spec.profile)
+                    points.append(qthermo.SweepPoint(g, t_left, t_right, populations, verdict, None))
+            table = qthermo.cli._sweep_table(config, points)
+            table.metadata["panel"] = panel
+            expected.append((f"panel_{panel}", render(table)))
+        assert [(name, render(table)) for name, table in run(config).tables] == expected
 
 
 def counting(monkeypatch, owner, name: str) -> list:
-    """Replace ``owner.name`` by a wrapper that notes each call; returns the
-    list of notes."""
+    """Replace ``owner.name`` by a wrapper that notes the positional
+    arguments of each call; returns the list of notes."""
     calls = []
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
@@ -273,16 +295,18 @@ def counting(monkeypatch, owner, name: str) -> list:
 class TestSolveCosts:
     """Calls counted, not timed: a steady state is checked in full once, by
     the solve that computes it, and its readers find it in the record of
-    passed checks; figure2 solves each of its distinct points once."""
+    passed checks; figure2 solves each of its distinct points once, all in
+    one batch."""
 
     def test_warm_figure2(self, monkeypatch):
         config = build_config("figure2")
         run(config)
-        solves = counting(monkeypatch, qthermo.chain, "steady_state")
+        solves = counting(monkeypatch, qthermo.chain, "_steady_states")
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
         run(config)
-        assert len(solves) == 18
-        assert len(spectra) == 18
+        assert [len(liouvs) for (liouvs,) in solves] == [18]
+        # one batched eigvalsh checks the 18 states
+        assert [a.shape[0] for (a,) in spectra] == [18]
 
     def test_chain_run(self, monkeypatch):
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
@@ -473,12 +497,21 @@ class TestMainExitCodes:
         "args,code,named",
         [
             (["dufour", "--set", "capacity=1e-300"], EXIT_VALIDATION, "heat capacity C = 1e-300"),
+            # the current J = omega Gamma n(T) overflows at the first stage
+            # temperature, before the heat capacity divides it
+            (["dufour", "--set", "Gamma=1e300"], EXIT_VALIDATION,
+             "error: the heat currents J_k = omega gamma [(n_k + 1) P_shared - n_k P_k] overflow at "
+             "omega = 1.0, gamma = 1e+300 and occupations n = 1e+297, 8.75e+296"),
+            # omega Gamma itself overflows at the starting temperature
+            (["dufour", "--set", "omega=1e200", "--set", "Gamma=1e200"], EXIT_VALIDATION,
+             "error: the heat currents J_k = omega gamma [(n_k + 1) P_shared - n_k P_k] overflow at "
+             "omega = 1e+200, gamma = 1e+200 and occupations n = 1, 1"),
             (["chain", "--set", "Gamma=1e300"], EXIT_OK, None),
             (["chain", "--set", "h=1e300"], EXIT_VALIDATION, "error: h * Gamma = "),
             (["chain", "--set", "h=1e150", "--set", "Gamma=1e150", "--set", "T_L=1e300", "--set", "T_R=1e300"],
              EXIT_VALIDATION, "error: Gamma * T_L = 1e+150 * 1e+300 is above 1e+300"),
         ],
-        ids=["dufour-capacity", "chain-Gamma", "chain-h", "chain-Gamma-T"],
+        ids=["dufour-capacity", "dufour-Gamma", "dufour-omega-Gamma", "chain-Gamma", "chain-h", "chain-Gamma-T"],
     )
     def test_overflowing_scales_end_named_or_finite(self, args, code, named):
         # in a fresh interpreter, where a RuntimeWarning is printed, not raised
@@ -491,6 +524,8 @@ class TestMainExitCodes:
             assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[:3])
         else:
             assert named in result.stderr
+            if "J_k" in named:
+                assert "heat capacity" not in result.stderr
 
     def test_validation_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -510,6 +545,13 @@ class TestMainExitCodes:
         code = main(["chain", "--set", "eps_omega=0.5", "--quiet"])
         assert code == EXIT_SOLVER
         assert "grouping" in capsys.readouterr().err
+
+    def test_ambiguous_grouping_names_the_tolerance(self, capsys):
+        # at N = 3 and g = 0.1 the ground levels lie 0.86 below the band, less than 4 eps_omega
+        assert main(["chain", "--set", "N=3", "--set", "eps_omega=0.5", "--quiet"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: grouping tolerance 5.000e-01 is not below a quarter")
+        assert err.endswith(" (eps_omega = 0.5; a smaller eps_omega may separate the cluster)\n")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_grouping_tolerance_is_a_validation_failure(self, value, capsys):
@@ -645,11 +687,12 @@ class TestRuntime:
         for block in blocks:
             exec(compile(block, "README.md", "exec"), namespace)
         printed = capsys.readouterr().out.splitlines()
-        assert len(printed) == 4
+        assert len(printed) == 5
         assert abs(float(printed[0]) - 1.0 / 9.0) <= 1e-12
         assert abs(float(printed[1]) - 1.0 / 9.0) <= 1e-12
         assert float(printed[2]) == 0.0625
         assert printed[3].startswith("ThermophoresisVerdict(kind='negative', argmax_site=3, ")
+        assert printed[4].startswith("ThermophoresisVerdict(kind='delocalized', argmax_site=5, ")
 
     def test_imports_only_numpy(self):
         # numpy is the one runtime dependency; the tests import scipy,

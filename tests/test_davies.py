@@ -43,9 +43,18 @@ from qthermo.errors import (
     UnsupportedModelError,
 )
 from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system
-from qthermo.linalg import devectorize, eigh, hermitize, vectorize
+from qthermo.linalg import eigh, hermitize, vectorize
 from qthermo.three_level import ThreeLevelParams, lambda_system, three_level_system
 from test_linalg import LAPACK_MIXING_TUNNELINGS
+
+
+def devectorize(v) -> np.ndarray:
+    """Inverse of :func:`qthermo.linalg.vectorize`: the square matrix whose
+    columns are stacked in ``v``."""
+    vec = np.asarray(v, dtype=complex).reshape(-1)
+    dim = int(round(np.sqrt(vec.size)))
+    assert dim * dim == vec.size
+    return vec.reshape((dim, dim), order="F")
 
 
 def lambda_params(n_1: float, n_2: float, gamma: float = 1.0) -> ThreeLevelParams:
@@ -1543,6 +1552,141 @@ class TestReuse:
         monkeypatch.setattr(davies._STRUCTURES, "limit", davies._STRUCTURES.nbytes + 1000)
         liouvillian(gradient_chain(20, 0.5, 0.8, 0.4))
         assert len(davies._STRUCTURES.kept) == 1
+
+
+def error_text(solve, *args) -> str | None:
+    """``type: message`` of the error a call raises, or None if it returns."""
+    try:
+        solve(*args)
+    except Exception as exc:  # noqa: BLE001 - every error is compared as text
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+class TestWithTemperatures:
+    """A system at new temperatures shares its parent's checked Hamiltonian,
+    couplings and eigenbasis structure, and gives the bytes of a system built
+    afresh at those temperatures."""
+
+    @pytest.mark.parametrize(
+        "make, temperatures",
+        [
+            *((lambda t, n=n, g=g: chain_system(ChainSpec(n, 1.0, g, 0.01, LinearProfile(*t))), pair)
+              for n, g, pair in ((3, 0.1, (0.3, 0.1)), (10, 0.1, (0.5, 0.1)), (10, 1.3, (0.3, 0.3)),
+                                 (12, 1.3, (0.8, 0.0)))),
+            *((lambda t, c=c: three_level_system(ThreeLevelParams(c, 1.0, 1.3, 1.0, 1.0, *t)), (0.7, 2.1))
+              for c in ("lambda", "vee")),
+        ],
+        ids=["chain-3", "chain-10", "chain-10-uniform", "chain-12-cold-end", "lambda", "vee"],
+    )
+    def test_bytes_of_a_fresh_system(self, make, temperatures):
+        parent = make((0.8, 0.4))
+        parent_bytes = generator_bytes(parent)
+        fresh = make(temperatures)
+        derived = parent.with_temperatures([bath.temperature for bath in fresh.baths])
+        assert derived.hamiltonian is parent.hamiltonian
+        assert all(d.coupling is p.coupling for d, p in zip(derived.baths, parent.baths))
+        assert [bath.temperature for bath in derived.baths] == [bath.temperature for bath in fresh.baths]
+        davies._STRUCTURES.clear()
+        assert generator_bytes(derived) == generator_bytes(fresh)
+        # the parent keeps its own temperatures and model
+        assert generator_bytes(parent) == parent_bytes
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf])
+    def test_a_bad_temperature_raises_the_bath_error(self, bad):
+        parent = three_level_system(lambda_params(2.0, 1.0))
+        bath = parent.baths[1]
+        expected = error_text(BathSpec, bath.coupling, bath.spectral, bad)
+        assert expected is not None and expected.startswith("InvariantViolationError: ")
+        assert error_text(parent.with_temperatures, (0.5, bad)) == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_wrong_count_raises(self, count):
+        parent = three_level_system(lambda_params(2.0, 1.0))
+        with pytest.raises(InvariantViolationError, match=f"^{count} temperatures for 2 baths$"):
+            parent.with_temperatures([0.5] * count)
+
+    def test_a_derived_system_never_decomposes_the_hamiltonian(self, monkeypatch):
+        parent = gradient_chain(10, 1.3, 0.8, 0.4)
+        liouvillian(parent)
+        # the structure is shared by reference, not found again in the cache
+        davies._STRUCTURES.clear()
+        calls = []
+        original = davies.eigh
+        monkeypatch.setattr(davies, "eigh", lambda m: calls.append(m) or original(m))
+        for pair in ((0.3, 0.1), (0.5, 0.5), (0.0, 0.4)):
+            system = parent.with_temperatures(np.linspace(*pair, 10))
+            heat_currents(system, steady_state(liouvillian(system)))
+        # a structure at another tolerance is built once and shared from then on
+        liouvillian(system, 1e-9)
+        liouvillian(parent.with_temperatures(np.linspace(0.8, 0.4, 10)), 1e-9)
+        liouvillian(parent, 1e-9)
+        assert len(calls) == 1
+
+    def test_a_structure_that_fails_is_not_shared(self):
+        parent = gradient_chain(3, 0.1, 0.8, 0.4)
+        derived = parent.with_temperatures((0.5, 0.4, 0.3))
+        for system in (parent, derived, parent):
+            with pytest.raises(AmbiguousGroupingError):
+                liouvillian(system, 0.5)
+        assert parent._structures == {}
+
+
+class TestBatchedSolve:
+    """The solve of a sequence of generators gives each generator's state or
+    error as a solve of that generator alone does, bit for bit."""
+
+    def check(self, liouvs):
+        batched = davies._steady_states(liouvs)
+        assert len(batched) == len(liouvs)
+        for liouv, result in zip(liouvs, batched):
+            expected = error_text(steady_state, liouv)
+            if expected is None:
+                assert np.array_equal(result, steady_state(liouv))
+            else:
+                assert f"{type(result).__name__}: {result}" == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6),
+           dims=st.lists(st.integers(2, 6), min_size=6, max_size=6),
+           degenerate=st.booleans())
+    def test_random_systems(self, seeds, dims, degenerate):
+        make = degenerate_open_system if degenerate else random_open_system
+        self.check([liouvillian(make(seed, dim)) for seed, dim in zip(seeds, dims)])
+
+    def test_chains_with_failures_among_them(self):
+        # T = 0 everywhere leaves a null space of dimension 100 at N = 10; the
+        # dense generators of invertible and zero matrices fail in the solve
+        liouvs = [
+            liouvillian(gradient_chain(10, 0.1, 0.8, 0.4)),
+            liouvillian(gradient_chain(10, 0.1, 0.0, 0.0)),
+            dense_liouvillian(np.eye(4), 0.1),
+            liouvillian(gradient_chain(10, 1.3, 0.3, 0.1)),
+            dense_liouvillian(np.zeros((4, 4)), 0.1),
+            liouvillian(gradient_chain(4, 0.5, 0.6, 0.6)),
+            liouvillian(three_level_system(lambda_params(2.0, 1.0))),
+        ]
+        self.check(liouvs)
+        results = davies._steady_states(liouvs)
+        assert [type(r).__name__ for r in results] == [
+            "ndarray", "NonUniqueSteadyStateError", "SolverFailureError", "ndarray",
+            "SolverFailureError", "ndarray", "ndarray"]
+
+    def test_an_svd_that_does_not_converge_fails_its_own_generator(self):
+        good = liouvillian(gradient_chain(4, 0.5, 0.8, 0.4))
+        broken = dense_liouvillian(np.full((4, 4), np.nan), 0.1)
+        results = davies._steady_states([good, broken, good])
+        assert np.array_equal(results[0], steady_state(good)) and np.array_equal(results[2], results[0])
+        assert isinstance(results[1], np.linalg.LinAlgError)
+        assert f"{type(results[1]).__name__}: {results[1]}" == error_text(steady_state, broken)
+
+    def test_one_eigvalsh_checks_every_state(self, monkeypatch):
+        liouvs = [liouvillian(gradient_chain(5, g, 0.8, 0.4)) for g in (0.1, 0.5, 1.3)]
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
+        davies._steady_states(liouvs)
+        assert calls == [(3, 10, 10)]
 
 
 class TestEdgeCases:

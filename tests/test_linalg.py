@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qthermo import linalg
 from qthermo.errors import DimensionMismatchError, InvariantViolationError
 from qthermo.linalg import (
-    devectorize,
     eigh,
     hermitize,
     require_density_matrix,
@@ -121,21 +120,25 @@ class TestVectorization:
     def test_identity_vector(self):
         assert np.array_equal(vectorize(np.eye(2)), np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
 
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(devectorize(vectorize(m)), m)
+    def test_column_stacks_a_hand_built_matrix(self):
+        m = np.array([[1 + 1j, 2, 3j], [4, 5 - 2j, 6], [7, 8, 9 + 9j]])
+        expected = np.array([1 + 1j, 4, 7, 2, 5 - 2j, 8, 3j, 6, 9 + 9j])
+        assert np.array_equal(vectorize(m), expected)
 
-    def test_bad_length_rejected(self):
+    def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            devectorize(np.zeros(5))
+            vectorize(np.zeros((2, 3)))
 
     @settings(max_examples=30, deadline=None)
     @given(dim=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
-    def test_bijection_property(self, dim, seed):
+    def test_entry_i_j_lands_at_i_plus_dim_j(self, dim, seed):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        assert np.array_equal(devectorize(vectorize(m)), m)
+        v = vectorize(m)
+        assert v.shape == (dim * dim,)
+        for i in range(dim):
+            for j in range(dim):
+                assert v[i + dim * j] == m[i, j]
 
 
 def error_of(check, *args, **kwargs) -> str | None:
@@ -288,6 +291,25 @@ class TestCheckRecord:
 
     def test_the_module_record_has_the_module_bound(self):
         assert linalg._PASSED.limit == linalg.CHECK_RECORD_BYTES
+
+    def test_a_stack_gets_the_error_of_each_matrix_alone(self):
+        rng = np.random.default_rng(5)
+        states = []
+        for n in range(12):
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho)
+            if n % 4 == 1:
+                rho[0, 2] = np.nan
+            elif n % 4 == 2:
+                rho[1, 1] -= 2.0  # trace off 1 and a negative eigenvalue
+            elif n % 4 == 3:
+                rho = np.diag([1.5, 0.0, -0.5]).astype(complex)  # unit trace, not positive
+            states.append(rho)
+        expected = [error_of(linalg._check_density_matrix, s, 1e-12, 1e-9, -1e-9, "state") for s in states]
+        assert expected.count(None) == 3 and len(set(expected)) > 4
+        errors = linalg._density_errors(np.stack(states), 1e-12, 1e-9, -1e-9, "state")
+        assert [None if e is None else f"{type(e).__name__}: {e}" for e in errors] == expected
 
     def test_checks_from_several_threads_agree(self, monkeypatch):
         # a record of ten states' worth makes the threads evict one another

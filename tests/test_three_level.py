@@ -1,6 +1,7 @@
 """Closed forms of the three-level models against rate-matrix and full-generator oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -547,6 +548,114 @@ class TestDufour:
         assert history.truncated
         assert history.times.size < 6
         assert np.all(history.temp_1 > 0.0)
+
+
+def numpy_loop_heating(pops, omega, gamma, temp_start, capacity, horizon, samples=201):
+    """The Dufour heating as a step-by-step RK4 loop on a numpy state vector,
+    the form the library once had, with its checks and messages; the
+    library's float loop must give its bytes and its errors."""
+
+    def currents(t1, t2):
+        n_1 = three_level.bose_occupation(omega, max(t1, 0.0))
+        n_2 = three_level.bose_occupation(omega, max(t2, 0.0))
+        j_1, j_2, _ = dufour_currents(pops, n_1, n_2, omega, gamma)
+        return j_1, j_2
+
+    def overflow(t):
+        return InvariantViolationError(
+            f"the bath temperatures leave the finite range in the step from t = {t:g} "
+            f"(dT/dt = J / C with heat capacity C = {capacity!r})"
+        )
+
+    def rhs(s, t):
+        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+            raise overflow(t)
+        j_1, j_2 = currents(s[0], s[1])
+        rate = (j_1 / capacity, j_2 / capacity)
+        if not (math.isfinite(rate[0]) and math.isfinite(rate[1])):
+            raise overflow(t)
+        return np.array(rate)
+
+    dt = horizon / (samples - 1)
+    times, t1_hist, t2_hist = [0.0], [temp_start], [temp_start]
+    j0 = currents(temp_start, temp_start)
+    j1_hist, j2_hist = [j0[0]], [j0[1]]
+    truncated = False
+    state = np.array([temp_start, temp_start])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, samples):
+            start = (i - 1) * dt
+            k1 = rhs(state, start)
+            k2 = rhs(state + 0.5 * dt * k1, start)
+            k3 = rhs(state + 0.5 * dt * k2, start)
+            k4 = rhs(state + dt * k3, start)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (math.isfinite(state[0]) and math.isfinite(state[1])):
+                raise overflow(start)
+            if state.min() <= 0.0:
+                truncated = True
+                break
+            j = currents(state[0], state[1])
+            times.append(i * dt)
+            t1_hist.append(float(state[0]))
+            t2_hist.append(float(state[1]))
+            j1_hist.append(j[0])
+            j2_hist.append(j[1])
+    return [np.array(a) for a in (times, t1_hist, t2_hist, j1_hist, j2_hist)], truncated
+
+
+def heating_outcome(heat, *args):
+    """The bytes of every history array and the truncation flag, or the
+    error text."""
+    try:
+        result = heat(*args)
+    except InvariantViolationError as exc:
+        return f"InvariantViolationError: {exc}"
+    if isinstance(result, tuple):
+        arrays, truncated = result
+    else:
+        arrays = (result.times, result.temp_1, result.temp_2, result.current_1, result.current_2)
+        truncated = result.truncated
+    return [(a.dtype.str, a.tobytes()) for a in arrays], truncated
+
+
+class TestDufourFloatLoop:
+    """The RK4 loop in Python floats gives the bytes of the numpy loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)), omega=st.floats(0.05, 5.0),
+           gamma=st.floats(0.05, 5.0), temp_start=st.floats(0.0, 5.0), capacity=st.floats(0.02, 50.0),
+           horizon=st.floats(0.01, 40.0), samples=st.integers(2, 300))
+    def test_bytes_of_the_numpy_loop(self, p, omega, gamma, temp_start, capacity, horizon, samples):
+        # the draws include runs that overflow or reach T = 0
+        args = (LevelPopulations.closing(*p), omega, gamma, temp_start, capacity, horizon, samples)
+        assert heating_outcome(finite_capacity_heating, *args) == heating_outcome(numpy_loop_heating, *args)
+
+    @pytest.mark.parametrize("case", [
+        dict(pops=(0.2, 0.3, 0.5), temp_start=1.0 / math.log(2.0), capacity=10.0, horizon=5.0, samples=201),
+        dict(pops=(0.5, 0.5, 0.0), temp_start=0.5, capacity=0.05, horizon=50.0, samples=6),
+        dict(pops=(0.2, 0.3, 0.5), temp_start=0.0, capacity=1.0, horizon=2.0, samples=50),
+        dict(pops=(0.0, 0.0, 1.0), omega=2.0, gamma=5.0, temp_start=0.0, capacity=0.02, horizon=30.0, samples=41),
+        dict(pops=(0.2, 0.3, 0.5), temp_start=1.0, capacity=1e-20, horizon=5.0, samples=201),
+    ], ids=["benchmark", "truncated", "cold-start", "current-overflow", "capacity-overflow"])
+    def test_bytes_at_chosen_points(self, case):
+        case = {"omega": 1.0, "gamma": 1.0, **case}
+        args = (LevelPopulations(*case.pop("pops")), case.pop("omega"), case.pop("gamma"), *case.values())
+        assert heating_outcome(finite_capacity_heating, *args) == heating_outcome(numpy_loop_heating, *args)
+
+    @pytest.mark.parametrize("omega,gamma", [(1.0, 1e300), (1e200, 1e200)])
+    def test_an_overflowing_current_is_named(self, omega, gamma):
+        pops = LevelPopulations(0.2, 0.3, 0.5)
+        with pytest.raises(InvariantViolationError, match=r"^the heat currents J_k = omega gamma .* overflow at "
+                                                          + re.escape(f"omega = {omega!r}, gamma = {gamma!r} and")):
+            finite_capacity_heating(pops, omega, gamma, temp_start=1.0 / math.log(2.0), capacity=10.0, horizon=5.0)
+
+    def test_dufour_currents_checks_its_result(self):
+        pops = LevelPopulations(0.2, 0.3, 0.5)
+        with pytest.raises(InvariantViolationError, match=r"overflow at omega = 1e\+200, gamma = 1e\+200 and "
+                                                          r"occupations n = 1, 2$"):
+            dufour_currents(pops, 1.0, 2.0, omega=1e200, gamma=1e200)
+        assert dufour_currents(pops, 1.0, 2.0, omega=1e150, gamma=1e150)[0] == pytest.approx(8e299)
 
 
 class TestAnalyticNumericAgreement:
