@@ -37,8 +37,8 @@ POPULATION_TOL = 1e-6
 # Bytes of generator blocks and indices a sweep holds before it solves them as
 # one batch.  A 10-site chain's generator holds 15 KiB, so figure2's 18
 # points are one batch; a 30-site one 140 KiB, so seven points share one; from
-# about 90 sites every point is a batch of its own, whose SVD of the 2N x 2N
-# population block outweighs the per-call costs a batch saves.
+# about 90 sites every point is a batch of its own, whose elimination of the
+# 2N x 2N population block outweighs the per-call costs a batch saves.
 SWEEP_BATCH_BYTES = 2**20
 SYMMETRY_THRESHOLD = 0.95
 ARGMAX_TIE_ATOL = 1e-12
@@ -166,6 +166,12 @@ def site_populations(rho, spec: ChainSpec) -> np.ndarray:
         raise InvariantViolationError(
             f"state dimension {state.shape[0]} does not match the chain dimension {spec.dim}"
         )
+    return _site_populations(state)
+
+
+def _site_populations(state: np.ndarray) -> np.ndarray:
+    """:func:`site_populations` of a density matrix of the chain's
+    dimension, checked already."""
     diag = state.diagonal().real
     # the basis runs (g_1, e_1, g_2, e_2, ...)
     populations = diag[0::2] + diag[1::2]
@@ -271,12 +277,14 @@ def _generator_bytes(liouv) -> int:
 
 
 def _read_point(spec: ChainSpec, state) -> SweepPoint:
-    """The sweep point of a solved chain, or of the error its solve raised."""
+    """The sweep point of a solved chain, or of the error its solve raised.
+    The solve has just checked the state in full, so its populations are
+    read without a second check."""
     t_left, t_right = spec.profile.t_left, spec.profile.t_right
     try:
         if isinstance(state, Exception):
             raise state
-        populations = site_populations(state, spec)
+        populations = _site_populations(state)
         verdict = classify(populations, spec.profile)
     except (QThermoError, ValueError) as exc:
         return SweepPoint(spec.tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")

@@ -22,7 +22,12 @@ with M = sum_k sum_w rate A_w^dagger A_w.  The secular generator commutes with
 pairs (i, i') with one group label G[i, i'] (Davies, Commun. Math. Phys. 39,
 91 (1974); Breuer & Petruccione, The Theory of Open Quantum Systems, section
 3.3).  Most entries inside a sector are zero as well: in a chain each bath
-couples one site, so C_k has 2N nonzero entries out of 4N^2.  The eigenbasis
+couples one site, so C_k has at most 2N nonzero entries out of 4N^2.  An
+entry of C_k at or below ``COUPLING_RTOL`` of the Frobenius norm of V_k
+counts as absent: it is the rounding of U where the coupling is zero (a
+symmetry of H and V_k, or a chain mode with a node at the bath's site), and
+kept, at rate |C|^2 of 1e-34, it would join states that no rate links, so
+that rounding would pick which of several steady states comes out.  The eigenbasis
 model therefore holds C_k and the generator's jump entries as lists of
 nonzero entries (bath, i, j, value), never as (K, d, d) arrays.  C_k is formed
 from the nonzeros of V_k and the exact-zero supports of the rows of U (small
@@ -34,11 +39,26 @@ one row and one group, so K = -i diag(E) - M / 2 lies in the zero group and
 rho -> K rho + rho K^dagger enters whole, as the Kronecker sum
 1 kron K + conj(K) kron 1.  The blocks are the connected components of the
 pattern these entries fill; no stored entry links two blocks, so the
-singular values of L are those of the blocks together.  The blocks are
-stacked by size: the steady state, the null vector of one block, comes from
-one batched SVD per block size, and a batch of generators (a sweep) shares
-one SVD per block size across all of them.  A system with no exact zeros
-gets its sectors as blocks.
+null space and the singular values of L are those of the blocks together.
+The blocks are stacked by size.  A system with no exact zeros gets its
+sectors as blocks.
+
+Steady state.  The steady state is the null vector of one block, found by
+the block's own rule (:func:`steady_state` states them), for a batch of
+generators (a sweep) block size by block size across all of them.  A block
+of populations (i, i) alone is a classical rate matrix with entries
+rate |C|^2: Grassmann-Taksar-Heyman elimination finds its stationary
+distribution with no subtraction, however many decades the rates span, and
+its null space has dimension one when every pivot is positive.  The layout
+puts a maximal set of its states that share no rate last (in a chain, the
+modes), and the elimination takes that set in one step.  A 1 x 1 block is
+null when its entry is zero.  Every other block, and a block of populations
+with a zero pivot (a reducible one), gets a batched SVD, graded by its
+diagonal, and counts its singular values against the largest of the whole
+generator.  In a chain the other blocks are 1 x 1, and at the paper's rates
+the Frobenius norm of the population block stays below the largest of their
+entries, so its largest singular value is not needed and a chain sweep runs
+no SVD.
 
 Heat currents.  J_k = -Tr[H D_k(rho)] reads the same population rows,
 E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
@@ -61,10 +81,10 @@ least recently used out first), and shares it from then on.  A structure
 keeps a plan per set of nonzero W_k entries, which changes only where a rate
 vanishes (T = 0, or an occupation below the overflow cut): the pairs the join
 selects and the places of the jump, decay and current entries.  A plan keeps
-a layout per nonzero pattern of K: the components, where each entry lands in
-the blocks and the stacks.  A new temperature then costs the rates, one
-gather and multiply, and one scatter into the blocks, graded per call since
-the grading reads the values.  Errors are unchanged: a structure whose
+a layout per nonzero pattern of K: the components, the order of the states
+of each block of populations, where each entry lands in the blocks and the
+stacks.  A new temperature then costs the rates, one gather and multiply,
+and one scatter into the blocks.  Errors are unchanged: a structure whose
 grouping checks fail is not kept, and the zero-frequency rule is decided on
 every call from the kept magnitudes and the bath's density.
 
@@ -137,6 +157,13 @@ GROUPING_MARGIN = 4.0
 # Couplings are order-one matrices; below this the zero-frequency component
 # counts as absent and no rate is needed for it.
 ZERO_COMPONENT_ATOL = 1e-10
+# An entry of C_k = U^dagger V_k U at or below this fraction of the Frobenius
+# norm of V_k counts as absent: it is the rounding of U, not a coupling.  A
+# coupling that a symmetry of H and V_k forbids comes out at 1e-17 to 1e-32 of
+# the norm (a mirror-symmetric chain with a bath at its middle site), and its
+# rate at rounding squared would make two sectors one block; the smallest
+# coupling of a 150-site chain's end site is 6e-7 of the norm.
+COUPLING_RTOL = 1e-10
 # Up to this many entries in the stacked (K, d, d) couplings, C_k is formed by
 # dense products, where a few numpy calls beat the entry joins (17 against
 # 93 us for two baths at d = 4).  The two are even near K d^2 = 7000, a
@@ -543,7 +570,8 @@ class _Structure:
     the eigenbasis model, whatever the temperatures and spectral densities.
 
     ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i;
-    ``coupling`` holds the nonzeros of C_k = U^dagger V_k U and
+    ``coupling`` holds the entries of C_k = U^dagger V_k U above
+    ``COUPLING_RTOL`` of the norm of V_k and
     ``entry_labels`` the group of each.  ``zero_magnitude[k]`` is the largest
     |C_k| entry in the zero group, and ``above_atol`` flags the entries above
     ``ZERO_COMPONENT_ATOL``.  ``pairs`` joins every entry with every entry of
@@ -593,11 +621,15 @@ class _Layout(NamedTuple):
     """The generator's blocks for one plan and one pattern of K: entry e
     lands at ``target[e]`` of the row-major blocks laid end to end, ``total``
     entries long, and each stack is (``first``, ``index``), its first entry
-    there and its (count, m) generator indices, ungraded."""
+    there and its (count, m) generator indices, those of a block of
+    populations in the order of :func:`_unlinked_last`.  The jump entries
+    ``scalar_jumps`` land in 1 x 1 blocks, which come first, so ``target``
+    is the number of their block."""
 
     target: np.ndarray
     total: int
     stacks: tuple[tuple[int, np.ndarray], ...]
+    scalar_jumps: np.ndarray
     nbytes: int
 
 
@@ -667,8 +699,9 @@ def _cached_structure(system: OpenSystem, freq_tol: float) -> _Structure:
 
 def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) -> _Structure:
     """Decompose H, group its transition frequencies, form the coupling
-    entries, from the stacked couplings or their nonzeros, and join those of
-    one bath and one group."""
+    entries, from the stacked couplings or their nonzeros, drop those at
+    rounding level (``COUPLING_RTOL``), and join those of one bath and one
+    group."""
     eig = eigh(system.hamiltonian)
     energies, states = eig.energies, eig.states
     _check_grouping_tolerance(energies, freq_tol)
@@ -676,8 +709,13 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) 
     n_groups = frequencies.size
     coupling = (_dense_coupling_entries(states, couplings) if isinstance(couplings, np.ndarray)
                 else _joined_coupling_entries(states, couplings))
-    entry_labels = labels[coupling.rows, coupling.cols]
     magnitude = np.abs(coupling.values)
+    norms = np.sqrt(np.bincount(coupling.bath, weights=np.square(magnitude), minlength=len(system.baths)))
+    coupled = magnitude > COUPLING_RTOL * norms[coupling.bath]
+    if not coupled.all():
+        coupling = _Entries(*(a[coupled] for a in coupling))
+        magnitude = magnitude[coupled]
+    entry_labels = labels[coupling.rows, coupling.cols]
     # the groups mirror under negation about the zero group, at the middle
     at_zero = entry_labels == n_groups // 2
     zero_magnitude = np.zeros(len(system.baths))
@@ -799,10 +837,9 @@ class Liouvillian:
     ``blocks[n]`` has shape (count, m, m): ``count`` blocks of one size m,
     block c acting on the column-stacked entries ``indices[n][c]`` of the
     matrices it maps, written in the orthonormal ``basis`` (column i is basis
-    vector i).  No entry of the generator links two blocks, every index lies
-    in exactly one block, and within a block the indices run by decreasing
-    magnitude of their diagonal entry.  ``basis`` is read-only: generators of
-    one Hamiltonian and set of couplings share it (see "Reuse" in the module
+    vector i).  No entry of the generator links two blocks, and every index
+    lies in exactly one block.  ``basis`` is read-only: generators of one
+    Hamiltonian and set of couplings share it (see "Reuse" in the module
     docstring).  :func:`evolve` and :func:`steady_state` work on the blocks.
     """
 
@@ -832,7 +869,8 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     and transition frequency, from its nonzero entries in the eigenbasis and
     split into the connected components of their pattern (see the module
     docstring).  The jump entries are the model's; the coherent and damping
-    part is added as a Kronecker sum."""
+    part is added as a Kronecker sum.  The entry of a 1 x 1 block on which
+    a jump lands is cleared where its terms cancel (:func:`steady_state`)."""
     model = _eigen_model(system, freq_tol)
     dim = system.dim
     size = dim * dim
@@ -858,19 +896,19 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     indices, blocks = [], []
     for first, index in layout.stacks:
         count, m = index.shape
-        stack = flat[first:first + count * m * m].reshape(-1, m, m)
-        if m > 1:
-            # Grade every block, largest diagonal entries first.  A symmetric
-            # permutation keeps the singular values, and the SVD's null
-            # vector of a rate matrix whose rates span many decades is far
-            # more accurate in this order (1e-15 against 1e-10 for a cold
-            # chain at weak tunneling).
-            grade = (-abs(stack.diagonal(axis1=1, axis2=2))).argsort(axis=1, kind="stable")
-            block = np.arange(count)[:, None]
-            index = index[block, grade]
-            stack = stack[block[:, :, None], grade[:, :, None], grade[:, None, :]]
         indices.append(index)
-        blocks.append(stack)
+        blocks.append(flat[first:first + count * m * m].reshape(-1, m, m))
+    # the terms of a 1 x 1 block (i, i'), -i (E_i - E_i') and decay terms
+    # whose real parts are <= 0, can cancel only where a jump lands on it;
+    # such an entry within NULL_SPACE_RTOL of their magnitudes is zero
+    at = layout.scalar_jumps
+    if at.size:
+        landed, block = np.unique(layout.target[at], return_inverse=True)
+        cols, rows = np.divmod(indices[0][landed, 0], dim)
+        decay = abs(damping.real[::dim + 1])
+        terms = (abs(energies[rows] - energies[cols]) + decay[rows] + decay[cols]
+                 + np.bincount(block, weights=abs(values[at]), minlength=landed.size))
+        flat[landed[abs(flat[landed]) <= NULL_SPACE_RTOL * terms]] = 0.0
 
     # the energies ascend, so the spectral norm of H sits at an end
     spectral_norm_h = float(max(-energies[0], energies[-1])) if dim else 0.0
@@ -896,15 +934,17 @@ def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:
     cols = np.concatenate((jumps.cols, (k_col[:, None] + dim * levels).ravel(),
                            (dim * k_col[:, None] + levels).ravel()))
 
-    # indices ordered by (component size, component, index): every stack, and
-    # every block within it, is a contiguous run that starts at the block's
-    # smallest index, its root; the blocks are laid out row-major one after
-    # another
+    # indices ordered by (component size, component, index), the states of a
+    # block of populations then reordered for the elimination: every stack,
+    # and every block within it, is a contiguous run; the blocks are laid out
+    # row-major one after another
     root = components(size, rows, cols)
     order, sorted_extent, edges = stacked_order(root)
+    _unlinked_last(order, sorted_extent, edges, jumps, dim)
     place = np.empty(size, dtype=np.intp)
     place[order] = np.arange(size)
-    within = place - place[root]
+    within = np.empty(size, dtype=np.intp)
+    within[order] = (np.arange(size) - np.repeat(edges[:-1], np.diff(edges))) % sorted_extent
     # flat offset of each index's row in the concatenated row-major blocks
     row_start = (np.cumsum(sorted_extent) - sorted_extent)[place - within] + within * sorted_extent[place]
     target = row_start[rows] + within[cols]
@@ -912,8 +952,48 @@ def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:
         (int(row_start[order[lo]]), order[lo:hi].reshape(-1, int(sorted_extent[lo])))
         for lo, hi in zip(edges[:-1], edges[1:])
     )
-    nbytes = _seal(target, order)
-    return _Layout(target, int(sorted_extent.sum()), stacks, nbytes)
+    # the 1 x 1 blocks, if any, are the first stack, one entry each
+    scalars = edges[1] if size and sorted_extent[0] == 1 else 0
+    scalar_jumps = np.flatnonzero(target[:jumps.rows.size] < scalars)
+    nbytes = _seal(target, order, scalar_jumps)
+    return _Layout(target, int(sorted_extent.sum()), stacks, scalar_jumps, nbytes)
+
+
+def _unlinked_last(order: np.ndarray, sorted_extent: np.ndarray, edges: list[int], jumps: _Entries,
+                   dim: int) -> None:
+    """Reorder, in place in ``order``, the states of every block of
+    populations (i, i) so that a maximal set of states with no rate between
+    them comes last, each part ascending, which :func:`_stationary_rates`
+    eliminates in one step: in a chain the modes, half the block, and in a
+    three-level system the levels of one side of its transitions.  The set
+    is picked greedily, visiting the states with the fewest links first and,
+    of equal links, the highest first, so the lowest states, which hold the
+    population when the baths are cold, tend to stay in front (state 0 is
+    eliminated last, and every state must reach it)."""
+    population = dim + 1
+    between = (jumps.rows != jumps.cols) & (jumps.rows % population == 0) & (jumps.cols % population == 0)
+    ends = jumps.rows[between] // population, jumps.cols[between] // population
+    place = np.empty(dim, dtype=np.intp)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = int(sorted_extent[lo])
+        if m == 1:
+            continue
+        for block in order[lo:hi].reshape(-1, m):  # views: writes go to ``order``
+            if np.any(block % population):
+                continue
+            place.fill(-1)
+            place[block // population] = np.arange(m)
+            inside = place[ends[0]] >= 0  # a link with one end in the block has both
+            adjacent = np.zeros((m, m), dtype=bool)
+            adjacent[place[ends[0][inside]], place[ends[1][inside]]] = True
+            adjacent |= adjacent.T
+            chosen = np.zeros(m, dtype=bool)
+            blocked = np.zeros(m, dtype=bool)
+            for i in (adjacent.sum(axis=1) * m - np.arange(m)).argsort().tolist():
+                if not blocked[i]:
+                    chosen[i] = True
+                    blocked |= adjacent[i]
+            block[:] = block[chosen.argsort(kind="stable")]
 
 
 def _rk4_step(matrix: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
@@ -1102,26 +1182,278 @@ def evolve(
     return out
 
 
-def _singular_values_and_vectors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors (rows of V^dagger) of every
-    block of a stack, by one batched SVD; a 1 x 1 block [a] has |a| and 1."""
-    if stack.shape[-1] == 1:
-        return np.abs(stack[:, 0]), np.ones_like(stack)
+def _stationary_rates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stationary distribution p of every rate-matrix block B of a
+    stack, by Grassmann-Taksar-Heyman elimination; whether each block has
+    one and only one; the Frobenius norm |B| of each block, a bound on its
+    largest singular value; and the residual |B p| / |B|.
+
+    Off the diagonal, the real part of block entry [i, j] is the rate of
+    j -> i; the diagonal is not read.  States are eliminated from the last:
+    the rates of a state to the states below it sum to its pivot, the rates
+    into it are divided by the pivot, and the rates through it are added to
+    those of the states below.  A pivot is a sum of rates, never a
+    difference, so every probability comes out to a few ulps, relative,
+    however many decades the rates span (Grassmann, Taksar & Heyman, Oper.
+    Res. 33, 1107 (1985)).  The last states of a block that share no rate
+    (the layout puts a maximal set of them last, :func:`_unlinked_last`) go
+    in one step, since none changes the rates of another; blocks are worked
+    in groups of one such count, so that each block's p is what it gives
+    alone.  Then p[0] = 1 and p[k] is the sum of p[j] U[j, k] over j < k, U
+    the divided rates: p = e_0 (1 - U)^-1, which is
+    e_0 (1 + U)(1 + U^2)(1 + U^4)..., a few products of nonnegative
+    matrices.  p is normalized to sum to one.
+
+    A block is solved when its entries and p are finite, which they are only
+    if every pivot is positive: then every state reaches state 0, one closed
+    class holds them all, and the null space has dimension one.  A zero
+    pivot (a reducible block) or a non-finite entry only marks its block,
+    and so does an entry above 1e154, whose square overflows.
+    """
+    # a[c, i, j]: the rate of i -> j, so the rates out of a state are a row
+    a = stack.real.transpose(0, 2, 1)
+    count, m, _ = a.shape
+    states = np.arange(m)
+    with np.errstate(all="ignore"):
+        # one past the last state that shares a rate with a later one
+        linked = (a != 0.0) | (a.transpose(0, 2, 1) != 0.0)
+        kept = m - (linked & (states[:, None] < states)).any(axis=2)[:, ::-1].argmax(axis=1)
+        kinds = set(kept.tolist())
+        if len(kinds) == 1:
+            p = _eliminated(a, kinds.pop())
+        else:
+            p = np.empty((count, m))
+            for kind in kinds:
+                group = kept == kind
+                p[group] = _eliminated(a[group], kind)
+        # A zero pivot divides the rates into its state by zero, which makes
+        # that state's p infinite or NaN, since p[0] = 1 reaches it; p and
+        # the squared entries are nonnegative, so their sums are finite only
+        # if every one is (an entry above 1e154 counts as not finite).
+        total = p.sum(axis=1)
+        square = np.square(abs(stack)).reshape(count, -1).sum(axis=1)
+        solved = np.isfinite(total + square)
+        p /= total[:, None]
+        frobenius = np.sqrt(square)
+        # divided by the Frobenius norm, so that squaring cannot overflow
+        scaled = abs((stack @ p[:, :, None])[:, :, 0] / frobenius[:, None])
+        residual = np.sqrt(np.square(scaled).sum(axis=1))
+    return p, solved, frobenius, residual
+
+
+def _eliminated(a: np.ndarray, kept: int) -> np.ndarray:
+    """GTH on the transposed rates ``a`` of blocks whose states from
+    ``kept`` on share no rate (:func:`_stationary_rates`): the unnormalized
+    p of each block.  ``a`` is only read."""
+    # the unlinked states at once: the rates of each go only to the kept states
+    out = a[:, kept:, :kept]
+    into = a[:, :kept, kept:] / out.sum(axis=2)[:, None, :]
+    if kept == 1:  # a star, as in a three-level system: p is (1, into)
+        return np.concatenate((np.ones((len(a), 1)), into[:, 0]), axis=1)
+    a = a[:, :kept, :kept] + into @ out
+    for k in range(kept - 1, 0, -1):
+        row = a[:, k, :k]
+        column = a[:, :k, k]
+        column /= row.sum(axis=1, keepdims=True)
+        a[:, :k, :k] += column[:, :, None] * row[:, None, :]
+    p = np.zeros((len(a), 1, kept))
+    p[:, 0, 0] = 1.0
+    states = np.arange(kept)
+    upper = np.where(states[:, None] < states, a, 0.0)
+    span = 1
+    while span < kept:
+        p += p @ upper
+        span *= 2
+        if span < kept:
+            upper = upper @ upper
+    return np.concatenate((p, p @ into), axis=2)[:, 0]
+
+
+def _batched(solve, stacks: list[np.ndarray], owners: list[int], results: list) -> list:
+    """``solve`` of every stack of a list, by one call on the stacks joined;
+    ``solve`` acts on each block alone and returns an array over the blocks,
+    or a tuple of them.  Where the joined call raises LinAlgError, each
+    stack is solved alone, and one that raises again gets None and puts its
+    error in ``results`` at its generator, ``owners[i]``."""
+    try:
+        joined = solve(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+    except np.linalg.LinAlgError:
+        parts = []
+        for g, stack in zip(owners, stacks):
+            try:
+                parts.append(solve(stack))
+            except np.linalg.LinAlgError as exc:
+                results[g] = exc
+                parts.append(None)
+        return parts
+    return _split(joined, [len(stack) for stack in stacks])
+
+
+def _split(joined, lengths: list[int]) -> list:
+    """An array over blocks, or a tuple of them, cut into runs of these
+    lengths."""
+    if len(lengths) == 1:
+        return [joined]
+    bounds = np.cumsum(lengths).tolist()
+    if isinstance(joined, tuple):
+        return [tuple(x[lo:hi] for x in joined) for lo, hi in zip([0, *bounds], bounds)]
+    return [joined[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+
+
+def _full_svd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, singulars, right = np.linalg.svd(stack)
     return singulars, right
 
 
-def steady_state(liouv: Liouvillian) -> np.ndarray:
-    """Stationary state from the singular-value null space of the generator.
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)
 
-    The singular values of the generator are those of its blocks taken
-    together, found with one batched SVD per stack.  Exactly one may sit
-    below ``NULL_SPACE_RTOL`` times the largest; zero raises
-    SolverFailureError and more than one raises NonUniqueSteadyStateError
-    reporting the dimension found.  The state is the null vector of the block
-    that holds it, mapped back to the lab basis, and checked as a density
-    matrix in full.  This is the batch of one of the solve a sweep runs over
-    many generators (:func:`_steady_states`).
+
+@dataclass(eq=False)
+class _Solution:
+    """The blocks of one generator, solved (see :func:`_steady_states`).
+
+    ``scalars`` is (index, magnitude) of the 1 x 1 blocks, each null when
+    its entry is zero.  ``decomposed`` holds (index, singular values, right
+    singular vectors) per stack of blocks solved by SVD, graded, and
+    ``rates`` (index, p, blocks, Frobenius norms, residuals) per stack of
+    rate-matrix blocks solved by GTH (:func:`_stationary_rates`).  ``top`` is the
+    largest singular value of the generator.
+    """
+
+    scalars: tuple | None = None
+    decomposed: list = field(default_factory=list)
+    rates: list = field(default_factory=list)
+    top: float = 0.0
+
+
+def _graded(blocks: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every block of a stack and its indices, largest diagonal entries first.
+    A symmetric permutation keeps the singular values, and the SVD's null
+    vector of a rate matrix whose rates span many decades is far more
+    accurate in this order (1e-15 against 1e-10 for a cold chain at weak
+    tunneling)."""
+    grade = (-abs(blocks.diagonal(axis1=1, axis2=2))).argsort(axis=1, kind="stable")
+    block = np.arange(len(blocks))[:, None]
+    return blocks[block[:, :, None], grade[:, :, None], grade[:, None, :]], index[block, grade]
+
+
+def _picked(array: np.ndarray, at: np.ndarray | None) -> np.ndarray:
+    return array if at is None else array[at]
+
+
+def _solve_blocks(liouvs, results: list) -> list[_Solution]:
+    """Every block of every generator solved by its rule: a 1 x 1 block is
+    its entry, null when it is zero; a rate-matrix block (all of whose
+    indices are populations (i, i)) goes to one batched GTH elimination per
+    block size; the other blocks, and rate-matrix blocks that GTH cannot
+    solve, go to one batched SVD per block size.  A generator whose blocks
+    an SVD cannot decompose gets its error in ``results``."""
+    solutions = [_Solution() for _ in liouvs]
+    by_size: dict[int, list] = {}  # (generator, stack, rate-matrix mask)
+    for g, liouv in enumerate(liouvs):
+        population = liouv.dim + 1
+        for n, (index, stack) in enumerate(zip(liouv.indices, liouv.blocks)):
+            if stack.shape[-1] == 1:
+                solutions[g].scalars = (index, abs(stack[:, 0, 0]))
+            else:
+                by_size.setdefault(stack.shape[-1], []).append((g, n, (index % population == 0).all(axis=1)))
+    for members in by_size.values():
+        rated, decompose = [], []
+        for g, n, mask in members:
+            flags = mask.tolist()
+            if all(flags):
+                rated.append((g, n, None))
+            elif any(flags):
+                rated.append((g, n, np.flatnonzero(mask)))
+                decompose.append((g, n, np.flatnonzero(~mask)))
+            else:
+                decompose.append((g, n, None))
+        if rated:
+            decompose += _solve_rates(liouvs, rated, solutions)
+        if decompose:
+            graded = [_graded(_picked(liouvs[g].blocks[n], at), _picked(liouvs[g].indices[n], at))
+                      for g, n, at in decompose]
+            owners = [g for g, _, _ in decompose]
+            parts = _batched(_full_svd, [blocks for blocks, _ in graded], owners, results)
+            for g, (_, index), part in zip(owners, graded, parts):
+                if part is not None:
+                    solutions[g].decomposed.append((index, *part))
+    _exact_tops(solutions, results)
+    return solutions
+
+
+def _solve_rates(liouvs, rated: list, solutions: list[_Solution]) -> list:
+    """The rate-matrix blocks of one size of every generator, (generator,
+    stack, blocks) or None for all, by one GTH elimination; returns those
+    that GTH cannot solve, in the same form."""
+    stacks = [_picked(liouvs[g].blocks[n], at) for g, n, at in rated]
+    joined = _stationary_rates(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+    unsolved = []
+    for (g, n, at), stack, (p, ok, norms, residuals) in zip(rated, stacks, _split(joined, [len(x) for x in stacks])):
+        index = _picked(liouvs[g].indices[n], at)
+        if all(ok.tolist()):
+            solutions[g].rates.append((index, p, stack, norms, residuals))
+            continue
+        if ok.any():
+            solutions[g].rates.append((index[ok], p[ok], stack[ok], norms[ok], residuals[ok]))
+        where = np.flatnonzero(~ok)
+        unsolved.append((g, n, where if at is None else at[where]))
+    return unsolved
+
+
+def _exact_tops(solutions: list[_Solution], results: list) -> None:
+    """Each generator's largest singular value: that of its 1 x 1 and
+    decomposed blocks, and of each GTH-solved block whose Frobenius norm,
+    a bound on its largest singular value, exceeds it; those blocks get
+    their singular values, values alone, by one batched SVD per size."""
+    pending: dict[int, list] = {}  # (generator, blocks)
+    for g, solution in enumerate(solutions):
+        singulars = [s for _, s, _ in solution.decomposed]
+        if solution.scalars is not None:
+            singulars.insert(0, solution.scalars[1])
+        solution.top = max((float(s.max()) for s in singulars if s.size), default=0.0)
+        for _, _, blocks, frobenius, _ in solution.rates:
+            above = [norm > solution.top for norm in frobenius.tolist()]
+            if any(above):
+                pending.setdefault(blocks.shape[-1], []).append((g, blocks if all(above) else blocks[above]))
+    for members in pending.values():
+        owners = [g for g, _ in members]
+        parts = _batched(_singular_values, [blocks for _, blocks in members], owners, results)
+        for g, singulars in zip(owners, parts):
+            if singulars is not None:
+                solutions[g].top = max(solutions[g].top, float(singulars.max()))
+
+
+def steady_state(liouv: Liouvillian) -> np.ndarray:
+    """Stationary state from the null space of the generator, block by block.
+
+    The null space of the generator is that of its blocks together, each
+    counted by its own rule.  A 1 x 1 block (i, i') is null when its entry
+    is zero, not when it is small against the rest of the generator: in a
+    cold chain the decay of a coherence between ground levels is 1e-13 of
+    the largest rate and is no null vector.  Its terms, -i (E_i - E_i') and
+    decay terms whose real parts are <= 0, cannot cancel unless a jump lands
+    on it, so for the null count :func:`liouvillian` clears, where a jump
+    lands, an entry within ``NULL_SPACE_RTOL`` of the summed magnitudes of
+    |E_i - E_i'|, its decay terms and its jumps; :func:`evolve` steps the
+    same generator, whose cleared entries are rounding.  A rate-matrix
+    block, all of whose indices are populations (i, i), has one null vector
+    when Grassmann-Taksar-Heyman elimination finds its pivots positive
+    (every state reaches one closed class), and its largest singular value
+    is computed, values alone, only where its Frobenius norm exceeds the
+    largest of the other blocks.  Any other block, and a rate-matrix block
+    with a zero or non-finite pivot or entry, counts its singular values
+    below ``NULL_SPACE_RTOL`` times the largest singular value of the whole
+    generator, from a batched SVD of the block graded by its diagonal.
+    Exactly one null vector must be found: none raises SolverFailureError
+    and more than one raises NonUniqueSteadyStateError reporting the
+    dimension found.  The state is that null vector, mapped back to the lab
+    basis, checked to be stationary to ``STEADY_RESIDUAL_RTOL`` of the
+    largest singular value and checked as a density matrix in full.  A
+    block whose entries are not finite fails its generator with the SVD's
+    error.  This is the batch of one of the solve a sweep runs over many
+    generators (:func:`_steady_states`).
     """
     (state,) = _steady_states((liouv,))
     if isinstance(state, Exception):
@@ -1134,75 +1466,61 @@ def _steady_states(liouvs) -> list[np.ndarray | Exception]:
     own solve raises (a QThermoError or a ValueError), as
     :func:`steady_state` solves one.
 
-    The stacks of one block size from all generators go through one batched
-    SVD, whose singular values and vectors are those of each block alone.
-    Each generator's null rule reads its own largest singular value, and its
-    null count, null vector and residual are its own.  The null vectors of
-    the generators of one dimension are made Hermitian, normalized, mapped
-    back to the lab basis and checked as density matrices as one stack (one
+    The blocks of one size from all generators go through one batched GTH
+    elimination (rate-matrix blocks) or one batched SVD (the rest), whose
+    results are those of each block alone (:func:`_solve_blocks`).  Each
+    generator's null rule reads its own largest singular value, and its null
+    count, null vector and residual are its own; the residual of a state
+    held by a rate-matrix block is that block's alone, computed for all such
+    blocks of one size at once.  The null vectors of the
+    generators of one dimension are made Hermitian, normalized, mapped back
+    to the lab basis and checked as density matrices as one stack (one
     ``eigvalsh``), each state exactly as it would be alone, and then
     recorded.  An SVD that fails to converge fails only the generators whose
     blocks it holds.
     """
     results: list = [None] * len(liouvs)
-    decompositions = _block_decompositions(liouvs, results)
-    nulls: dict[int, list] = {}  # by dimension: (generator, top, null vector entries)
-    for g, (liouv, decomposition) in enumerate(zip(liouvs, decompositions)):
+    solutions = _solve_blocks(liouvs, results)
+    nulls: dict[int, list] = {}  # by dimension: (generator, top, null vector entries, residual)
+    for g, (liouv, solution) in enumerate(zip(liouvs, solutions)):
         if results[g] is None:
             try:
-                top, entries = _null_vector(liouv, decomposition)
+                entries, residual = _null_vector(liouv, solution)
             except (QThermoError, ValueError) as exc:
                 results[g] = exc
             else:
-                nulls.setdefault(liouv.dim, []).append((g, top, entries))
+                nulls.setdefault(liouv.dim, []).append((g, solution.top, entries, residual))
     for dim, group in nulls.items():
         _stationary_states(liouvs, dim, group, results)
     return results
 
 
-def _block_decompositions(liouvs, results: list) -> list[list]:
-    """The singular values and right singular vectors of every block of
-    every generator, one batched SVD per block size; a generator whose
-    blocks the SVD cannot decompose gets its error in ``results``."""
-    by_size: dict[int, list[tuple[int, int]]] = {}
-    for g, liouv in enumerate(liouvs):
-        for n, stack in enumerate(liouv.blocks):
-            by_size.setdefault(stack.shape[-1], []).append((g, n))
-    decompositions = [[None] * len(liouv.blocks) for liouv in liouvs]
-    for members in by_size.values():
-        stacks = [liouvs[g].blocks[n] for g, n in members]
-        try:
-            joined = _singular_values_and_vectors(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        except np.linalg.LinAlgError:
-            parts = []
-            for (g, _), stack in zip(members, stacks):
-                try:
-                    parts.append(_singular_values_and_vectors(stack))
-                except np.linalg.LinAlgError as exc:
-                    results[g] = exc
-                    parts.append(None)
-        else:
-            parts, lo = [], 0
-            for stack in stacks:
-                hi = lo + len(stack)
-                parts.append((joined[0][lo:hi], joined[1][lo:hi]))
-                lo = hi
-        for (g, n), part in zip(members, parts):
-            decompositions[g][n] = part
-    return decompositions
-
-
-def _null_vector(liouv: Liouvillian, decomposition: list) -> tuple[float, tuple]:
-    """The null rule of one generator on the singular values of its blocks:
-    its largest singular value and the (rows, cols, values) of its null
-    vector as a matrix in the eigenbasis."""
-    singulars = [s for s, _ in decomposition]
-    top = max((float(s.max()) for s in singulars if s.size), default=0.0)
+def _null_vector(liouv: Liouvillian, solution: _Solution) -> tuple[tuple, float | None]:
+    """The null rule of one generator on its solved blocks: the (rows, cols,
+    values) of its null vector as a matrix in the eigenbasis, and its
+    residual relative to the largest singular value when a rate-matrix
+    block holds it.  A state held by a rate-matrix block sees zeros in every
+    other block, so that block's residual is the generator's."""
+    top = solution.top
     if top == 0.0:
         raise SolverFailureError("generator is identically zero; every state is stationary")
-    null = [s <= NULL_SPACE_RTOL * top for s in singulars]
+    limit = NULL_SPACE_RTOL * top
+    null = [s <= limit for _, s, _ in solution.decomposed]
     null_dim = sum(int(np.count_nonzero(mask)) for mask in null)
+    if math.isfinite(limit):
+        null_dim += sum(len(p) for _, p, _, _, _ in solution.rates)
+        if solution.scalars is not None:
+            null_dim += solution.scalars[1].size - int(np.count_nonzero(solution.scalars[1]))
+    else:
+        # a non-finite 1 x 1 entry: every singular value is compared with
+        # the limit, which counts all of them (inf) or none (NaN)
+        null_dim += sum(p.size for _, p, _, _, _ in solution.rates) if limit > 0 else 0
+        if solution.scalars is not None:
+            null_dim += int(np.count_nonzero(solution.scalars[1] <= limit))
     if null_dim == 0:
+        singulars = [s for _, s, _ in solution.decomposed]
+        if solution.scalars is not None:
+            singulars.append(solution.scalars[1])
         smallest = min(float(s.min()) for s in singulars if s.size)
         raise SolverFailureError(
             f"no singular value below {NULL_SPACE_RTOL:.0e} of the largest; smallest ratio "
@@ -1212,57 +1530,103 @@ def _null_vector(liouv: Liouvillian, decomposition: list) -> tuple[float, tuple]
         raise NonUniqueSteadyStateError(
             f"steady state is not unique: null space has dimension {null_dim}", null_dim
         )
-    holder = next(n for n, mask in enumerate(null) if mask.any())
-    block = int(np.flatnonzero(null[holder].any(axis=1))[0])
+    if solution.rates:
+        index, p, _, frobenius, residual = solution.rates[0]
+        # the population (i, i) sits at the column-stacked index i * (dim + 1)
+        levels = index[0] // (liouv.dim + 1)
+        return (levels, levels, p[0]), float(residual[0]) * (float(frobenius[0]) / top)
     # the column-stacked index i + dim * j of the block holds entry (i, j)
-    cols, rows = np.divmod(liouv.indices[holder][block], liouv.dim)
-    return top, (rows, cols, decomposition[holder][1][block, -1].conj())
+    if solution.scalars is not None and not solution.scalars[1].all():
+        index, magnitude = solution.scalars
+        cols, rows = np.divmod(index[magnitude == 0.0, 0], liouv.dim)
+        return (rows, cols, np.ones(1, dtype=complex)), None
+    holder = next(n for n, mask in enumerate(null) if mask.any())
+    index, _, right = solution.decomposed[holder]
+    block = int(np.flatnonzero(null[holder].any(axis=1))[0])
+    cols, rows = np.divmod(index[block], liouv.dim)
+    return (rows, cols, right[block, -1].conj()), None
 
 
 def _stationary_states(liouvs, dim: int, group: list, results: list) -> None:
     """Finish the solves of the generators of one dimension from their null
     vectors (:func:`_null_vector`): each state, or its error, goes into
-    ``results``.  Every step acts on the stack of states entry by entry or
-    matrix by matrix, so each state is the one its generator gives alone."""
-    # the Hermitian parts (M + M^dagger) / 2 and their normalization, in place
-    candidates = np.zeros((len(group), dim, dim), dtype=complex)
-    for candidate, (_, _, (rows, cols, values)) in zip(candidates, group):
-        candidate[rows, cols] = values
-    candidates += candidates.conj().swapaxes(1, 2)
-    candidates *= 0.5
-    traces = candidates.trace(axis1=1, axis2=2).real.tolist()
-    kept = []
-    for k, (rho_in_basis, (g, top, _), trace) in enumerate(zip(candidates, group, traces)):
-        if abs(trace) < 1e-12:
-            results[g] = SolverFailureError("null vector is traceless; no normalizable stationary state")
+    ``results``.  A state held by a rate-matrix block is diagonal in the
+    eigenbasis, normalized and its residual known; any other is the
+    normalized Hermitian part of its null vector, whose residual is taken
+    over every block.  Every step acts on the stack of states entry by entry
+    or matrix by matrix, so each state is the one its generator gives
+    alone."""
+    kept, stacks = [], []
+    held = []
+    for g, top, (levels, _, p), relative in group:
+        if relative is None:
             continue
-        rho_in_basis /= trace
-        liouv = liouvs[g]
-        stacked = rho_in_basis.ravel(order="F")
-        # relative to top, so that squaring cannot overflow on a finite generator
-        square = 0.0
-        for index, stack in zip(liouv.indices, liouv.blocks):
-            scaled = stack @ stacked[index][:, :, None] / top
-            square += np.vdot(scaled, scaled).real
-        relative = math.sqrt(square)
         if relative > STEADY_RESIDUAL_RTOL:
-            results[g] = SolverFailureError(
-                f"stationary residual {relative * top:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
-                f"{STEADY_RESIDUAL_RTOL * top:.3e}"
-            )
-            continue
-        kept.append((k, g))
+            results[g] = _residual_error(relative, top)
+        else:
+            held.append((g, levels, p))
+    if held:
+        diagonals = np.zeros((len(held), 1, dim))
+        for diagonal, (_, levels, p) in zip(diagonals, held):
+            diagonal[0, levels] = p
+        bases = _bases(liouvs, [g for g, _, _ in held])
+        stacks.append(bases * diagonals @ bases.conj().swapaxes(1, 2))
+        kept += [g for g, _, _ in held]
+    others = [member for member in group if member[3] is None]
+    if others:
+        # the Hermitian parts (M + M^dagger) / 2 and their normalization, in place
+        candidates = np.zeros((len(others), dim, dim), dtype=complex)
+        for candidate, (_, _, (rows, cols, values), _) in zip(candidates, others):
+            candidate[rows, cols] = values
+        candidates += candidates.conj().swapaxes(1, 2)
+        candidates *= 0.5
+        traces = candidates.trace(axis1=1, axis2=2).real.tolist()
+        normal = []
+        for k, (rho_in_basis, (g, top, _, _), trace) in enumerate(zip(candidates, others, traces)):
+            if abs(trace) < 1e-12:
+                results[g] = SolverFailureError("null vector is traceless; no normalizable stationary state")
+                continue
+            rho_in_basis /= trace
+            liouv = liouvs[g]
+            stacked = rho_in_basis.ravel(order="F")
+            # relative to top, so that squaring cannot overflow on a finite generator
+            square = 0.0
+            for index, stack in zip(liouv.indices, liouv.blocks):
+                scaled = stack @ stacked[index][:, :, None] / top
+                square += np.vdot(scaled, scaled).real
+            relative = math.sqrt(square)
+            if relative > STEADY_RESIDUAL_RTOL:
+                results[g] = _residual_error(relative, top)
+                continue
+            normal.append((k, g))
+        if normal:
+            if len(normal) < len(others):
+                candidates = candidates[[k for k, _ in normal]]
+            bases = _bases(liouvs, [g for _, g in normal])
+            stacks.append(bases @ candidates @ bases.conj().swapaxes(1, 2))
+            kept += [g for _, g in normal]
     if not kept:
         return
-    if len(kept) < len(group):
-        candidates = candidates[[k for k, _ in kept]]
-    bases = liouvs[kept[0][1]].basis[None] if len(kept) == 1 else np.stack([liouvs[g].basis for _, g in kept])
-    states = bases @ candidates @ bases.conj().swapaxes(1, 2)
-    del candidates, bases  # before the check allocates its own stacks
+    states = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    del stacks  # before the check allocates its own stacks
     states += states.conj().swapaxes(1, 2)
     states *= 0.5
-    for (_, g), state, error in zip(kept, states, _record_density_matrices(states, name="steady state")):
+    for g, state, error in zip(kept, states, _record_density_matrices(states, name="steady state")):
         results[g] = state if error is None else error
+
+
+def _bases(liouvs, generators: list[int]) -> np.ndarray:
+    """The eigenbases of these generators as one stack."""
+    if len(generators) == 1:
+        return liouvs[generators[0]].basis[None]
+    return np.stack([liouvs[g].basis for g in generators])
+
+
+def _residual_error(relative: float, top: float) -> SolverFailureError:
+    return SolverFailureError(
+        f"stationary residual {relative * top:.3e} above {STEADY_RESIDUAL_RTOL:.0e} * ||L|| = "
+        f"{STEADY_RESIDUAL_RTOL * top:.3e}"
+    )
 
 
 def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -> np.ndarray:

@@ -379,6 +379,20 @@ class TestBatchedSweep:
         assert same_rows(population_sweep(base, (), (), points=points), whole)
         assert batches == [1] * len(points)
 
+    def test_points_are_read_without_a_second_check(self, monkeypatch):
+        # the batched solve checks every state in full, so the sweep reads
+        # the populations at once; the public reader still checks its input
+        checks = []
+        original = chain.require_density_matrix
+        monkeypatch.setattr(chain, "require_density_matrix", lambda rho: checks.append(rho) or original(rho))
+        base = spec_for(n_sites=5)
+        rows = population_sweep(base, (0.1, 1.3), ((0.8, 0.4), (0.3, 0.1)))
+        assert checks == [] and all(row.error is None for row in rows)
+        assert same_rows(rows, [point_alone(base, g, pair) for pair in ((0.8, 0.4), (0.3, 0.1)) for g in (0.1, 1.3)])
+        assert len(checks) == 4
+        with pytest.raises(InvariantViolationError, match="trace"):
+            site_populations(np.eye(10) / 5.0, base)
+
     def test_the_paper_survey_fits_one_batch(self, monkeypatch):
         batches = []
         original = chain._steady_states

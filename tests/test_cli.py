@@ -292,11 +292,28 @@ def counting(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def counting_svds(monkeypatch) -> list:
+    """Replace ``np.linalg.svd`` by a wrapper that notes the shape of each
+    call and whether it asked for vectors; returns the list of notes."""
+    calls = []
+    original = np.linalg.svd
+
+    def wrapper(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", wrapper)
+    return calls
+
+
 class TestSolveCosts:
     """Calls counted, not timed: a steady state is checked in full once, by
     the solve that computes it, and its readers find it in the record of
     passed checks; figure2 solves each of its distinct points once, all in
-    one batch."""
+    one batch.  A chain's population block is solved by elimination, and
+    its largest singular value is never needed, since its Frobenius norm
+    stays below the coherences' entries; a three-level block needs its
+    largest singular value, values alone."""
 
     def test_warm_figure2(self, monkeypatch):
         config = build_config("figure2")
@@ -330,6 +347,26 @@ class TestSolveCosts:
             states.append(qthermo.steady_state(qthermo.liouvillian(qthermo.chain_system(spec))))
             assert len(spectra) == solve
         assert np.array_equal(*states)
+
+    # the four chain runs of the scaling benchmark: (g, T_L, T_R) at N = 12
+    SCALING_RUNS = ((0.1, 0.8, 0.4), (1.3, 0.8, 0.4), (1.3, 0.3, 0.1), (0.5, 0.6, 0.6))
+
+    def test_chain_sweeps_make_no_svd(self, monkeypatch):
+        svds = counting_svds(monkeypatch)
+        run(build_config("figure2"))
+        for g, t_left, t_right in self.SCALING_RUNS:
+            run(build_config("chain", overrides={"N": "12", "g": repr(g), "T_L": repr(t_left),
+                                                 "T_R": repr(t_right)}))
+        assert svds == []
+
+    @pytest.mark.parametrize("kind", ["lambda", "vee"])
+    @pytest.mark.parametrize("occupations", [(2.0, 1.0), (1.7, 0.4), (0.01, 3.0)])
+    def test_a_three_level_solve_makes_at_most_one_values_only_svd(self, kind, occupations, monkeypatch):
+        system = qthermo.three_level_system(qthermo.ThreeLevelParams.from_occupations(kind, *occupations))
+        liouv = qthermo.liouvillian(system)
+        svds = counting_svds(monkeypatch)
+        qthermo.steady_state(liouv)
+        assert len(svds) <= 1 and all(not vectors for _, vectors in svds)
 
 
 class TestEmit:
@@ -593,6 +630,18 @@ class TestMainExitCodes:
         code = main(["chain", "--set", "T_L=0", "--set", "T_R=0", "--quiet"])
         assert code == EXIT_SOLVER
         assert "null space has dimension 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_sites, t_left, t_right", [(10, 0.1, 0.03), (30, 0.15, 0.04), (6, 0.1, 0.03),
+                                                          (4, 0.08, 0.02)])
+    def test_cold_chains_solve(self, n_sites, t_left, t_right, capsys):
+        # Boltzmann-suppressed rates are tiny, not zero: the steady state is unique
+        code = main(["chain", "--set", f"N={n_sites}", "--set", f"T_L={t_left}", "--set", f"T_R={t_right}",
+                     "--quiet"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        rows = body_of(captured.out).splitlines()[1:]
+        assert len(rows) == n_sites
+        assert abs(sum(float(row.split(",")[1]) for row in rows) - 1.0) <= 1e-12
 
     def test_bad_set_syntax(self, capsys):
         assert main(["chain", "--set", "oops"]) == EXIT_VALIDATION
