@@ -30,12 +30,11 @@ kept, at rate |C|^2 of 1e-34, it would join states that no rate links, so
 that rounding would pick which of several steady states comes out.  The eigenbasis
 model therefore holds C_k and the generator's jump entries as lists of
 nonzero entries (bath, i, j, value), never as (K, d, d) arrays.  C_k is formed
-from the nonzeros of V_k and the exact-zero supports of the rows of U (small
-systems take the nonzeros of the dense product, which costs fewer numpy
-calls).  The jump entries W_k[i, j] conj(C_k[i', j']), W_k = R_k C_k, come
-from one join of the nonzeros of W_k and C_k on (bath, group), and the terms
-of M_k are their population rows (i = i').  A term of M pairs two entries of
-one row and one group, so K = -i diag(E) - M / 2 lies in the zero group and
+from the nonzeros of V_k and the exact-zero supports of the rows of U.  The
+jump entries W_k[i, j] conj(C_k[i', j']), W_k = R_k C_k, come from one join
+of the nonzeros of W_k and C_k on (bath, group), and the terms of M_k are
+their population rows (i = i').  A term of M pairs two entries of one row
+and one group, so K = -i diag(E) - M / 2 lies in the zero group and
 rho -> K rho + rho K^dagger enters whole, as the Kronecker sum
 1 kron K + conj(K) kron 1.  The blocks are the connected components of the
 pattern these entries fill; no stored entry links two blocks, so the
@@ -75,15 +74,14 @@ couplings, and the structures, by reference, so no key is built, nothing is
 looked up and nothing is checked again but the temperatures; a sweep builds
 one system per Hamiltonian this way.  A system built afresh finds its
 structure in one module-level cache keyed on the exact bytes of the
-tolerance, H and the couplings (on the joined path, the nonzeros of the
-couplings) and bounded by the bytes it holds (``STRUCTURE_CACHE_BYTES``,
-least recently used out first), and shares it from then on.  A structure
-keeps a plan per set of nonzero W_k entries, which changes only where a rate
-vanishes (T = 0, or an occupation below the overflow cut): the pairs the join
-selects and the places of the jump, decay and current entries.  A plan keeps
-a layout per nonzero pattern of K: the components, the order of the states
-of each block of populations, where each entry lands in the blocks and the
-stacks.  A new temperature then costs the rates, one gather and multiply,
+tolerance, H and the nonzeros of the couplings and bounded by the bytes it
+holds (``STRUCTURE_CACHE_BYTES``, least recently used out first), and shares
+it from then on.  A structure keeps a plan per set of nonzero W_k entries,
+which changes only where a rate vanishes (T = 0, or an occupation below the
+overflow cut): the pairs the join selects and the places of the jump, decay
+and current entries.  A plan keeps a layout per nonzero pattern of K: the
+components, the order of the states of each block of populations, where each
+entry lands in the blocks and the stacks.  A new temperature then costs the rates, one gather and multiply,
 and one scatter into the blocks.  Errors are unchanged: a structure whose
 grouping checks fail is not kept, and the zero-frequency rule is decided on
 every call from the kept magnitudes and the bath's density.
@@ -164,12 +162,6 @@ ZERO_COMPONENT_ATOL = 1e-10
 # rate at rounding squared would make two sectors one block; the smallest
 # coupling of a 150-site chain's end site is 6e-7 of the norm.
 COUPLING_RTOL = 1e-10
-# Up to this many entries in the stacked (K, d, d) couplings, C_k is formed by
-# dense products, where a few numpy calls beat the entry joins (17 against
-# 93 us for two baths at d = 4).  The two are even near K d^2 = 7000, a
-# 12-site chain, and the joins win beyond: 1.2 against 3.0 ms for the whole
-# model at 20 sites.
-DENSE_PRODUCT_ENTRIES = 4096
 NULL_SPACE_RTOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-9
 TRACE_DRIFT_TOL = 1e-7
@@ -189,7 +181,7 @@ LAB_MAP_CHUNK_ENTRIES = 8192
 MAX_EVOLVE_SUBSTEPS = 10**8
 # Bytes of the arrays, keys included, that the eigenbasis structures kept
 # across systems may hold together ("Reuse" in the module docstring).  A chain
-# structure with its plan and layout holds 0.13 MiB at 10 sites, 0.6 MiB at
+# structure with its plan and layout holds 0.07 MiB at 10 sites, 0.6 MiB at
 # 30, 6.8 MiB at 100 and 15.3 MiB at 150, so one chain of up to about 200
 # sites is kept, and hundreds of the paper's 10-site chains.
 STRUCTURE_CACHE_BYTES = 32 * 2**20
@@ -426,15 +418,6 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ranked[starts], np.add.reduceat(values[order], starts)
 
 
-def _dense_coupling_entries(states: np.ndarray, stacked: np.ndarray) -> _Entries:
-    """The nonzero entries of every C_k = U^dagger V_k U, from the dense
-    products with the stacked (K, d, d) couplings, where numpy's per-call
-    cost rules (``DENSE_PRODUCT_ENTRIES``)."""
-    couplings = states.conj().T @ stacked @ states
-    bath, rows, cols = np.nonzero(couplings)
-    return _Entries(bath, rows, cols, couplings[bath, rows, cols])
-
-
 def _coupling_nonzeros(baths: tuple[BathSpec, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The nonzeros of every V_k as (rows, cols, values), row by row."""
     nonzeros = []
@@ -486,16 +469,6 @@ def _seal(*arrays: np.ndarray) -> int:
     return sum(a.nbytes for a in arrays)
 
 
-class _Key(tuple):
-    """A structure's cache key (tolerance, H bytes, coupling bytes): equal
-    only to a key with the same bytes, but hashed on the tolerance and H
-    alone.  Hashing the 64 KB of a 10-site chain's stacked couplings takes
-    27 us on every call, about a quarter of a warm model build."""
-
-    def __hash__(self):
-        return hash(self[:2])
-
-
 class _StructureCache:
     """The eigenbasis structures built so far, least recently used first.
 
@@ -511,7 +484,7 @@ class _StructureCache:
         self.nbytes = 0
         self.lock = threading.Lock()
 
-    def structure(self, key: _Key, build) -> _Structure:
+    def structure(self, key: tuple, build) -> _Structure:
         """The structure kept under ``key``, or ``build()`` kept there."""
         with self.lock:
             structure = self.kept.get(key)
@@ -675,9 +648,8 @@ def _structure(system: OpenSystem, freq_tol: float) -> _Structure:
     the cache or built and kept there, then shared.
 
     The cache key is exact: the tolerance, the bytes of H, and the bytes of
-    the stacked couplings or, on the joined path, of the (rows, cols,
-    values) of their nonzeros, which the join reads anyway.  A structure
-    whose build fails is not kept.
+    the (rows, cols, values) of the couplings' nonzeros, which the join
+    reads anyway.  A structure whose build fails is not kept.
     """
     structure = system._structures.get(freq_tol)
     if structure is None:
@@ -686,29 +658,21 @@ def _structure(system: OpenSystem, freq_tol: float) -> _Structure:
 
 
 def _cached_structure(system: OpenSystem, freq_tol: float) -> _Structure:
-    dim = system.dim
-    if len(system.baths) * dim * dim > DENSE_PRODUCT_ENTRIES:
-        couplings = _coupling_nonzeros(system.baths)
-        coupling_key = tuple(a.tobytes() for triple in couplings for a in triple)
-    else:
-        couplings = np.array([bath.coupling for bath in system.baths], dtype=complex).reshape(-1, dim, dim)
-        coupling_key = couplings.tobytes()
-    key = _Key((freq_tol, system.hamiltonian.tobytes(), coupling_key))
-    return _STRUCTURES.structure(key, lambda: _build_structure(system, freq_tol, key, couplings))
+    nonzeros = _coupling_nonzeros(system.baths)
+    key = (freq_tol, system.hamiltonian.tobytes(), tuple(a.tobytes() for triple in nonzeros for a in triple))
+    return _STRUCTURES.structure(key, lambda: _build_structure(system, freq_tol, key, nonzeros))
 
 
-def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) -> _Structure:
+def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) -> _Structure:
     """Decompose H, group its transition frequencies, form the coupling
-    entries, from the stacked couplings or their nonzeros, drop those at
-    rounding level (``COUPLING_RTOL``), and join those of one bath and one
-    group."""
+    entries from the couplings' nonzeros, drop those at rounding level
+    (``COUPLING_RTOL``), and join those of one bath and one group."""
     eig = eigh(system.hamiltonian)
     energies, states = eig.energies, eig.states
     _check_grouping_tolerance(energies, freq_tol)
     frequencies, labels = _frequency_groups(energies, freq_tol)
     n_groups = frequencies.size
-    coupling = (_dense_coupling_entries(states, couplings) if isinstance(couplings, np.ndarray)
-                else _joined_coupling_entries(states, couplings))
+    coupling = _joined_coupling_entries(states, nonzeros)
     magnitude = np.abs(coupling.values)
     norms = np.sqrt(np.bincount(coupling.bath, weights=np.square(magnitude), minlength=len(system.baths)))
     coupled = magnitude > COUPLING_RTOL * norms[coupling.bath]
@@ -725,9 +689,6 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) 
     pairs = _equal_key_pairs(group_key, group_key)
     nbytes = _seal(energies, states, frequencies, labels, *coupling, entry_labels, zero_magnitude,
                    above_atol, *pairs)
-    coupling_key = key[2]
-    key_bytes = len(key[1]) + (len(coupling_key) if isinstance(coupling_key, bytes)
-                               else sum(map(len, coupling_key)))
     return _Structure(
         key=key,
         energies=energies,
@@ -739,7 +700,7 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: _Key, couplings) 
         zero_magnitude=zero_magnitude,
         above_atol=above_atol,
         pairs=pairs,
-        nbytes=nbytes + key_bytes,
+        nbytes=nbytes + len(key[1]) + sum(map(len, key[2])),
     )
 
 

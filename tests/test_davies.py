@@ -627,16 +627,13 @@ class TestDenseReference:
          gradient_chain(4, 0.1, 0.0, 0.6), rotated_chain(4, 0.5, 0.8, 0.4, seed=1, ground_only=False)],
         ids=["warm", "cold-right", "cold-left", "rotated-chain"],
     )
-    @pytest.mark.parametrize("joined", [False, True], ids=["dense-product", "joins"])
-    def test_blocks_are_the_components_of_the_reference(self, system, joined, monkeypatch):
+    def test_blocks_are_the_components_of_the_reference(self, system):
         # the blocks are exactly the connected components of the dense
         # reference's pattern in the eigenbasis: no exact zero of the
         # couplings or of a rate (a bath at T = 0 absorbs nothing) is kept
         # as an entry that would merge two of them, nor is a coupling that
         # only the rounding of U makes (a chain seen through a unitary over
         # the whole space)
-        if joined:
-            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
         liouv = liouvillian(system)
         label = block_labels(liouv)
         change = np.kron(liouv.basis.conj(), liouv.basis)
@@ -693,9 +690,9 @@ def dense_coupling_entries(system: OpenSystem):
 
 
 class TestCouplingEntries:
-    """The entry joins that form C_k = U^dagger V_k U beyond the dense-product
-    size, against the dense product itself: the same exact-zero pattern, so
-    the same blocks, and the same values to rounding."""
+    """The entry joins that form every C_k = U^dagger V_k U, against the dense
+    product: the same exact-zero pattern, so the same blocks, and the same
+    values to rounding."""
 
     @staticmethod
     def check(system: OpenSystem) -> None:
@@ -728,6 +725,12 @@ class TestCouplingEntries:
     def test_rotated_chains(self, ground_only):
         self.check(rotated_chain(4, 1.3, 0.8, 0.4, seed=2, ground_only=ground_only))
 
+    @pytest.mark.parametrize("omega_2", [1.0, 1.7], ids=["equal", "distinct"])
+    @pytest.mark.parametrize("configuration", ["lambda", "vee"])
+    def test_three_level_systems(self, configuration, omega_2):
+        # the three-level experiments' systems, at equal and distinct transitions
+        self.check(three_level_system(ThreeLevelParams(configuration, 1.0, omega_2, 1.0, 1.0, 0.8, 0.4)))
+
     def test_zero_and_sparse_couplings(self):
         # a bath that couples nothing has no entries; a lone diagonal entry
         h = np.diag([0.0, 1.0, 2.5])
@@ -742,14 +745,13 @@ class TestCouplingEntries:
         [gradient_chain(4, 1.3, 0.8, 0.4), gradient_chain(5, 0.1, 0.6, 0.0),
          rotated_chain(3, 1.3, 0.8, 0.4, seed=3, ground_only=True),
          rotated_chain(3, 0.5, 0.8, 0.4, seed=4, ground_only=False),
-         random_open_system(11, 5, 3), degenerate_open_system(12, 6, 2)],
-        ids=["chain", "cold-end", "ground", "whole-space", "random", "degenerate"],
+         random_open_system(11, 5, 3), degenerate_open_system(12, 6, 2),
+         *(three_level_system(ThreeLevelParams.from_occupations(c, 2.0, 0.5)) for c in ("lambda", "vee"))],
+        ids=["chain", "cold-end", "ground", "whole-space", "random", "degenerate", "lambda", "vee"],
     )
-    def test_generator_and_currents_through_the_joins(self, system, monkeypatch):
-        # every system here is below the dense-product size; forced through
-        # the joins, the generator, the state and the currents still match
-        # the oracles built in this file
-        monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
+    def test_generator_and_currents_through_the_joins(self, system):
+        # the generator, the state and the currents from the joined entries
+        # match the oracles built in this file
         TestDenseReference.check(system)
         rho = random_state(5, system.dim)
         assert np.max(np.abs(heat_currents(system, rho) - dissipator_currents(system, rho))) <= 1e-12
@@ -1128,16 +1130,13 @@ class TestSteadyState:
             steady_state(liouvillian(system))
         assert excinfo.value.dimension == 2
 
-    @pytest.mark.parametrize("joined", [False, True], ids=["dense-product", "joins"])
     @pytest.mark.parametrize("n_levels", [3, 5, 7])
-    def test_mirror_symmetric_sectors_are_not_unique(self, n_levels, joined, monkeypatch):
+    def test_mirror_symmetric_sectors_are_not_unique(self, n_levels):
         # H and a bath at the middle level are symmetric under i -> n - 1 - i,
         # so the bath cannot reach the (n - 1) / 2 antisymmetric levels, each
         # of which is stationary, nor move weight between them and the
         # symmetric sector; the rounding of U puts 1e-17 to 1e-32 where their
         # couplings are zero, which must not join the sectors
-        if joined:
-            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
         h = np.diag(np.ones(n_levels - 1), 1) * 0.3
         h[n_levels // 2, n_levels // 2] = 1.0
         coupling = np.zeros((n_levels, n_levels))
@@ -1390,7 +1389,7 @@ def analytic_chain(n_sites: int, h: float, g: float, rate: float,
 
 
 class TestLargeChains:
-    """Chains far beyond the dense-product size, against the analytic band."""
+    """Chains of up to 50 sites, against the analytic band."""
 
     def test_fifty_sites_against_the_analytic_band(self):
         spec = ChainSpec(50, 1.0, 1.3, 0.02, LinearProfile(0.8, 0.4))
@@ -1465,7 +1464,7 @@ def generator_bytes(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> l
 def kept_array_bytes(structure) -> int:
     """The bytes a kept structure holds, counted from its arrays."""
     _, h, couplings = structure.key
-    total = len(h) + (len(couplings) if isinstance(couplings, bytes) else sum(map(len, couplings)))
+    total = len(h) + sum(map(len, couplings))
     arrays = [structure.energies, structure.states, structure.frequencies, structure.labels,
               *structure.coupling, structure.entry_labels, structure.zero_magnitude,
               structure.above_atol, *structure.pairs]
@@ -1543,11 +1542,8 @@ class TestReuse:
         liouvillian(at(scale))
         assert generator_bytes(at(1.0)) == cold
 
-    @pytest.mark.parametrize("joined", [False, True], ids=["dense", "joined"])
-    def test_a_cold_end_switching_on_and_off(self, joined, monkeypatch):
+    def test_a_cold_end_switching_on_and_off(self):
         # a bath at T = 0 drops its absorption entries: another plan
-        if joined:
-            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
         ends = [(0.8, 0.0), (0.8, 0.4)]
         cold = []
         for t in ends:
@@ -1574,11 +1570,8 @@ class TestReuse:
                 liouvillian(gradient_chain(4, 0.3, 0.8, 0.4), 0.2)
         assert len(davies._STRUCTURES.kept) == 2
 
-    @pytest.mark.parametrize("joined", [False, True], ids=["dense", "joined"])
-    def test_coupling_values_are_in_the_key(self, joined, monkeypatch):
+    def test_coupling_values_are_in_the_key(self):
         # the same pattern of nonzero couplings with other values
-        if joined:
-            monkeypatch.setattr(davies, "DENSE_PRODUCT_ENTRIES", 0)
         def doubled():
             system = gradient_chain(4, 0.5, 0.8, 0.4)
             return OpenSystem(system.hamiltonian, tuple(
@@ -1614,7 +1607,7 @@ class TestReuse:
     def test_a_warm_call_builds_nothing(self, monkeypatch):
         # no eigendecomposition, grouping, join, components or sort on a hit
         generator_bytes(gradient_chain(5, 0.7, 0.8, 0.4))
-        for name in ("eigh", "_frequency_groups", "_equal_key_pairs", "components"):
+        for name in ("eigh", "_frequency_groups", "_joined_coupling_entries", "_equal_key_pairs", "components"):
             monkeypatch.setattr(davies, name, None)
         monkeypatch.setattr(davies.np, "lexsort", None)
         generator_bytes(gradient_chain(5, 0.7, 0.6, 0.1))
