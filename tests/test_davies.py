@@ -624,8 +624,11 @@ class TestDenseReference:
     @pytest.mark.parametrize(
         "system",
         [gradient_chain(4, 1.3, 0.8, 0.4), gradient_chain(5, 1.3, 0.8, 0.0),
-         gradient_chain(4, 0.1, 0.0, 0.6), rotated_chain(4, 0.5, 0.8, 0.4, seed=1, ground_only=False)],
-        ids=["warm", "cold-right", "cold-left", "rotated-chain"],
+         gradient_chain(4, 0.1, 0.0, 0.6), rotated_chain(4, 0.5, 0.8, 0.4, seed=1, ground_only=False),
+         *(three_level_system(ThreeLevelParams(c, 1.0, omega_2, 1.0, 1.0, 0.8, temp_2))
+           for c in ("lambda", "vee") for omega_2, temp_2 in ((1.0, 0.4), (1.7, 0.0)))],
+        ids=["warm", "cold-right", "cold-left", "rotated-chain",
+             "lambda-equal", "lambda-cold", "vee-equal", "vee-cold"],
     )
     def test_blocks_are_the_components_of_the_reference(self, system):
         # the blocks are exactly the connected components of the dense
