@@ -27,8 +27,9 @@ from .davies import (
     BathSpec,
     FlatDensity,
     OpenSystem,
+    _generator_bytes_bound,
+    _liouvillians,
     _steady_states,
-    liouvillian,
 )
 from .errors import InvariantViolationError, QThermoError
 from .linalg import require_density_matrix
@@ -38,7 +39,11 @@ POPULATION_TOL = 1e-6
 # one batch.  A 10-site chain's generator holds 15 KiB, so figure2's 18
 # points are one batch; a 30-site one 140 KiB, so seven points share one; from
 # about 90 sites every point is a batch of its own, whose elimination of the
-# 2N x 2N population block outweighs the per-call costs a batch saves.
+# 2N x 2N population block outweighs the per-call costs a batch saves.  The
+# points of one Hamiltonian are built in chunks of as many as may fill the
+# batch, counted at the most bytes a generator of that Hamiltonian can hold
+# (``davies._generator_bytes_bound``), so the generators built and not yet
+# solved stay within this bound plus one point's.
 SWEEP_BATCH_BYTES = 2**20
 SYMMETRY_THRESHOLD = 0.95
 ARGMAX_TIE_ATOL = 1e-12
@@ -136,11 +141,6 @@ def chain_system(spec: ChainSpec) -> OpenSystem:
     """Open system of the chain: excited levels at the site energy, hopping
     between neighboring excited levels, one local bath per site."""
     dim = spec.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    excited = np.arange(1, dim, 2)
-    h[excited, excited] = spec.site_energy
-    h[excited[:-1], excited[1:]] = spec.tunneling
-    h[excited[1:], excited[:-1]] = spec.tunneling
     density = FlatDensity(spec.bath_rate)
     baths = []
     for site, temperature in enumerate(spec.site_temperatures().tolist()):
@@ -148,7 +148,18 @@ def chain_system(spec: ChainSpec) -> OpenSystem:
         coupling[_ground_index(site), _excited_index(site)] = 1.0
         coupling[_excited_index(site), _ground_index(site)] = 1.0
         baths.append(BathSpec(coupling, density, temperature))
-    return OpenSystem(hamiltonian=h, baths=tuple(baths))
+    return OpenSystem(hamiltonian=_chain_hamiltonian(spec), baths=tuple(baths))
+
+
+def _chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """The chain's Hamiltonian, which alone depends on the tunneling."""
+    dim = spec.dim
+    h = np.zeros((dim, dim), dtype=complex)
+    excited = np.arange(1, dim, 2)
+    h[excited, excited] = spec.site_energy
+    h[excited[:-1], excited[1:]] = spec.tunneling
+    h[excited[1:], excited[:-1]] = spec.tunneling
+    return h
 
 
 def chain_system_bytes(n_sites: int) -> int:
@@ -308,14 +319,18 @@ def population_sweep(
     then ``points`` as listed.  Failing points are annotated and do not
     abort the sweep.
 
-    One chain system is built per distinct tunneling, and the points are
-    worked through tunneling by tunneling, so it is dropped after the last
-    of them; each point takes it at its own temperatures
-    (:meth:`OpenSystem.with_temperatures`), so a point costs its rates and
-    its generator.  The generators are solved as one batch
-    (``davies._steady_states``) once they hold ``SWEEP_BATCH_BYTES``, and at
-    the end; each point's state, error and row are those of a solve of the
-    point alone.
+    The baths are built and checked once per sweep, with the first
+    Hamiltonian's system (:func:`chain_system`); every further distinct
+    tunneling checks only its Hamiltonian and shares them.  The points are
+    worked through tunneling by tunneling, so a system is dropped after the
+    last of its points.  A Hamiltonian's points go to the generator builder
+    (``davies._liouvillians``) in chunks, each one array expression for the
+    rates and one scatter per plan and pattern of K, and a chunk holds no
+    more points than fill ``SWEEP_BATCH_BYTES``, counted by the most bytes a
+    generator of that Hamiltonian can take.  The generators are solved as
+    one batch (``davies._steady_states``) once they hold
+    ``SWEEP_BATCH_BYTES``, and at the end.  Each point's state, error and row
+    are those of a build and a solve of the point alone.
     """
     swept = [(float(g), (float(pair[0]), float(pair[1]))) for pair in temperature_pairs for g in tunneling_values]
     swept += [(float(g), (float(pair[0]), float(pair[1]))) for g, pair in points]
@@ -328,6 +343,11 @@ def population_sweep(
         by_tunneling.setdefault(tunneling.hex(), []).append(row)
     batch: list[tuple[int, ChainSpec, object]] = []
     held = 0
+    first = None  # the first Hamiltonian's system, whose baths every other shares
+
+    def fail(row: int, exc: Exception) -> None:
+        tunneling, (t_left, t_right) = swept[row]
+        rows[row] = SweepPoint(tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
 
     def solve_batch() -> None:
         for (row, spec, _), state in zip(batch, _steady_states([liouv for _, _, liouv in batch])):
@@ -335,21 +355,41 @@ def population_sweep(
         batch.clear()
 
     for group in by_tunneling.values():
-        system = None
+        specs = []
         for row in group:
             tunneling, (t_left, t_right) = swept[row]
             try:
-                spec = replace(base, tunneling=tunneling, profile=LinearProfile(t_left, t_right))
-                if system is None:
-                    system = chain_system(spec)
-                # the point's system, and with it its eigenbasis model, lives
-                # only until its generator is built
-                liouv = liouvillian(system.with_temperatures(spec.site_temperatures().tolist()), freq_tol)
+                specs.append((row, replace(base, tunneling=tunneling, profile=LinearProfile(t_left, t_right))))
             except (QThermoError, ValueError) as exc:
-                rows[row] = SweepPoint(tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
+                fail(row, exc)
+        if not specs:
+            continue
+        try:
+            if first is None:
+                system = first = chain_system(specs[0][1])
+            else:
+                system = first._with_hamiltonian(_chain_hamiltonian(specs[0][1]))
+            bound = _generator_bytes_bound(system, freq_tol)
+        except (QThermoError, ValueError) as exc:
+            for row, _ in specs:
+                fail(row, exc)
+            continue
+        while specs:
+            # the fewest points that may fill the batch
+            chunk = specs[:max(1, -(-(SWEEP_BATCH_BYTES - held) // bound))]
+            del specs[:len(chunk)]
+            temperatures = np.array([spec.site_temperatures() for _, spec in chunk])
+            try:
+                liouvs = _liouvillians(system, temperatures, freq_tol)
+            except (QThermoError, ValueError) as exc:
+                # beyond the structure, a build checks only the zero-frequency
+                # rule, which H and the baths fix: each point fails alone so
+                for row, _ in chunk:
+                    fail(row, exc)
                 continue
-            batch.append((row, spec, liouv))
-            held += _generator_bytes(liouv)
+            for (row, spec), liouv in zip(chunk, liouvs):
+                batch.append((row, spec, liouv))
+                held += _generator_bytes(liouv)
             if held >= SWEEP_BATCH_BYTES:
                 solve_batch()
                 held = 0

@@ -71,20 +71,34 @@ tolerance alone, and a study runs one Hamiltonian at many bath temperatures.
 They form a read-only structure.  ``OpenSystem.with_temperatures`` states
 the reuse explicitly: the system it gives shares the checked read-only H and
 couplings, and the structures, by reference, so no key is built, nothing is
-looked up and nothing is checked again but the temperatures; a sweep builds
-one system per Hamiltonian this way.  A system built afresh finds its
-structure in one module-level cache keyed on the exact bytes of the
-tolerance, H and the nonzeros of the couplings and bounded by the bytes it
-holds (``STRUCTURE_CACHE_BYTES``, least recently used out first), and shares
-it from then on.  A structure keeps a plan per set of nonzero W_k entries,
-which changes only where a rate vanishes (T = 0, or an occupation below the
-overflow cut): the pairs the join selects and the places of the jump, decay
-and current entries.  A plan keeps a layout per nonzero pattern of K: the
-components, the order of the states of each block of populations, where each
-entry lands in the blocks and the stacks.  A new temperature then costs the rates, one gather and multiply,
-and one scatter into the blocks.  Errors are unchanged: a structure whose
-grouping checks fail is not kept, and the zero-frequency rule is decided on
-every call from the kept magnitudes and the bath's density.
+looked up and nothing is checked again but the temperatures.  A system built
+afresh finds its structure in one module-level cache keyed on the exact
+bytes of the tolerance, H and the nonzeros of the couplings and bounded by
+the bytes it holds (``STRUCTURE_CACHE_BYTES``, least recently used out
+first), and shares it from then on; each bath keeps its coupling's nonzeros
+once they are found, so no key scans a coupling twice.  A structure keeps a
+plan per set of nonzero W_k entries, which changes only where a rate
+vanishes (T = 0, or an occupation below the overflow cut): the pairs the
+join selects and the places of the jump, decay and current entries.  A plan
+keeps a layout per nonzero pattern of K: the components, the order of the
+states of each block of populations, where each entry lands in the blocks
+and the stacks.  A new temperature then costs the rates, one gather and
+multiply, and one scatter into the blocks.  Errors are unchanged: a
+structure whose grouping checks fail is not kept, and the zero-frequency
+rule is decided on every call from the kept magnitudes and the bath's
+density.
+
+A sweep does per Hamiltonian only what the Hamiltonian changes.  Its baths
+are built and checked once, and every further Hamiltonian gets a system that
+checks only its H and shares them (``OpenSystem._with_hamiltonian``).  The
+points of one Hamiltonian are built as one batch (:func:`_liouvillians`):
+the rates of all of them are one array expression over a leading axis of
+points, the points are grouped by plan and by pattern of K, and each group
+is scattered into its blocks by one ``bincount`` whose targets are offset
+point by point, so that every block entry sums the terms of one point in
+the order a point alone sums them.  :func:`liouvillian` is the batch of one,
+and each generator of a batch is, bit for bit, the one its point gives
+alone.
 
 Time stepping.  One classic RK4 step of length h of the linear equation
 d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
@@ -243,7 +257,8 @@ class BathSpec:
 
     def _at_temperature(self, temperature: float) -> BathSpec:
         """This bath at another temperature, sharing the checked read-only
-        coupling; only the temperature is checked."""
+        coupling, and its nonzeros once found (:func:`_coupling_nonzeros`);
+        only the temperature is checked."""
         _check_temperature(temperature)
         bath = object.__new__(BathSpec)
         bath.__dict__.update(self.__dict__, temperature=temperature)
@@ -263,6 +278,10 @@ class OpenSystem:
     ``_models`` (one per grouping tolerance, built on first use) cannot go
     stale, and neither can the temperature-free structures kept in
     ``_structures``, which the systems of :meth:`with_temperatures` share.
+    The checked read-only baths are shared the other way as well: a sweep
+    over Hamiltonians builds its baths once, and each further Hamiltonian
+    gets a system that checks only that Hamiltonian and shares them
+    (``_with_hamiltonian``).
     """
 
     hamiltonian: np.ndarray
@@ -271,14 +290,9 @@ class OpenSystem:
     _structures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = _frozen(require_hermitian(self.hamiltonian, name="hamiltonian"))
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "baths", tuple(self.baths))
-        for k, bath in enumerate(self.baths):
-            if bath.coupling.shape != h.shape:
-                raise InvariantViolationError(
-                    f"bath {k} coupling shape {bath.coupling.shape} differs from hamiltonian {h.shape}"
-                )
+        baths = tuple(self.baths)
+        object.__setattr__(self, "hamiltonian", _checked_hamiltonian(self.hamiltonian, baths))
+        object.__setattr__(self, "baths", baths)
 
     @property
     def dim(self) -> int:
@@ -302,6 +316,26 @@ class OpenSystem:
         system = object.__new__(OpenSystem)
         system.__dict__.update(self.__dict__, baths=baths, _models={})
         return system
+
+    def _with_hamiltonian(self, hamiltonian) -> OpenSystem:
+        """This system with another Hamiltonian, which is checked as the
+        constructor checks it; the checked read-only baths are shared, and
+        the eigenbasis models and structures are the new system's own."""
+        system = object.__new__(OpenSystem)
+        system.__dict__.update(self.__dict__, hamiltonian=_checked_hamiltonian(hamiltonian, self.baths),
+                               _models={}, _structures={})
+        return system
+
+
+def _checked_hamiltonian(hamiltonian, baths: tuple[BathSpec, ...]) -> np.ndarray:
+    """A read-only copy of a Hermitian Hamiltonian of the couplings' shape."""
+    h = _frozen(require_hermitian(hamiltonian, name="hamiltonian"))
+    for k, bath in enumerate(baths):
+        if bath.coupling.shape != h.shape:
+            raise InvariantViolationError(
+                f"bath {k} coupling shape {bath.coupling.shape} differs from hamiltonian {h.shape}"
+            )
+    return h
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -381,13 +415,15 @@ def _thermal_rates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`thermal_rate` at every frequency w > 0 of an array and at its
     negative, emission and absorption, in one array expression each, given
-    the spectral density J(w) and the temperature of each frequency (each
-    an array of the shape of ``omega`` or a scalar).  A frequency w = 0 gets
-    a zero occupation."""
+    the spectral density J(w) and the temperature of each frequency (arrays
+    that broadcast with ``omega``, or scalars; a batch of points stacks its
+    temperatures on a leading axis).  A frequency w = 0 gets a zero
+    occupation."""
     # the occupation 1 / expm1(x) is 0 above x = omega / T = 700, where exp
     # overflows, and at T = 0: there x stays inf and expm1(inf) = inf
-    x = np.full(omega.shape, np.inf)
-    np.divide(omega, temperature, out=x, where=(omega > 0) & (omega <= 700.0 * temperature))
+    live = (omega > 0) & (omega <= 700.0 * temperature)
+    x = np.full(live.shape, np.inf)
+    np.divide(omega, temperature, out=x, where=live)
     occupation = 1.0 / np.expm1(x)
     return density * (1.0 + occupation), density * occupation
 
@@ -419,11 +455,17 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _coupling_nonzeros(baths: tuple[BathSpec, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The nonzeros of every V_k as (rows, cols, values), row by row."""
+    """The nonzeros of every V_k as (rows, cols, values), row by row.  A
+    bath keeps its own from the first use on, and so do the baths that share
+    its coupling (``BathSpec._at_temperature``), so that a structure key
+    never scans a coupling twice; they are read, never written."""
     nonzeros = []
     for bath in baths:
-        rows, cols = np.nonzero(bath.coupling)
-        nonzeros.append((rows, cols, bath.coupling[rows, cols]))
+        kept = bath.__dict__.get("_nonzeros")
+        if kept is None:
+            rows, cols = bath.coupling.nonzero()
+            kept = bath.__dict__["_nonzeros"] = (rows, cols, bath.coupling[rows, cols])
+        nonzeros.append(kept)
     return nonzeros
 
 
@@ -737,58 +779,86 @@ def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
 
 
 def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
-    """Attach the baths' rates to the system's structure, at the coupling
-    entries of every bath in one array expression.
+    """Attach the baths' rates to the system's structure (:func:`_rates`),
+    and the rates' jump, decay and current entries to its plan."""
+    structure = _structure(system, freq_tol)
+    rates, max_rate = _rates(system, structure, np.array([bath.temperature for bath in system.baths]))
+    plan, values, p = _jump_values(structure, rates * structure.coupling.values)
+    decay = p.conj()
+    return _EigenModel(
+        structure=structure,
+        plan=plan,
+        rates=rates,
+        jumps=_Entries(*plan.jumps[:3], values),
+        decay=_Entries(*plan.decay[:3], decay),
+        currents=_Entries(*plan.currents[:3], plan.currents.values * np.concatenate((p, decay))),
+        max_rate=float(max_rate),
+    )
+
+
+def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rate of every coupling entry of the structure, that of its bath
+    at its frequency group, in one array expression, and the largest rate of
+    a component above ``ZERO_COMPONENT_ATOL``.  ``temperature`` holds one
+    temperature per bath, the baths' own or checked as theirs are, for one
+    point or, on a leading axis, for many; the rates and largest rates
+    follow that axis.
 
     The zero-frequency component is always examined: if it vanishes its rate
     is zero, if not the rate is slope * T for an ohmic density while a flat
     density makes the zero-frequency rate diverge and raises
     UnsupportedModelError.
     """
-    structure = _structure(system, freq_tol)
     baths = system.baths
     ohmic = np.array([isinstance(bath.spectral, OhmicDensity) for bath in baths], dtype=bool)
     # J(w) is the coefficient times w for an ohmic density, the coefficient for a flat one
     coefficient = np.array([bath.spectral.slope if is_ohmic else bath.spectral.rate
                             for bath, is_ohmic in zip(baths, ohmic.tolist())])
-    temperature = np.array([bath.temperature for bath in baths])
     present = structure.zero_magnitude > ZERO_COMPONENT_ATOL
-    unsupported = np.flatnonzero(present & ~ohmic)
-    if unsupported.size:
-        k = int(unsupported[0])
+    if (present & ~ohmic).any():
+        k = int(np.flatnonzero(present & ~ohmic)[0])
         raise UnsupportedModelError(
             f"bath {k}: zero-frequency coupling component of magnitude "
             f"{structure.zero_magnitude[k]:.3e} with a flat spectral density has a diverging rate; "
             "use an ohmic density or a model whose zero-frequency component vanishes"
         )
-    coupling = structure.coupling
-    bath = coupling.bath
+    bath = structure.coupling.bath
     # the groups mirror under negation about the zero group, at the middle
     zero_label = structure.frequencies.size // 2
     omega = np.abs(structure.frequencies)[structure.entry_labels]
     emission, absorption = _thermal_rates(
-        coefficient[bath] * np.where(ohmic[bath], omega, 1.0), omega, temperature[bath]
+        coefficient[bath] * np.where(ohmic[bath], omega, 1.0), omega, temperature.take(bath, axis=-1)
     )
     rates = np.where(structure.entry_labels > zero_label, emission, absorption)
     at_zero = structure.entry_labels == zero_label
-    rates[at_zero] = np.where(present, coefficient * temperature, 0.0)[bath[at_zero]]
-    max_rate = float(rates[structure.above_atol].max(initial=0.0))
-    w_val = rates * coupling.values
-    rated = w_val != 0
-    plan = _STRUCTURES.part(structure, structure.plans, rated.tobytes(),
-                            lambda: _build_plan(structure, rated))
-    values = w_val[plan.w] * plan.jumps.values
-    p = values[plan.population]
-    decay = p.conj()
-    return _EigenModel(
-        structure=structure,
-        plan=plan,
-        rates=rates,
-        jumps=plan.jumps._replace(values=values),
-        decay=plan.decay._replace(values=decay),
-        currents=plan.currents._replace(values=plan.currents.values * np.concatenate((p, decay))),
-        max_rate=max_rate,
-    )
+    if at_zero.any():
+        rates[..., at_zero] = np.where(present, coefficient * temperature, 0.0)[..., bath[at_zero]]
+    return rates, rates.compress(structure.above_atol, axis=-1).max(axis=-1, initial=0.0)
+
+
+def _jump_values(structure: _Structure, w_val: np.ndarray) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """The plan of W_k = R_k C_k given at the coupling entries, for one point
+    or, a row each, for points of one nonzero pattern, and the values of the
+    jump entries and of those at the population rows, in the same layout."""
+    rated = (w_val if w_val.ndim == 1 else w_val[0]) != 0
+    plan = _STRUCTURES.part(structure, structure.plans, rated.tobytes(), lambda: _build_plan(structure, rated))
+    # rows times a row: a (1, 1) by (1,) product runs numpy's scalar complex
+    # loop, which rounds otherwise than the vector loop that a point alone's
+    # (J,) by (J,) and every (n, J) by (1, J) product run
+    factor = plan.jumps.values if w_val.ndim == 1 else plan.jumps.values[None]
+    values = w_val.take(plan.w, axis=-1) * factor
+    return plan, values, values.take(plan.population, axis=-1)
+
+
+def _alike(a: np.ndarray) -> list[list[int]]:
+    """The rows of an array grouped by their nonzero patterns: the indices
+    of each group, ascending, the groups in the order of their first rows."""
+    if len(a) == 1:
+        return [[0]]
+    groups: dict[bytes, list[int]] = {}
+    for row, pattern in enumerate(a != 0):
+        groups.setdefault(pattern.tobytes(), []).append(row)
+    return list(groups.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -829,59 +899,138 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     """Build the generator, coherent commutator plus one dissipator per bath
     and transition frequency, from its nonzero entries in the eigenbasis and
     split into the connected components of their pattern (see the module
-    docstring).  The jump entries are the model's; the coherent and damping
-    part is added as a Kronecker sum.  The entry of a 1 x 1 block on which
-    a jump lands is cleared where its terms cancel (:func:`steady_state`)."""
+    docstring).  The jump entries are the model's, kept on the system for
+    :func:`heat_currents`; the generator is the batch of one of
+    :func:`_assembled`, which a sweep runs on many points at once
+    (:func:`_liouvillians`)."""
     model = _eigen_model(system, freq_tol)
-    dim = system.dim
+    (liouv,) = _assembled(model.structure, model.plan, model.jumps.values, model.decay.values, [model.max_rate])
+    return liouv
+
+
+def _liouvillians(system: OpenSystem, temperatures: np.ndarray, freq_tol: float) -> list[Liouvillian]:
+    """The generator of the system with bath k at ``temperatures[p, k]``, for
+    every point p: each that of :func:`liouvillian` on
+    ``system.with_temperatures(temperatures[p])``, bit for bit.  The
+    temperatures are checked already (finite and >= 0).  The rates of every
+    point are one array expression, and the points of one plan (one nonzero
+    pattern of W_k) and one pattern of K are assembled by one scatter."""
+    structure = _structure(system, freq_tol)
+    rates, max_rate = _rates(system, structure, temperatures)
+    w_val = rates * structure.coupling.values
+    liouvs = [None] * len(temperatures)
+    for points in _alike(w_val):
+        plan, values, p = _jump_values(structure, w_val if len(points) == len(w_val) else w_val.take(points, axis=0))
+        for point, liouv in zip(points, _assembled(structure, plan, values, p.conj(), max_rate[points].tolist())):
+            liouvs[point] = liouv
+    return liouvs
+
+
+def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.ndarray,
+               max_rate: list[float]) -> list[Liouvillian]:
+    """The generators of points of one plan, from the values of their jump
+    entries and decay terms, those of one point or a row per point, and
+    their largest rates.
+
+    The points are grouped by the nonzero pattern of K, whose layout places
+    their entries; a group's entries go into its blocks by one ``bincount``
+    over the points' entries laid end to end, each point's targets offset by
+    the length of a point's blocks, so that every block entry sums the terms
+    of one point, in the order a point alone sums them.  The entry of a
+    1 x 1 block on which a jump lands is cleared where its terms cancel
+    (:func:`steady_state`)."""
+    energies = structure.energies
+    dim = energies.size
     size = dim * dim
-    energies = model.structure.energies
+    count = len(max_rate)
 
     # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
     # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
     # ((l, i), (l, j)) for every level l; K lies in the zero group (module docstring)
-    plan = model.plan
-    at = plan.damping_at
-    decay = model.decay
-    damping = -0.5 * (np.bincount(at, weights=decay.values.real, minlength=size)
-                      + 1j * np.bincount(at, weights=decay.values.imag, minlength=size))
-    damping[::dim + 1] -= 1j * energies
-    k_at = np.flatnonzero(damping)
-    layout = _STRUCTURES.part(model.structure, plan.layouts, k_at.tobytes(),
-                              lambda: _build_layout(plan.jumps, k_at, dim))
-    k_val = damping[k_at]
-    values = np.concatenate((model.jumps.values, np.repeat(k_val, dim), np.repeat(k_val.conj(), dim)))
-    flat = np.bincount(layout.target, weights=values.real, minlength=layout.total) + 1j * np.bincount(
-        layout.target, weights=values.imag, minlength=layout.total
-    )
-    indices, blocks = [], []
-    for first, index in layout.stacks:
-        count, m = index.shape
-        indices.append(index)
-        blocks.append(flat[first:first + count * m * m].reshape(-1, m, m))
-    # the terms of a 1 x 1 block (i, i'), -i (E_i - E_i') and decay terms
-    # whose real parts are <= 0, can cancel only where a jump lands on it;
-    # such an entry within NULL_SPACE_RTOL of their magnitudes is zero
-    at = layout.scalar_jumps
-    if at.size:
-        landed, block = np.unique(layout.target[at], return_inverse=True)
-        cols, rows = np.divmod(indices[0][landed, 0], dim)
-        decay = abs(damping.real[::dim + 1])
-        terms = (abs(energies[rows] - energies[cols]) + decay[rows] + decay[cols]
-                 + np.bincount(block, weights=abs(values[at]), minlength=landed.size))
-        flat[landed[abs(flat[landed]) <= NULL_SPACE_RTOL * terms]] = 0.0
-
+    at = _offset(plan.damping_at, size, count)
+    decay = decay.ravel()
+    damping = -0.5 * (np.bincount(at, weights=decay.real, minlength=count * size)
+                      + 1j * np.bincount(at, weights=decay.imag, minlength=count * size))
+    if jumps.ndim > 1:
+        damping = damping.reshape(count, size)
+    damping[..., ::dim + 1] -= 1j * energies
     # the energies ascend, so the spectral norm of H sits at an end
     spectral_norm_h = float(max(-energies[0], energies[-1])) if dim else 0.0
-    scale = model.max_rate + spectral_norm_h
-    default_dt = 0.01 / scale if scale > 0 else math.inf
-    return Liouvillian(
-        dim=dim,
-        default_dt=default_dt,
-        basis=model.structure.states,
-        indices=tuple(indices),
-        blocks=tuple(blocks),
-    )
+    liouvs = [None] * count
+    for members in _alike(damping) if damping.ndim > 1 else [[0]]:
+        n = len(members)
+        # the rows of the group's points; the arrays as they are when the
+        # group holds every point, and for one point, which has no rows
+        own, own_jumps = ((damping, jumps) if n == count
+                          else (damping.take(members, axis=0), jumps.take(members, axis=0)))
+        k_at = np.flatnonzero(own if own.ndim == 1 else own[0])
+        layout = _STRUCTURES.part(structure, plan.layouts, k_at.tobytes(),
+                                  lambda: _build_layout(plan.jumps, k_at, dim))
+        k_val = own.take(k_at, axis=-1)
+        values = np.concatenate((own_jumps, np.repeat(k_val, dim, axis=-1), np.repeat(k_val.conj(), dim, axis=-1)),
+                                axis=-1)
+        target = _offset(layout.target, layout.total, n)
+        laid = values.ravel()
+        flat = np.bincount(target, weights=laid.real, minlength=n * layout.total) + 1j * np.bincount(
+            target, weights=laid.imag, minlength=n * layout.total
+        )
+        # the terms of a 1 x 1 block (i, i'), -i (E_i - E_i') and decay terms
+        # whose real parts are <= 0, can cancel only where a jump lands on it;
+        # such an entry within NULL_SPACE_RTOL of their magnitudes is zero
+        at = layout.scalar_jumps
+        if at.size:
+            landed, block = np.unique(layout.target[at], return_inverse=True)
+            cols, rows = np.divmod(layout.stacks[0][1][landed, 0], dim)
+            diagonal = abs(own.real[..., ::dim + 1])
+            terms = (abs(energies[rows] - energies[cols]) + diagonal.take(rows, axis=-1)
+                     + diagonal.take(cols, axis=-1)
+                     + np.bincount(_offset(block, landed.size, n), weights=abs(values.take(at, axis=-1)).ravel(),
+                                   minlength=n * landed.size).reshape(diagonal.shape[:-1] + (-1,)))
+            landed = _offset(landed, layout.total, n)
+            flat[landed[abs(flat[landed]) <= NULL_SPACE_RTOL * terms.ravel()]] = 0.0
+        for i, point in enumerate(members):
+            indices, blocks = [], []
+            for first, index in layout.stacks:
+                stacked, m = index.shape
+                first += i * layout.total
+                indices.append(index)
+                blocks.append(flat[first:first + stacked * m * m].reshape(-1, m, m))
+            scale = max_rate[point] + spectral_norm_h
+            liouvs[point] = Liouvillian(
+                dim=dim,
+                default_dt=0.01 / scale if scale > 0 else math.inf,
+                basis=structure.states,
+                indices=tuple(indices),
+                blocks=tuple(blocks),
+            )
+    return liouvs
+
+
+def _offset(places: np.ndarray, length: int, count: int) -> np.ndarray:
+    """``places`` once for each of ``count`` points laid end to end, point
+    p's shifted by p times ``length``."""
+    if count == 1:
+        return places
+    return (places + length * np.arange(count)[:, None]).ravel()
+
+
+def _generator_bytes_bound(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> int:
+    """The bytes of the blocks and indices of the system's generator at any
+    temperatures, at most: those of the generator whose every coupling entry
+    has a rate and whose K has an entry wherever M or the energies can put
+    one.  Any other generator's entries lie within that pattern, so each of
+    its blocks lies within one of these blocks, and its blocks hold fewer
+    entries.  Where no rate vanishes, this is the generator's own pattern."""
+    structure = _structure(system, freq_tol)
+    dim = structure.energies.size
+    rated = np.ones(structure.coupling.values.size, dtype=bool)
+    plan = _STRUCTURES.part(structure, structure.plans, rated.tobytes(), lambda: _build_plan(structure, rated))
+    filled = np.zeros(dim * dim, dtype=bool)
+    filled[plan.damping_at] = True
+    filled[::dim + 1] = True
+    k_at = np.flatnonzero(filled)
+    layout = _STRUCTURES.part(structure, plan.layouts, k_at.tobytes(), lambda: _build_layout(plan.jumps, k_at, dim))
+    return 16 * layout.total + np.dtype(np.intp).itemsize * dim * dim
 
 
 def _build_layout(jumps: _Entries, k_at: np.ndarray, dim: int) -> _Layout:

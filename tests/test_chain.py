@@ -355,12 +355,44 @@ class TestBatchedSweep:
         assert "tunneling must be >= 0" in listed[0].error
 
     def test_one_system_per_tunneling(self, monkeypatch):
-        built = []
-        original = chain.chain_system
-        monkeypatch.setattr(chain, "chain_system", lambda spec: built.append(spec.tunneling) or original(spec))
-        population_sweep(spec_for(n_sites=5), (0.1, 0.5, 0.1), ((0.8, 0.4), (0.3, 0.1)),
-                         points=[(0.5, (0.6, 0.6)), (0.9, (0.6, 0.6))])
-        assert built == [0.1, 0.5, 0.9]
+        # one set of baths per sweep, with the first Hamiltonian's system, and
+        # one Hamiltonian per distinct tunneling
+        systems, hamiltonians, baths = [], [], []
+        for name, notes in (("chain_system", systems), ("_chain_hamiltonian", hamiltonians)):
+            original = getattr(chain, name)
+            monkeypatch.setattr(chain, name,
+                                lambda spec, f=original, notes=notes: notes.append(spec.tunneling) or f(spec))
+        original_bath = chain.BathSpec
+        monkeypatch.setattr(chain, "BathSpec", lambda *args: baths.append(args) or original_bath(*args))
+        base = spec_for(n_sites=5)
+        rows = population_sweep(base, (0.1, 0.5, 0.1), ((0.8, 0.4), (0.3, 0.1)),
+                                points=[(0.5, (0.6, 0.6)), (0.9, (0.6, 0.6))])
+        assert systems == [0.1] and hamiltonians == [0.1, 0.5, 0.9] and len(baths) == 5
+        monkeypatch.undo()
+        expected = [point_alone(base, g, pair) for pair in ((0.8, 0.4), (0.3, 0.1)) for g in (0.1, 0.5, 0.1)]
+        expected += [point_alone(base, 0.5, (0.6, 0.6)), point_alone(base, 0.9, (0.6, 0.6))]
+        assert same_rows(rows, expected)
+
+    def test_a_cold_end_next_to_a_warm_profile(self):
+        # the points of one Hamiltonian need two plans: the bath at T = 0 has
+        # no absorption entries
+        base = spec_for(n_sites=10)
+        pairs = ((0.0, 0.5), (0.8, 0.4))
+        rows = population_sweep(base, (0.1, 1.3), pairs)
+        assert same_rows(rows, [point_alone(base, g, pair) for pair in pairs for g in (0.1, 1.3)])
+        assert all(row.error is None for row in rows)
+
+    def test_a_hamiltonian_whose_build_fails(self):
+        # at g = 1 / sqrt(2) a 3-site chain has a mode at zero energy, whose
+        # zero-frequency coupling a flat density cannot rate: every point of
+        # that tunneling fails on its own row, and no other point does
+        base = spec_for(n_sites=3)
+        tunnelings = (0.3, 1 / math.sqrt(2), 2.0)
+        pairs = ((0.8, 0.4), (0.0, 0.5))
+        rows = population_sweep(base, tunnelings, pairs)
+        assert same_rows(rows, [point_alone(base, g, pair) for pair in pairs for g in tunnelings])
+        assert [row.error is None for row in rows] == [True, False, True] * 2
+        assert rows[1].error.startswith("UnsupportedModelError: bath 0: zero-frequency")
 
     def test_batches_are_bounded_by_bytes(self, monkeypatch):
         base = spec_for(n_sites=6)

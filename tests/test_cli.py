@@ -320,10 +320,16 @@ class TestSolveCosts:
         run(config)
         solves = counting(monkeypatch, qthermo.chain, "_steady_states")
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        baths = counting(monkeypatch, qthermo.davies.BathSpec, "__post_init__")
+        rates = counting(monkeypatch, qthermo.davies, "_thermal_rates")
         run(config)
         assert [len(liouvs) for (liouvs,) in solves] == [18]
         # one batched eigvalsh checks the 18 states
         assert [a.shape[0] for (a,) in spectra] == [18]
+        # the 10 baths are built once, and the rates of the points of each of
+        # the 7 Hamiltonians are one array expression
+        assert len(baths) == 10
+        assert [temperature.shape for _, _, temperature in rates] == [(6, 200)] + [(2, 200)] * 6
 
     def test_chain_run(self, monkeypatch):
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")

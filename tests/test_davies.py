@@ -1757,6 +1757,65 @@ class TestWithTemperatures:
         assert parent._structures == {}
 
 
+def chain_profiles(n_sites: int) -> np.ndarray:
+    """Rows of site temperatures that mix warm gradients, one end at T = 0,
+    both ends at 0 and a uniform profile."""
+    pairs = ((0.8, 0.4), (0.0, 0.5), (0.3, 0.1), (0.8, 0.0), (0.0, 0.0), (0.6, 0.6), (0.5, 0.1))
+    return np.array([np.linspace(*pair, n_sites) for pair in pairs])
+
+
+class TestBatchedBuilder:
+    """The builder of many points' generators of one system gives each
+    point's generator as a system at the point's temperatures alone does,
+    bit for bit: blocks, indices and default step, whatever plans and
+    patterns of K the points need."""
+
+    def check(self, system: OpenSystem, temperatures: np.ndarray) -> None:
+        davies._STRUCTURES.clear()
+        bound = davies._generator_bytes_bound(system)
+        batch = davies._liouvillians(system, np.asarray(temperatures, dtype=float), DEFAULT_FREQ_TOL)
+        assert len(batch) == len(temperatures)
+        for row, liouv in zip(temperatures, batch):
+            alone = liouvillian(system.with_temperatures(list(row)))
+            assert liouv.dim == alone.dim and liouv.basis is alone.basis
+            assert liouv.default_dt == alone.default_dt
+            assert len(liouv.blocks) == len(alone.blocks) and len(liouv.indices) == len(alone.indices)
+            for mine, theirs in zip(liouv.blocks + liouv.indices, alone.blocks + alone.indices):
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            assert sum(a.nbytes for a in liouv.blocks + liouv.indices) <= bound
+
+    @pytest.mark.parametrize("n_sites", [4, 10, 12])
+    @pytest.mark.parametrize("tunneling", [0.0, 0.1, 1.3])
+    def test_chains(self, n_sites, tunneling):
+        self.check(gradient_chain(n_sites, tunneling, 0.8, 0.4), chain_profiles(n_sites))
+
+    @pytest.mark.parametrize("kind", ["lambda", "vee"])
+    def test_three_level_systems_with_a_bath_at_zero(self, kind):
+        system = three_level_system(ThreeLevelParams(kind, 1.0, 1.3, 1.0, 1.0, 0.7, 2.1))
+        self.check(system, [(0.0, 0.7), (0.7, 2.1), (2.1, 0.0), (0.0, 2.1), (0.7, 0.0)])
+
+    def test_one_plan_two_patterns_of_k(self):
+        # M[1, 2] vanishes at equal temperatures
+        self.check(crossed_system(0.5, 0.5), [(0.5, 0.3), (0.5, 0.5), (0.2, 0.2), (0.5, 0.3)])
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8), n_baths=st.integers(1, 3),
+           degenerate=st.booleans(), points=st.integers(1, 4))
+    def test_random_systems(self, seed, dim, n_baths, degenerate, points):
+        system = (degenerate_open_system if degenerate else random_open_system)(seed, dim, n_baths)
+        rng = np.random.default_rng(seed)
+        temperatures = rng.uniform(0.0, 2.0, size=(points, n_baths))
+        temperatures[rng.random(temperatures.shape) < 0.3] = 0.0
+        self.check(system, temperatures)
+
+    def test_a_flat_density_with_a_zero_frequency_component_raises(self):
+        system = random_open_system(3, 4)
+        flat = OpenSystem(system.hamiltonian, tuple(
+            BathSpec(b.coupling, FlatDensity(1.0), b.temperature) for b in system.baths))
+        with pytest.raises(UnsupportedModelError, match="bath 0: zero-frequency"):
+            davies._liouvillians(flat, np.array([[0.5, 0.5], [0.0, 1.0]]), DEFAULT_FREQ_TOL)
+
+
 class TestBatchedSolve:
     """The solve of a sequence of generators gives each generator's state or
     error as a solve of that generator alone does, bit for bit."""
