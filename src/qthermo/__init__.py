@@ -49,7 +49,6 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     eigh,
-    hermitize,
 )
 from .three_level import (
     LevelPopulations,

@@ -100,23 +100,24 @@ the order a point alone sums them.  :func:`liouvillian` is the batch of one,
 and each generator of a batch is, bit for bit, the one its point gives
 alone.
 
-Time stepping.  One classic RK4 step of length h of the linear equation
-d vec(rho)/dt = L vec(rho) is the matrix R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6
-+ (hL)^4/24, the stability function of the method (Hairer & Wanner, Solving
-Ordinary Differential Equations II, section IV.2).  R is a polynomial in L,
-so in the eigenbasis it is block-diagonal with the blocks R(hB), and ``evolve``
-runs the same integrator block by block, never forming the lab-basis
-generator; only the rounding differs from a step-by-step loop on it.  The
+Time evolution.  The master equation d vec(rho)/dt = L vec(rho) is linear,
+so a grid interval of length tau maps the state through e^{tau L}, which in
+the eigenbasis is block-diagonal with the blocks e^{tau B}; ``evolve`` applies
+these exactly, block by block, and never forms the lab-basis generator.  The
 start state is mapped once to U^dagger rho U, and every stack of blocks is
-advanced on its own entries.  A grid interval is cut into n equal steps,
-exactly as a step-by-step loop would.  For an interval length used often
-enough that it pays, counted per stack (a uniform grid), the stack's
-propagators R(hB)^n are built once and each interval costs one batched
-product; other lengths are stepped on the state.  A 1 x 1 block (most
+advanced on its own entries.  The exponentials of a stack are built once per
+distinct interval length, for every length and block of the stack in one
+array expression, by scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3
+(2003); Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): each pair of a
+length and a block is scaled by 2^-s so that its 1-norm is at most 1/2, its
+exponential is its Taylor polynomial of degree 13, whose remainder there is
+below 2^-14 / 14! < 1e-15, and s squarings give it back.  s comes from the
+binary exponents of tau and of the norm apart, so tau |B| is never formed.
+Each interval then costs one batched product.  A 1 x 1 block (most
 coherences between two levels are one) is a scalar: its entry at every grid
-time is one cumulative product of the factors of the intervals before it.
-The states are mapped back to the lab basis a chunk of times at a time, two
-matrix products per chunk, and checked in one batched pass
+time is one cumulative product of the factors e^{tau b} of the intervals
+before it.  The states are mapped back to the lab basis a chunk of times at
+a time, two matrix products per chunk, and checked in one batched pass
 (:func:`qthermo.linalg.screen_states`).
 
 Sign and rate conventions:
@@ -186,13 +187,9 @@ EVOLUTION_POSITIVITY_FLOOR = -1e-7
 # small_systems benchmark in one piece wakes OpenBLAS's second thread on its
 # 12003 x 3 product (op_cpu_ms 283-300 against 171-211 ms chunked, 2 vCPUs)
 # and adds 1.6 MiB to the peak RSS (39.6 against 38.0 MiB); the wall time is
-# the same.
+# the same.  The block exponentials of a trajectory are built in chunks of
+# about as many entries, so their temporaries stay as small.
 LAB_MAP_CHUNK_ENTRIES = 8192
-# RK4 steps per grid interval.  The rounding of R(hB)^n grows about linearly
-# with n: over one unit of time on the lambda system the trace drifts by 3e-9
-# at 1e8 steps and by 2e-7, beyond TRACE_DRIFT_TOL, at 1e10, and a step of
-# 1e-300 would ask for 1e300.
-MAX_EVOLVE_SUBSTEPS = 10**8
 # Bytes of the arrays, keys included, that the eigenbasis structures kept
 # across systems may hold together ("Reuse" in the module docstring).  A chain
 # structure with its plan and layout holds 0.07 MiB at 10 sites, 0.6 MiB at
@@ -588,11 +585,10 @@ class _Structure:
     ``coupling`` holds the entries of C_k = U^dagger V_k U above
     ``COUPLING_RTOL`` of the norm of V_k and
     ``entry_labels`` the group of each.  ``zero_magnitude[k]`` is the largest
-    |C_k| entry in the zero group, and ``above_atol`` flags the entries above
-    ``ZERO_COMPONENT_ATOL``.  ``pairs`` joins every entry with every entry of
-    its bath and group, ordered by the first and then the second.  ``plans``
-    holds a :class:`_Plan` per set of nonzero W_k entries.  Every array is
-    read-only; ``nbytes`` counts them, the key and the plans.
+    |C_k| entry in the zero group.  ``pairs`` joins every entry with every
+    entry of its bath and group, ordered by the first and then the second.
+    ``plans`` holds a :class:`_Plan` per set of nonzero W_k entries.  Every
+    array is read-only; ``nbytes`` counts them, the key and the plans.
     """
 
     key: tuple
@@ -603,7 +599,6 @@ class _Structure:
     coupling: _Entries
     entry_labels: np.ndarray
     zero_magnitude: np.ndarray
-    above_atol: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray]
     nbytes: int = 0
     plans: dict = field(default_factory=dict)
@@ -663,8 +658,7 @@ class _EigenModel:
     indices (row, col), and ``decay`` the terms of
     M_k = sum_w rate A_w^dagger A_w.  ``currents`` holds the coefficients of
     the heat currents: J_k is the sum over the entries of bath k of the value
-    times the eigenbasis state U^dagger rho U at (row, col).  ``max_rate`` is
-    the largest rate of a component above ``ZERO_COMPONENT_ATOL``.
+    times the eigenbasis state U^dagger rho U at (row, col).
     """
 
     structure: _Structure
@@ -673,7 +667,6 @@ class _EigenModel:
     jumps: _Entries
     decay: _Entries
     currents: _Entries
-    max_rate: float
 
 
 def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
@@ -726,11 +719,10 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) 
     at_zero = entry_labels == n_groups // 2
     zero_magnitude = np.zeros(len(system.baths))
     np.maximum.at(zero_magnitude, coupling.bath[at_zero], magnitude[at_zero])
-    above_atol = magnitude > ZERO_COMPONENT_ATOL
     group_key = coupling.bath * n_groups + entry_labels
     pairs = _equal_key_pairs(group_key, group_key)
     nbytes = _seal(energies, states, frequencies, labels, *coupling, entry_labels, zero_magnitude,
-                   above_atol, *pairs)
+                   *pairs)
     return _Structure(
         key=key,
         energies=energies,
@@ -740,7 +732,6 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) 
         coupling=coupling,
         entry_labels=entry_labels,
         zero_magnitude=zero_magnitude,
-        above_atol=above_atol,
         pairs=pairs,
         nbytes=nbytes + len(key[1]) + sum(map(len, key[2])),
     )
@@ -782,7 +773,7 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
     """Attach the baths' rates to the system's structure (:func:`_rates`),
     and the rates' jump, decay and current entries to its plan."""
     structure = _structure(system, freq_tol)
-    rates, max_rate = _rates(system, structure, np.array([bath.temperature for bath in system.baths]))
+    rates = _rates(system, structure, np.array([bath.temperature for bath in system.baths]))
     plan, values, p = _jump_values(structure, rates * structure.coupling.values)
     decay = p.conj()
     return _EigenModel(
@@ -792,17 +783,14 @@ def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
         jumps=_Entries(*plan.jumps[:3], values),
         decay=_Entries(*plan.decay[:3], decay),
         currents=_Entries(*plan.currents[:3], plan.currents.values * np.concatenate((p, decay))),
-        max_rate=float(max_rate),
     )
 
 
-def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -> np.ndarray:
     """The rate of every coupling entry of the structure, that of its bath
-    at its frequency group, in one array expression, and the largest rate of
-    a component above ``ZERO_COMPONENT_ATOL``.  ``temperature`` holds one
-    temperature per bath, the baths' own or checked as theirs are, for one
-    point or, on a leading axis, for many; the rates and largest rates
-    follow that axis.
+    at its frequency group, in one array expression.  ``temperature`` holds
+    one temperature per bath, the baths' own or checked as theirs are, for
+    one point or, on a leading axis, for many; the rates follow that axis.
 
     The zero-frequency component is always examined: if it vanishes its rate
     is zero, if not the rate is slope * T for an ohmic density while a flat
@@ -833,7 +821,7 @@ def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -
     at_zero = structure.entry_labels == zero_label
     if at_zero.any():
         rates[..., at_zero] = np.where(present, coefficient * temperature, 0.0)[..., bath[at_zero]]
-    return rates, rates.compress(structure.above_atol, axis=-1).max(axis=-1, initial=0.0)
+    return rates
 
 
 def _jump_values(structure: _Structure, w_val: np.ndarray) -> tuple[_Plan, np.ndarray, np.ndarray]:
@@ -875,7 +863,6 @@ class Liouvillian:
     """
 
     dim: int
-    default_dt: float
     basis: np.ndarray
     indices: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
@@ -904,7 +891,7 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     :func:`_assembled`, which a sweep runs on many points at once
     (:func:`_liouvillians`)."""
     model = _eigen_model(system, freq_tol)
-    (liouv,) = _assembled(model.structure, model.plan, model.jumps.values, model.decay.values, [model.max_rate])
+    (liouv,) = _assembled(model.structure, model.plan, model.jumps.values, model.decay.values)
     return liouv
 
 
@@ -916,21 +903,19 @@ def _liouvillians(system: OpenSystem, temperatures: np.ndarray, freq_tol: float)
     point are one array expression, and the points of one plan (one nonzero
     pattern of W_k) and one pattern of K are assembled by one scatter."""
     structure = _structure(system, freq_tol)
-    rates, max_rate = _rates(system, structure, temperatures)
+    rates = _rates(system, structure, temperatures)
     w_val = rates * structure.coupling.values
     liouvs = [None] * len(temperatures)
     for points in _alike(w_val):
         plan, values, p = _jump_values(structure, w_val if len(points) == len(w_val) else w_val.take(points, axis=0))
-        for point, liouv in zip(points, _assembled(structure, plan, values, p.conj(), max_rate[points].tolist())):
+        for point, liouv in zip(points, _assembled(structure, plan, values, p.conj())):
             liouvs[point] = liouv
     return liouvs
 
 
-def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.ndarray,
-               max_rate: list[float]) -> list[Liouvillian]:
+def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.ndarray) -> list[Liouvillian]:
     """The generators of points of one plan, from the values of their jump
-    entries and decay terms, those of one point or a row per point, and
-    their largest rates.
+    entries and decay terms, those of one point or a row per point.
 
     The points are grouped by the nonzero pattern of K, whose layout places
     their entries; a group's entries go into its blocks by one ``bincount``
@@ -942,7 +927,7 @@ def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.
     energies = structure.energies
     dim = energies.size
     size = dim * dim
-    count = len(max_rate)
+    count = len(jumps) if jumps.ndim > 1 else 1
 
     # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
     # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
@@ -954,8 +939,6 @@ def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.
     if jumps.ndim > 1:
         damping = damping.reshape(count, size)
     damping[..., ::dim + 1] -= 1j * energies
-    # the energies ascend, so the spectral norm of H sits at an end
-    spectral_norm_h = float(max(-energies[0], energies[-1])) if dim else 0.0
     liouvs = [None] * count
     for members in _alike(damping) if damping.ndim > 1 else [[0]]:
         n = len(members)
@@ -995,10 +978,8 @@ def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.
                 first += i * layout.total
                 indices.append(index)
                 blocks.append(flat[first:first + stacked * m * m].reshape(-1, m, m))
-            scale = max_rate[point] + spectral_norm_h
             liouvs[point] = Liouvillian(
                 dim=dim,
-                default_dt=0.01 / scale if scale > 0 else math.inf,
                 basis=structure.states,
                 indices=tuple(indices),
                 blocks=tuple(blocks),
@@ -1106,68 +1087,65 @@ def _unlinked_last(order: np.ndarray, sorted_extent: np.ndarray, edges: list[int
             block[:] = block[chosen.argsort(kind="stable")]
 
 
-def _rk4_step(matrix: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """R(hL) x for one classic RK4 step of length h, by Horner's rule:
-    x + hL (x + hL/2 (x + hL/3 (x + hL/4 x))).  With x a state vector this is
-    one step; with x the identity it is the matrix R(hL).  ``matrix`` may be
-    a stack of blocks."""
-    stage = x + (h / 4.0) * (matrix @ x)
-    for divisor in (3.0, 2.0, 1.0):
-        stage = x + (h / divisor) * (matrix @ stage)
-    return stage
+def _exponentials(stack: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """e^{tau B} for every length tau of ``lengths`` and block B of a stack
+    (count, m, m), shape (lengths, count, m, m), by scaling and squaring.
+
+    Each pair of a length and a block gets its own number s of squarings:
+    with tau = f 2^a and the 1-norm |B| = g 2^b, f and g in [1/2, 1),
+    s = max(0, a + b + 1) puts 2^-s tau |B| below 1/2 without forming
+    tau |B|, and s stays below 2100 for finite tau and B.  The Taylor
+    polynomial of degree 13 of 2^-s tau B, by Horner's rule, is squared s
+    times, the pairs that need fewer squarings left out.  The lengths are
+    taken a chunk at a time, so the temporaries stay near
+    ``LAB_MAP_CHUNK_ENTRIES`` entries."""
+    count, size, _ = stack.shape
+    _, norm_exponent = np.frexp(np.abs(stack).sum(axis=1).max(axis=1))
+    _, length_exponent = np.frexp(lengths)
+    identity = np.eye(size)
+    out = np.empty((lengths.size, count, size, size), dtype=complex)
+    chunk = max(1, LAB_MAP_CHUNK_ENTRIES // (count * size * size))
+    for lo in range(0, lengths.size, chunk):
+        squarings = np.maximum(length_exponent[lo:lo + chunk, None] + norm_exponent + 1, 0)
+        scaled = np.ldexp(lengths[lo:lo + chunk, None], -squarings)[:, :, None, None] * stack
+        power = identity + scaled / 13.0
+        for divisor in range(12, 0, -1):
+            power = identity + (scaled @ power) / divisor
+        for k in range(squarings.max()):
+            more = squarings > k
+            square = power[more]
+            power[more] = square @ square
+        out[lo:lo + chunk] = power
+    return out
 
 
-def _propagator_pays(n_sub: int, uses: int, size: int) -> bool:
-    """Whether R(hB)^n_sub for an interval length takes fewer multiply-adds to
-    build and apply than stepping, for a stack of size x size blocks B.  The
-    power costs 4 products of size x size matrices for R(hB), floor(log2 n)
-    squarings and popcount(n) - 1 further products, then one matrix-vector
-    product per use; stepping costs four matrix-vector products per substep
-    per use.  All of these count once per block of the stack, so the rule
-    reads only the size."""
-    products = 4 + (n_sub.bit_length() - 1) + (n_sub.bit_count() - 1)
-    return products * size + uses <= 4 * n_sub * uses
-
-
-def _stack_path(stack: np.ndarray, start: np.ndarray, lengths: list[float], substeps: list[int],
-                uses: list[int], interval_length: np.ndarray) -> np.ndarray:
+def _stack_path(stack: np.ndarray, start: np.ndarray, lengths: np.ndarray,
+                interval_length: np.ndarray) -> np.ndarray:
     """The entries of one stack of generator blocks at every grid time, shape
     (count, m, times), from their values ``start`` (count, m) at the first.
 
-    Interval i has the length ``lengths[interval_length[i]]``, cut into that
-    length's ``substeps``.  A length gets the propagator R(hB)^n of every
-    block where :func:`_propagator_pays`, and is stepped on the state
-    elsewhere.  A 1 x 1 block is a scalar: its propagator is one number,
-    built for every length (its step and its propagator are the same
-    polynomial), and the entry at each time is the product of the start and
-    the factors of the intervals before it, one cumulative product.
+    Interval i has the length ``lengths[interval_length[i]]``, over which
+    every block's entries are mapped by its exponential
+    (:func:`_exponentials`), one batched product per interval.  A 1 x 1
+    block is a scalar b: the entry at each time is the product of the start
+    and the factors e^{tau b} of the intervals before it, one cumulative
+    product.
     """
     count, size = start.shape
-    identity = np.eye(size, dtype=complex)
-    propagators = [
-        np.linalg.matrix_power(_rk4_step(stack, span / n_sub, identity), n_sub)
-        if size == 1 or _propagator_pays(n_sub, used, size) else None
-        for span, n_sub, used in zip(lengths, substeps, uses)
-    ]
     if size == 1:
-        factors = np.array(propagators, dtype=complex).reshape(len(lengths), count)
+        factors = np.exp(np.multiply.outer(lengths, stack[:, 0, 0]))
         path = np.empty((interval_length.size + 1, count), dtype=complex)
         path[0] = start[:, 0]
         # mode="clip" writes straight into ``path`` (the indices are in range)
         np.take(factors, interval_length, axis=0, out=path[1:], mode="clip")
         return np.cumprod(path, axis=0, out=path).T[:, None, :]
+    propagators = _exponentials(stack, lengths)
     path = np.empty((interval_length.size + 1, count, size, 1), dtype=complex)
     path[0] = start[:, :, None]
-    for i, k in enumerate(interval_length.tolist(), start=1):
-        propagator = propagators[k]
-        if propagator is None:
-            state = path[i - 1]
-            h = lengths[k] / substeps[k]
-            for _ in range(substeps[k]):
-                state = _rk4_step(stack, h, state)
-            path[i] = state
-        else:
-            np.matmul(propagator, path[i - 1], out=path[i])
+    # a list of views is indexed faster than the array
+    steps = list(propagators)
+    for k, before, after in zip(interval_length.tolist(), path, path[1:]):
+        np.matmul(steps[k], before, out=after)
     return path[:, :, :, 0].transpose(1, 2, 0)
 
 
@@ -1199,30 +1177,24 @@ def evolve(
     liouv: Liouvillian,
     rho0,
     t_grid,
-    dt: float | None = None,
+    *,
     validate: bool = True,
 ) -> np.ndarray:
-    """Integrate the master equation with classic fixed-step fourth-order
-    Runge-Kutta, returning one state per grid time.
+    """Evolve the state ``rho0`` at ``t_grid[0]`` under the master equation,
+    returning one state per grid time.
 
-    ``rho0`` is the state at ``t_grid[0]``.  Each interval is subdivided so no
-    step exceeds ``dt`` (default chosen at generator build time from the
-    largest rate and the Hamiltonian norm).  One RK4 step of length h maps the
-    state through R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so an
-    interval of n equal steps is the propagator R(hL)^n.  R is a polynomial,
-    so it acts block by block in the eigenbasis: the state is mapped once to
-    U^dagger rho0 U and every stack of generator blocks is advanced on its
-    own entries (see the module docstring).  Within a stack, an interval
-    length whose uses cost more step by step than building R(hB)^n does
-    (counted in multiply-adds) gets the propagator, built once and applied
-    with one batched product per interval; any other length is stepped on
-    the state, four batched products per step.  The lab-basis generator is
-    never formed.  Trace drift beyond 1e-7, an entry of magnitude above
-    1 + 1e-7 (which no density matrix has, so an unstable step shows before
-    its trace drifts) or non-finite entries raise AccuracyError suggesting a
-    smaller step, naming the first grid time that fails.  A step that asks
-    for more than ``MAX_EVOLVE_SUBSTEPS`` steps in one interval raises
-    ValueError before any work, as a step <= 0 does.
+    An interval of length tau maps the state through e^{tau L}, applied
+    exactly block by block in the eigenbasis: the state is mapped once to
+    U^dagger rho0 U, and every stack of generator blocks is advanced on its
+    own entries by the exponentials of its blocks, built once per distinct
+    interval length (see the module docstring).  The lab-basis generator is
+    never formed.  The exponentials are exact up to rounding, which grows
+    with the squarings, about 2^s eps over an interval 2^s times the
+    generator's scale.  Trace drift beyond 1e-7, an entry of magnitude above
+    1 + 1e-7 (which no density matrix has) or non-finite entries raise
+    AccuracyError, naming the first grid time that fails and its interval;
+    with ``validate``, an asymmetry or a negative eigenvalue raises
+    InvariantViolationError.
     """
     rho = require_density_matrix(rho0)
     if rho.shape[0] != liouv.dim:
@@ -1232,27 +1204,15 @@ def evolve(
         raise ValueError("t_grid must be a one-dimensional sequence of times")
     if not np.all(np.isfinite(times)) or times[0] < 0 or not np.all(np.diff(times) > 0):
         raise ValueError("t_grid must be finite, strictly increasing and start at a time >= 0")
-    step = dt if dt is not None else liouv.default_dt
-    if not step > 0:
-        raise ValueError(f"dt must be > 0, got {step}")
-    # compared as a float first: the quotient may be inf, or too large for ceil to be cheap
-    longest = float(np.max(np.diff(times), initial=0.0))
-    steps = longest / float(step)
-    if not steps <= MAX_EVOLVE_SUBSTEPS:
-        raise ValueError(
-            f"dt = {step!r} asks for {steps:.3g} RK4 steps over an interval of {longest!r}, "
-            f"above the limit {MAX_EVOLVE_SUBSTEPS}"
-        )
 
-    lengths, interval_length, uses = np.unique(np.diff(times), return_inverse=True, return_counts=True)
-    lengths, uses = lengths.tolist(), uses.tolist()
-    substeps = [max(1, math.ceil(span / step)) if math.isfinite(step) else 1 for span in lengths]
+    lengths, interval_length = np.unique(np.diff(times), return_inverse=True)
     basis = liouv.basis
     start = vectorize(basis.conj().T @ rho @ basis)
-    # an unstable step overflows; the screen below reports it as AccuracyError
+    # rounding grown over a long interval can overflow; the screen below
+    # reports it as AccuracyError
     with np.errstate(over="ignore", invalid="ignore"):
         paths = [
-            _stack_path(stack, start[index], lengths, substeps, uses, interval_length)
+            _stack_path(stack, start[index], lengths, interval_length)
             for index, stack in zip(liouv.indices, liouv.blocks)
         ]
         out = _lab_states(basis, liouv.indices, paths)
@@ -1268,14 +1228,13 @@ def evolve(
     )
     for i in np.flatnonzero(failed):
         t = float(times[i])
+        where = f"at t = {t:g}; interval [{float(times[i - 1]):g}, {t:g}]"
         snapshot = out[i]
         if not np.all(np.isfinite(snapshot)):
-            raise AccuracyError(f"non-finite state at t = {t:g}; use a smaller dt")
+            raise AccuracyError(f"non-finite state {where}")
         drift = abs(complex(np.trace(snapshot)) - 1.0)
         if drift > TRACE_DRIFT_TOL:
-            raise AccuracyError(
-                f"trace drift {drift:.3e} above {TRACE_DRIFT_TOL:.0e} at t = {t:g}; use a smaller dt"
-            )
+            raise AccuracyError(f"trace drift {drift:.3e} above {TRACE_DRIFT_TOL:.0e} {where}")
         if validate:
             require_density_matrix(
                 snapshot,
@@ -1286,9 +1245,7 @@ def evolve(
             )
         peak = float(np.max(np.abs(snapshot)))
         if peak > 1.0 + TRACE_DRIFT_TOL:
-            raise AccuracyError(
-                f"entry of magnitude {peak:.3e} above 1 at t = {t:g}; use a smaller dt"
-            )
+            raise AccuracyError(f"entry of magnitude {peak:.3e} above 1 {where}")
     return out
 
 

@@ -27,7 +27,8 @@ class UnsupportedModelError(QThermoError):
 
 
 class AccuracyError(QThermoError):
-    """Time integration lost accuracy (trace drift, non-finite entries)."""
+    """A trajectory lost accuracy over a grid interval (trace drift, an entry
+    above 1, non-finite entries)."""
 
 
 class NonUniqueSteadyStateError(QThermoError):

@@ -147,11 +147,6 @@ def require_hermitian(m, atol: float = HERMITICITY_ATOL, name: str = "operator")
     return a
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dagger)/2."""
-    return 0.5 * (m + m.conj().T)
-
-
 def _density_errors(states: np.ndarray, herm_atol: float, trace_atol: float, eig_floor: float,
                     name: str) -> list[InvariantViolationError | None]:
     """The checks of :func:`require_density_matrix` on a stack of square

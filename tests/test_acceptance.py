@@ -22,7 +22,6 @@ from qthermo.chain import (
     site_populations,
 )
 from qthermo.davies import evolve, heat_currents, liouvillian, steady_state
-from qthermo.linalg import hermitize
 from qthermo.three_level import (
     LevelPopulations,
     ThreeLevelParams,
@@ -36,6 +35,7 @@ from qthermo.three_level import (
     thermo_diagnostics,
     vee_system,
 )
+from test_linalg import hermitize
 from test_davies import thermal_state, trace_distance
 
 OCCUPATION_GRID = (0.5, 1.0, 2.0, 3.0, 5.0)

@@ -726,7 +726,7 @@ class TestRuntime:
             "ThermoDiagnostics", "ThermophoresisVerdict", "ThreeLevelParams", "UnsupportedModelError",
             "bose_occupation", "chain", "chain_system", "classify", "davies", "default_survey_panels",
             "dufour_currents", "eigh", "errors", "evolve", "finite_capacity_heating", "heat_currents",
-            "hermitize", "high_temperature_force", "lambda_system", "linalg", "liouvillian",
+            "high_temperature_force", "lambda_system", "linalg", "liouvillian",
             "mean_position_trajectory", "occupations", "overdamped_ratio", "population_sweep",
             "populations_from_state", "rate_matrix", "site_populations", "steady_state",
             "thermo_diagnostics", "three_level", "three_level_system", "vee_system",

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from qthermo.davies import (
     _eigen_model,
     _frequency_groups,
     _joined_coupling_entries,
-    _propagator_pays,
     _thermal_rates,
     bose_occupation,
     evolve,
@@ -44,9 +44,9 @@ from qthermo.errors import (
     UnsupportedModelError,
 )
 from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system, site_populations
-from qthermo.linalg import eigh, hermitize, vectorize
+from qthermo.linalg import eigh, vectorize
 from qthermo.three_level import ThreeLevelParams, lambda_system, three_level_system
-from test_linalg import LAPACK_MIXING_TUNNELINGS
+from test_linalg import LAPACK_MIXING_TUNNELINGS, hermitize
 
 
 def devectorize(v) -> np.ndarray:
@@ -195,12 +195,12 @@ def block_labels(liouv) -> np.ndarray:
     return label
 
 
-def dense_liouvillian(matrix, dt: float) -> Liouvillian:
+def dense_liouvillian(matrix) -> Liouvillian:
     """A generator given as one dense matrix: one block in the identity
     basis, which :func:`lab_matrix` gives back exactly."""
     matrix = np.asarray(matrix, dtype=complex)
     dim = math.isqrt(matrix.shape[0])
-    return Liouvillian(dim=dim, default_dt=dt, basis=np.eye(dim, dtype=complex),
+    return Liouvillian(dim=dim, basis=np.eye(dim, dtype=complex),
                        indices=(np.arange(dim * dim)[None, :],), blocks=(matrix[None],))
 
 
@@ -508,22 +508,6 @@ class TestLiouvillian:
         norm = np.linalg.norm(matrix, 2)
         assert np.linalg.norm(matrix @ vectorize(thermal)) <= 1e-9 * norm
 
-    def test_default_step_scales_with_rates_and_spectrum(self):
-        # dt = 0.01 / (largest rate + spectral norm): rates peak at
-        # gamma (n_1 + 1) = 3 and the spectrum tops out at the gap
-        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
-        assert liouv.default_dt == pytest.approx(0.01 / 4.0)
-
-    def test_default_step_ignores_components_below_the_threshold(self):
-        # a coupling of 1e-12 to the level at 5 counts as absent: the
-        # largest rate is the ohmic 0.5 * 1 * (1 + n(1, 1)) of the level at 1
-        coupling = np.zeros((3, 3))
-        coupling[0, 1] = coupling[1, 0] = 1.0
-        coupling[0, 2] = coupling[2, 0] = 1e-12
-        system = OpenSystem(np.diag([0.0, 1.0, 5.0]), (BathSpec(coupling, OhmicDensity(0.5), 1.0),))
-        rate = thermal_rate(OhmicDensity(0.5), 1.0, 1.0)
-        assert liouvillian(system).default_dt == pytest.approx(0.01 / (rate + 5.0), rel=1e-14)
-
     def test_ohmic_bath_also_thermalizes(self):
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         system = OpenSystem(np.diag([0.0, 1.0]), (BathSpec(flip, OhmicDensity(0.5), 0.7),))
@@ -804,13 +788,6 @@ class TestEvolve:
             assert np.linalg.eigvalsh(hermitize(snapshot)).min() >= -1e-7
             assert abs(np.trace(snapshot).real - 1.0) < 1e-7
 
-    def test_unstable_step_raises_accuracy_error(self):
-        params = lambda_params(2.0, 1.0)
-        liouv = liouvillian(lambda_system(params))
-        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        with pytest.raises(AccuracyError):
-            evolve(liouv, rho0, np.linspace(0.0, 400.0, 11), dt=1.0)
-
     def test_never_forms_the_lab_basis_generator(self):
         liouv = four_site_chain()
         evolve(liouv, np.eye(8, dtype=complex) / 8.0, np.linspace(0.0, 30.0, 31))
@@ -830,6 +807,50 @@ class TestEvolve:
         assert trajectory.shape == (11, 60, 60)
         assert "matrix" not in vars(liouv)
 
+    def test_exponentials_of_a_geometric_grid_in_little_memory(self):
+        # every interval has its own length; the exponentials kept for them
+        # are at most about the trajectory's size, beside the stacks' paths
+        # and the lab-basis states
+        liouv = liouvillian(gradient_chain(30, 1.3, 0.8, 0.4))
+        times = np.concatenate(([0.0], np.geomspace(0.01, 30.0, 200)))
+        tracemalloc.start()
+        try:
+            trajectory = evolve(liouv, np.eye(60, dtype=complex) / 60.0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * trajectory.nbytes
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_exponentials_of_a_stack_match_expm(self, size):
+        # blocks whose norms span six decades and lengths that span four, so
+        # the pairs of one call take from none to 18 squarings; 40 blocks of
+        # 5 x 5 keep eight lengths in a chunk, so the 15 lengths take two
+        rng = np.random.default_rng(size)
+        count = 40
+        rates = rng.uniform(0.0, 1.0, (count, size, size))
+        rates[:, np.arange(size), np.arange(size)] = 0.0
+        stack = rates - np.eye(size) * rates.sum(axis=1)[:, None, :]
+        stack = stack + 1j * np.eye(size) * rng.normal(size=(count, 1, size))
+        stack *= np.logspace(-3.0, 3.0, count)[:, None, None]
+        lengths = np.geomspace(1e-3, 10.0, 15)
+        out = davies._exponentials(stack, lengths)
+        assert out.shape == (lengths.size, count, size, size)
+        for tau, exponentials in zip(lengths, out):
+            for block, exponential in zip(stack, exponentials):
+                expected = expm(tau * block)
+                assert np.max(np.abs(exponential - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+    def test_validate_is_keyword_only(self):
+        # a step as the fourth argument, evolve(L, rho, t, 0.01), is refused
+        # rather than read as validate=0.01
+        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(TypeError):
+            evolve(liouv, rho0, [0.0, 1.0], 0.01)
+        with pytest.raises(TypeError):
+            evolve(liouv, rho0, [0.0, 1.0], dt=0.01)
+
     def test_single_time_returns_the_start(self):
         rho0 = random_state(7, 8)
         trajectory = evolve(four_site_chain(), rho0, [2.0])
@@ -846,75 +867,37 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve(liouv, rho0, np.array([0.0, np.inf]))
 
-    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-12])
-    def test_substep_count_is_bounded(self, dt, monkeypatch):
-        # refused from span / dt as a float, before any ceil or stepping;
-        # 5e-324 made ceil(inf) raise OverflowError, and 1e-300 ran about
-        # 1000 squarings into a trace drift of 7.7
-        monkeypatch.setattr(davies, "_stack_path", None)
-        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
-        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        limit = davies.MAX_EVOLVE_SUBSTEPS
-        message = f"^dt = .* RK4 steps over an interval of 1.0, above the limit {limit}$"
-        with pytest.raises(ValueError, match=message):
-            evolve(liouv, rho0, [0, 1], dt=dt)
-        with pytest.raises(ValueError, match="^dt = "):
-            evolve(liouv, rho0, [0.0, 0.5, 0.5 + 2 * limit * 1e-3], dt=1e-3)
 
-    def test_substep_count_at_the_limit_runs(self):
-        liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
-        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        states = evolve(liouv, rho0, [0.0, 1.0], dt=1.0 / davies.MAX_EVOLVE_SUBSTEPS)
-        assert np.max(np.abs(states[-1] - evolve(liouv, rho0, [0.0, 1.0])[-1])) <= 1e-8
-
-
-def rk4_loop(liouv, rho0, times, dt=None):
-    """Classic RK4 stepped one substep at a time on the lab-basis generator,
-    each interval cut into ceil(span / dt) equal steps.  Returns the states up
-    to the first grid time whose state has a non-finite entry, a trace drift
-    above 1e-7 or an entry of magnitude above 1 + 1e-7, and the index of that
-    time (None if every state passes)."""
+def expm_path(liouv, rho0, times) -> np.ndarray:
+    """The states at the grid times from scipy's ``expm`` of the lab-basis
+    generator, e^{tau L} for each distinct interval length tau applied to
+    the column-stacked state interval by interval."""
     matrix = lab_matrix(liouv)
-    step = liouv.default_dt if dt is None else dt
+    propagators = {}
     vec = vectorize(rho0)
     states = [np.asarray(rho0, dtype=complex)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, len(times)):
-            span = times[i] - times[i - 1]
-            n_sub = max(1, math.ceil(span / step))
-            h = span / n_sub
-            for _ in range(n_sub):
-                k1 = matrix @ vec
-                k2 = matrix @ (vec + 0.5 * h * k1)
-                k3 = matrix @ (vec + 0.5 * h * k2)
-                k4 = matrix @ (vec + h * k3)
-                vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            state = devectorize(vec)
-            if (
-                not np.all(np.isfinite(state))
-                or abs(np.trace(state) - 1.0) > 1e-7
-                or np.max(np.abs(state)) > 1.0 + 1e-7
-            ):
-                return np.array(states), i
-            states.append(state)
-    return np.array(states), None
+    for span in np.diff(times).tolist():
+        if span not in propagators:
+            propagators[span] = expm(span * matrix)
+        vec = propagators[span] @ vec
+        states.append(devectorize(vec))
+    return np.array(states)
 
 
 def four_site_chain():
     return liouvillian(chain_system(ChainSpec(4, 1.0, 0.5, 0.05, LinearProfile(0.8, 0.4))))
 
 
-class TestEvolveAgainstStepLoop:
-    """Stepping each block in the eigenbasis, with a propagator per interval
-    length where it pays, is the same integrator as stepping RK4 substep by
-    substep on the lab-basis generator; only the rounding order differs."""
+class TestEvolveAgainstExpm:
+    """The exponential of each block in the eigenbasis, by scaling and
+    squaring, is the exponential of the lab-basis generator; only the
+    rounding differs from scipy's."""
 
-    def assert_agrees(self, liouv, rho0, times, dt=None):
-        expected, failed = rk4_loop(liouv, rho0, times, dt)
-        assert failed is None
-        trajectory = evolve(liouv, rho0, times, dt=dt, validate=False)
+    def assert_agrees(self, liouv, rho0, times, tol=1e-13):
+        expected = expm_path(liouv, rho0, times)
+        trajectory = evolve(liouv, rho0, times, validate=False)
         assert trajectory.shape == expected.shape
-        assert np.max(np.abs(trajectory - expected)) <= 1e-12
+        assert np.max(np.abs(trajectory - expected)) <= tol
 
     def test_lambda_oscillator_grid(self):
         liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
@@ -925,8 +908,8 @@ class TestEvolveAgainstStepLoop:
         self.assert_agrees(four_site_chain(), np.eye(8, dtype=complex) / 8.0, np.linspace(0.0, 30.0, 31))
 
     def test_geometric_grid(self):
-        # every interval has its own length, used once, so every interval is
-        # stepped on the vector
+        # every interval has its own length, so every length gets its own
+        # exponentials and number of squarings
         times = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
         self.assert_agrees(four_site_chain(), random_state(3, 8), times)
         liouv = liouvillian(lambda_system(lambda_params(1.5, 0.5)))
@@ -939,53 +922,10 @@ class TestEvolveAgainstStepLoop:
         times = np.array([0.0, 0.05, 0.3, 0.35, 1.0, 1.05, 2.5])
         self.assert_agrees(liouvillian(system), random_state(seed + 100, dim), times)
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            ("lambda", np.linspace(0.0, 400.0, 11), 1.0),
-            # R(hL) has spectral radius 48.8 but preserves the trace to
-            # rounding, so only the entry bound sees the blow-up early
-            ("lambda", np.linspace(0.0, 40.0, 41), 1.0),
-            ("lambda", np.array([0.0, 0.1, 0.2, 0.3, 40.0, 41.0]), 1.0),
-            ("chain", np.linspace(0.0, 300.0, 31), 10.0),
-        ],
-    )
-    def test_unstable_step_names_the_same_time(self, case):
-        name, times, dt = case
-        if name == "lambda":
-            liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
-            rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        else:
-            liouv = four_site_chain()
-            rho0 = np.full((8, 8), 1.0 / 8.0, dtype=complex)
-        _, failed = rk4_loop(liouv, rho0, times, dt)
-        assert failed is not None
-        with pytest.raises(AccuracyError, match=f"at t = {times[failed]:g};"):
-            evolve(liouv, rho0, times, dt=dt, validate=False)
-
     def test_twelve_site_chain(self):
-        # a short grid keeps the lab-basis step loop (576 x 576) cheap
+        # a short grid keeps the lab-basis exponentials (576 x 576) cheap
         liouv = liouvillian(gradient_chain(12, 0.5, 0.8, 0.4))
-        self.assert_agrees(liouv, random_state(12, 24), np.array([0.0, 0.1, 0.2, 0.3, 0.37, 0.47]))
-
-    def test_one_system_mixes_propagators_and_steps(self, monkeypatch):
-        decisions, sizes = [], set()
-
-        def recording(n_sub, uses, size):
-            sizes.add(size)
-            decisions.append(_propagator_pays(n_sub, uses, size))
-            return decisions[-1]
-
-        monkeypatch.setattr(davies, "_propagator_pays", recording)
-        # 1/16 is used eight times and gets the population block's propagator;
-        # 1/128 and 1/64 are used once, a few steps each, and are stepped (the
-        # lengths are binary fractions, so the sums and differences are exact)
-        spans = [1 / 16] * 2 + [1 / 128] + [1 / 16] * 3 + [1 / 64] + [1 / 16] * 3
-        times = np.cumsum([0.0, *spans])
-        self.assert_agrees(liouvillian(random_open_system(4, 4, t_min=0.2)), random_state(5, 4), times)
-        assert True in decisions and False in decisions
-        # the rule sees the side of the 4 x 4 population block, not its entries
-        assert sizes == {4}
+        self.assert_agrees(liouv, random_state(12, 24), np.array([0.0, 0.1, 0.2, 0.3, 0.37, 0.47]), tol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -999,35 +939,85 @@ class TestEvolveAgainstStepLoop:
         order=st.randoms(use_true_random=False),
     )
     def test_random_systems_and_mixed_grids(self, seed, dim, n_baths, repeated, uses, one_off, order):
-        # a grid of one length used many times (a propagator) and lengths used
-        # once (stepped, or a propagator where the steps are many), shuffled;
-        # binary fractions keep every repeated length exactly equal
+        # a grid of one length used many times and lengths used once,
+        # shuffled; binary fractions keep every repeated length exactly equal
         spans = [repeated] * uses + one_off
         order.shuffle(spans)
         system = random_open_system(seed, dim, n_baths=n_baths, t_min=0.2)
         self.assert_agrees(liouvillian(system), random_state(seed + 1, dim), np.cumsum([0.0, *spans]))
 
-    def test_propagator_only_where_it_pays(self):
-        # the size is the side m of the stack's blocks: 4 products of m x m
-        # matrices and the squarings, against 4 m x m matrix-vector products
-        # per step
-        # the 4-site chain's 8 x 8 population block over linspace(0, 30, 31):
-        # 30 uses of 205 steps
-        assert _propagator_pays(205, 30, 8)
-        # a length used once, 50 steps, on the 12-site chain's 24 x 24
-        # population block is stepped: 11 products * 24 + 1 > 4 * 50
-        assert not _propagator_pays(50, 1, 24)
-        # single steps on the lambda system's 3 x 3 population block:
-        # 4 * 3 + 4 <= 4 * 4
-        assert _propagator_pays(1, 4, 3) and not _propagator_pays(1, 3, 3)
-
-    def test_unstable_step_caught_before_its_trace_drifts(self):
-        # the step-by-step loop keeps the trace to rounding until t = 6, with
-        # populations near 1e9 by then; the entry bound stops it at t = 1
+    @pytest.mark.parametrize("tiny", [1e-12, 1e-300, 5e-324])
+    def test_tiny_intervals_beside_a_long_one(self, tiny):
+        # lengths down to the least subnormal take no squaring and keep the
+        # state to rounding, while the unit interval of the same grid is
+        # squared; 5e-324 times a rate underflows to zero
+        times = np.array([0.0, tiny, 2 * tiny, 1.0 + 2 * tiny])
+        self.assert_agrees(four_site_chain(), random_state(4, 8), times)
         liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        with pytest.raises(AccuracyError, match=r"entry of magnitude .* above 1 at t = 1;"):
-            evolve(liouv, rho0, np.linspace(0.0, 40.0, 41), dt=1.0, validate=False)
+        trajectory = evolve(liouv, rho0, times)
+        assert np.max(np.abs(trajectory[1:3] - rho0)) <= 1e-11
+        self.assert_agrees(liouv, rho0, times)
+
+    @pytest.mark.parametrize("name", ["lambda", "chain"])
+    def test_long_horizon_reaches_the_steady_state(self, name):
+        # [0, 1e5] is 1e5 / Gamma for lambda and 5e3 / Gamma for the chain;
+        # its exponential takes about 20 squarings
+        if name == "lambda":
+            liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+            rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        else:
+            liouv = four_site_chain()
+            rho0 = random_state(9, 8)
+        late = evolve(liouv, rho0, [0.0, 1.0, 1e5])[-1]
+        assert np.max(np.abs(late - steady_state(liouv))) <= 1e-10
+
+    @pytest.mark.parametrize("end", [1e300, 1.7e308])
+    @pytest.mark.parametrize("name", ["lambda", "chain"])
+    def test_absurd_interval_ends_in_bounded_work(self, name, end):
+        # about 2^s eps of rounding after s squarings, s near 1000 here:
+        # the state is either the steady state or refused at that time, and
+        # no warning escapes (tier-1 turns a RuntimeWarning into an error)
+        if name == "lambda":
+            liouv = liouvillian(lambda_system(lambda_params(2.0, 1.0)))
+            rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        else:
+            liouv = four_site_chain()
+            rho0 = np.full((8, 8), 1.0 / 8.0, dtype=complex)
+        start = time.perf_counter()
+        try:
+            late = evolve(liouv, rho0, [0.0, end], validate=False)[-1]
+        except AccuracyError as exc:
+            assert f"at t = {end:g}; interval [0, {end:g}]" in str(exc)
+        else:
+            assert np.max(np.abs(late - steady_state(liouv))) <= 1e-10
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "diagonal, times, message",
+        [
+            # the population leaks away: the trace drifts over the interval
+            (-1e-3, [1.0, 1.5, 2.0], r"trace drift 4\.999e-04 above 1e-07 at t = 1\.5; interval \[1, 1\.5\]"),
+            # the population grows by 1e-9 over the first interval, then
+            # past every float, e^1000
+            (1e-9, [0.0, 1.0, 1e12], r"non-finite state at t = 1e\+12; interval \[1, 1e\+12\]"),
+            # population flows at unit rate from the excited to the ground
+            # level, p(t) = (t, 1 - t), past 1 after t = 1
+            (None, [0.0, 1.0, 1.5], r"entry of magnitude 1\.500e\+00 above 1 at t = 1\.5; interval \[1, 1\.5\]"),
+        ],
+        ids=["trace-drift", "non-finite", "magnitude"],
+    )
+    def test_accuracy_error_names_the_interval(self, diagonal, times, message):
+        matrix = np.zeros((4, 4), dtype=complex)
+        if diagonal is None:
+            matrix[0, 0] = matrix[0, 3] = 1.0
+            matrix[3, 0] = matrix[3, 3] = -1.0
+            rho0 = np.diag([0.0, 1.0]).astype(complex)
+        else:
+            matrix[0, 0] = diagonal
+            rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(AccuracyError, match=message):
+            evolve(dense_liouvillian(matrix), rho0, times, validate=False)
 
     def test_validate_names_the_first_bad_state(self):
         # a trace-preserving but not positive generator: populations move at
@@ -1035,7 +1025,7 @@ class TestEvolveAgainstStepLoop:
         matrix = np.zeros((4, 4), dtype=complex)
         matrix[0, 0] = matrix[0, 3] = -1.0
         matrix[3, 0] = matrix[3, 3] = 1.0
-        liouv = dense_liouvillian(matrix, 0.01)
+        liouv = dense_liouvillian(matrix)
         assert np.array_equal(lab_matrix(liouv), matrix)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 2.0, 5)
@@ -1050,7 +1040,7 @@ class TestEvolveAgainstStepLoop:
         # a generator that feeds a coherence from the ground population only
         matrix = np.zeros((4, 4), dtype=complex)
         matrix[1, 0] = 7e-10
-        liouv = dense_liouvillian(matrix, 0.01)
+        liouv = dense_liouvillian(matrix)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(InvariantViolationError, match=r"state at t = 0.2 is not Hermitian"):
@@ -1150,7 +1140,7 @@ class TestSteadyState:
         assert excinfo.value.dimension == (n_levels + 1) // 2
 
     def test_empty_null_space_is_a_solver_failure(self):
-        invertible = dense_liouvillian(np.eye(4), 0.1)
+        invertible = dense_liouvillian(np.eye(4))
         with pytest.raises(SolverFailureError):
             steady_state(invertible)
 
@@ -1160,7 +1150,7 @@ class TestSteadyState:
         v = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
         generator = np.eye(4, dtype=complex) - np.outer(v, v)
         with pytest.raises(SolverFailureError, match="stationary residual"):
-            steady_state(dense_liouvillian(generator, 0.1))
+            steady_state(dense_liouvillian(generator))
 
     def test_residual_check_does_not_overflow_at_huge_rates(self):
         # rates of 1e300 leave a residual of order 1e284, whose square
@@ -1455,12 +1445,11 @@ def crossed_system(t_1: float, t_2: float) -> OpenSystem:
 
 
 def generator_bytes(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> list[bytes]:
-    """The bytes of the blocks, indices, default step, steady state and heat
-    currents of a system."""
+    """The bytes of the blocks, indices, steady state and heat currents of a
+    system."""
     liouv = liouvillian(system, freq_tol)
     rho = steady_state(liouv)
-    arrays = (*liouv.blocks, *liouv.indices, np.float64(liouv.default_dt), rho,
-              heat_currents(system, rho, freq_tol))
+    arrays = (*liouv.blocks, *liouv.indices, rho, heat_currents(system, rho, freq_tol))
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
@@ -1469,8 +1458,7 @@ def kept_array_bytes(structure) -> int:
     _, h, couplings = structure.key
     total = len(h) + sum(map(len, couplings))
     arrays = [structure.energies, structure.states, structure.frequencies, structure.labels,
-              *structure.coupling, structure.entry_labels, structure.zero_magnitude,
-              structure.above_atol, *structure.pairs]
+              *structure.coupling, structure.entry_labels, structure.zero_magnitude, *structure.pairs]
     for mask, plan in structure.plans.items():
         total += len(mask)
         arrays += [plan.w, *plan.jumps, plan.population, *plan.decay[:3], plan.damping_at, *plan.currents]
@@ -1767,8 +1755,8 @@ def chain_profiles(n_sites: int) -> np.ndarray:
 class TestBatchedBuilder:
     """The builder of many points' generators of one system gives each
     point's generator as a system at the point's temperatures alone does,
-    bit for bit: blocks, indices and default step, whatever plans and
-    patterns of K the points need."""
+    bit for bit: blocks and indices, whatever plans and patterns of K the
+    points need."""
 
     def check(self, system: OpenSystem, temperatures: np.ndarray) -> None:
         davies._STRUCTURES.clear()
@@ -1778,7 +1766,6 @@ class TestBatchedBuilder:
         for row, liouv in zip(temperatures, batch):
             alone = liouvillian(system.with_temperatures(list(row)))
             assert liouv.dim == alone.dim and liouv.basis is alone.basis
-            assert liouv.default_dt == alone.default_dt
             assert len(liouv.blocks) == len(alone.blocks) and len(liouv.indices) == len(alone.indices)
             for mine, theirs in zip(liouv.blocks + liouv.indices, alone.blocks + alone.indices):
                 assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
@@ -1844,9 +1831,9 @@ class TestBatchedSolve:
         liouvs = [
             liouvillian(gradient_chain(10, 0.1, 0.8, 0.4)),
             liouvillian(gradient_chain(10, 0.1, 0.0, 0.0)),
-            dense_liouvillian(np.eye(4), 0.1),
+            dense_liouvillian(np.eye(4)),
             liouvillian(gradient_chain(10, 1.3, 0.3, 0.1)),
-            dense_liouvillian(np.zeros((4, 4)), 0.1),
+            dense_liouvillian(np.zeros((4, 4))),
             liouvillian(gradient_chain(4, 0.5, 0.6, 0.6)),
             liouvillian(three_level_system(lambda_params(2.0, 1.0))),
         ]
@@ -1858,7 +1845,7 @@ class TestBatchedSolve:
 
     def test_an_svd_that_does_not_converge_fails_its_own_generator(self):
         good = liouvillian(gradient_chain(4, 0.5, 0.8, 0.4))
-        broken = dense_liouvillian(np.full((4, 4), np.nan), 0.1)
+        broken = dense_liouvillian(np.full((4, 4), np.nan))
         results = davies._steady_states([good, broken, good])
         assert np.array_equal(results[0], steady_state(good)) and np.array_equal(results[2], results[0])
         assert isinstance(results[1], np.linalg.LinAlgError)
@@ -1871,7 +1858,7 @@ class TestBatchedSolve:
         # the 1 x 1 blocks come first, the 10 x 10 block of populations last
         blocks[{"coherence": 0, "population-rate": -1, "population-diagonal": -1}[where]][
             {"coherence": (2, 0, 0), "population-rate": (0, 1, 2), "population-diagonal": (0, 3, 3)}[where]] = np.nan
-        broken = Liouvillian(good.dim, good.default_dt, good.basis, good.indices, tuple(blocks))
+        broken = Liouvillian(good.dim, good.basis, good.indices, tuple(blocks))
         results = davies._steady_states([good, broken, good])
         assert np.array_equal(results[0], steady_state(good)) and np.array_equal(results[2], results[0])
         expected = ("SolverFailureError: no singular value below 1e-10 of the largest; smallest ratio nan"

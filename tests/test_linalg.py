@@ -14,7 +14,6 @@ from qthermo import linalg
 from qthermo.errors import DimensionMismatchError, InvariantViolationError
 from qthermo.linalg import (
     eigh,
-    hermitize,
     require_density_matrix,
     require_hermitian,
     vectorize,
@@ -25,6 +24,11 @@ from qthermo.linalg import (
 # uncoupled ground levels with spurious entries or rotated among themselves,
 # for every N from 10 to 40
 LAPACK_MIXING_TUNNELINGS = (0.09, 0.41, 0.47, 0.73, 0.79, 0.87, 0.91, 0.95, 1.27, 1.29)
+
+
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (M + M^dagger)/2."""
+    return 0.5 * (m + m.conj().T)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
