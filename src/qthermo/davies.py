@@ -43,19 +43,20 @@ The blocks are stacked by size.  A system with no exact zeros gets its
 sectors as blocks.
 
 Steady state.  The steady state is the null vector of one block, found by
-the block's own rule (:func:`steady_state` states them), for a batch of
-generators (a sweep) block size by block size across all of them.  A block
-of populations (i, i) alone is a classical rate matrix with entries
+the block's own rule (:func:`steady_state` states them).  For a batch of
+generators (a sweep) the elimination below runs once per block size across
+all of them, and every other step generator by generator.  A block of
+populations (i, i) alone is a classical rate matrix with entries
 rate |C|^2: Grassmann-Taksar-Heyman elimination finds its stationary
 distribution with no subtraction, however many decades the rates span, and
 its null space has dimension one when every pivot is positive.  The layout
 puts a maximal set of its states that share no rate last (in a chain, the
 modes), and the elimination takes that set in one step.  A 1 x 1 block is
 null when its entry is zero.  Every other block, and a block of populations
-with a zero pivot (a reducible one), gets a batched SVD, graded by its
-diagonal, and counts its singular values against the largest of the whole
-generator.  In a chain the other blocks are 1 x 1, and at the paper's rates
-the Frobenius norm of the population block stays below the largest of their
+with a zero pivot (a reducible one), gets an SVD, graded by its diagonal,
+and counts its singular values against the largest of the whole generator.
+In a chain the other blocks are 1 x 1, and at the paper's rates the
+Frobenius norm of the population block stays below the largest of their
 entries, so its largest singular value is not needed and a chain sweep runs
 no SVD.
 
@@ -349,16 +350,6 @@ def bose_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def thermal_rate(spectral: SpectralDensity, omega: float, temperature: float) -> float:
-    """Rate attached to a nonzero-frequency component: emission for omega > 0,
-    absorption for omega < 0."""
-    if omega > 0:
-        return spectral.value(omega) * (1.0 + bose_occupation(omega, temperature))
-    if omega < 0:
-        return spectral.value(-omega) * bose_occupation(-omega, temperature)
-    raise ValueError("thermal_rate is undefined at omega = 0; handled by the grouping code")
-
-
 def _check_grouping_tolerance(energies: np.ndarray, freq_tol: float) -> None:
     if not freq_tol > 0:
         raise ValueError(f"frequency grouping tolerance must be > 0, got {freq_tol}")
@@ -410,9 +401,10 @@ def _frequency_groups(energies: np.ndarray, freq_tol: float) -> tuple[np.ndarray
 def _thermal_rates(
     density: np.ndarray, omega: np.ndarray, temperature: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`thermal_rate` at every frequency w > 0 of an array and at its
-    negative, emission and absorption, in one array expression each, given
-    the spectral density J(w) and the temperature of each frequency (arrays
+    """The rates at every frequency w > 0 of an array and at its negative,
+    emission J(w) (1 + n(w)) and absorption J(w) n(w), n(w) the
+    :func:`bose_occupation`, in one array expression each, given the
+    spectral density J(w) and the temperature of each frequency (arrays
     that broadcast with ``omega``, or scalars; a batch of points stacks its
     temperatures on a leading axis).  A frequency w = 0 gets a zero
     occupation."""
@@ -1336,62 +1328,12 @@ def _eliminated(a: np.ndarray, kept: int) -> np.ndarray:
     return np.concatenate((p, p @ into), axis=2)[:, 0]
 
 
-def _batched(solve, stacks: list[np.ndarray], owners: list[int], results: list) -> list:
-    """``solve`` of every stack of a list, by one call on the stacks joined;
-    ``solve`` acts on each block alone and returns an array over the blocks,
-    or a tuple of them.  Where the joined call raises LinAlgError, each
-    stack is solved alone, and one that raises again gets None and puts its
-    error in ``results`` at its generator, ``owners[i]``."""
-    try:
-        joined = solve(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-    except np.linalg.LinAlgError:
-        parts = []
-        for g, stack in zip(owners, stacks):
-            try:
-                parts.append(solve(stack))
-            except np.linalg.LinAlgError as exc:
-                results[g] = exc
-                parts.append(None)
-        return parts
-    return _split(joined, [len(stack) for stack in stacks])
-
-
-def _split(joined, lengths: list[int]) -> list:
-    """An array over blocks, or a tuple of them, cut into runs of these
-    lengths."""
+def _split(joined: tuple, lengths: list[int]) -> list[tuple]:
+    """A tuple of arrays over blocks cut into runs of these lengths."""
     if len(lengths) == 1:
         return [joined]
     bounds = np.cumsum(lengths).tolist()
-    if isinstance(joined, tuple):
-        return [tuple(x[lo:hi] for x in joined) for lo, hi in zip([0, *bounds], bounds)]
-    return [joined[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
-
-
-def _full_svd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, singulars, right = np.linalg.svd(stack)
-    return singulars, right
-
-
-def _singular_values(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)
-
-
-@dataclass(eq=False)
-class _Solution:
-    """The blocks of one generator, solved (see :func:`_steady_states`).
-
-    ``scalars`` is (index, magnitude) of the 1 x 1 blocks, each null when
-    its entry is zero.  ``decomposed`` holds (index, singular values, right
-    singular vectors) per stack of blocks solved by SVD, graded, and
-    ``rates`` (index, p, blocks, Frobenius norms, residuals) per stack of
-    rate-matrix blocks solved by GTH (:func:`_stationary_rates`).  ``top`` is the
-    largest singular value of the generator.
-    """
-
-    scalars: tuple | None = None
-    decomposed: list = field(default_factory=list)
-    rates: list = field(default_factory=list)
-    top: float = 0.0
+    return [tuple(x[lo:hi] for x in joined) for lo, hi in zip([0, *bounds], bounds)]
 
 
 def _graded(blocks: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1409,87 +1351,44 @@ def _picked(array: np.ndarray, at: np.ndarray | None) -> np.ndarray:
     return array if at is None else array[at]
 
 
-def _solve_blocks(liouvs, results: list) -> list[_Solution]:
-    """Every block of every generator solved by its rule: a 1 x 1 block is
-    its entry, null when it is zero; a rate-matrix block (all of whose
-    indices are populations (i, i)) goes to one batched GTH elimination per
-    block size; the other blocks, and rate-matrix blocks that GTH cannot
-    solve, go to one batched SVD per block size.  A generator whose blocks
-    an SVD cannot decompose gets its error in ``results``."""
-    solutions = [_Solution() for _ in liouvs]
-    by_size: dict[int, list] = {}  # (generator, stack, rate-matrix mask)
+def _rate_blocks(liouvs) -> list[tuple[list, list]]:
+    """The rate-matrix blocks above 1 x 1 of every generator, all of whose
+    indices are populations (i, i), solved by one GTH elimination per block
+    size over all generators (:func:`_stationary_rates`), whose results are
+    those of each block alone.  Per generator: the solved blocks, as (index,
+    p, blocks, Frobenius norms, residuals) per stack, and the blocks left
+    for the SVD, as (stack, blocks or None for all) in the order of the
+    stacks: the other blocks above 1 x 1, and after them the rate-matrix
+    blocks of the same stack that GTH cannot solve."""
+    solved = [[] for _ in liouvs]
+    left = [[] for _ in liouvs]  # per generator, a list per stack
+    by_size: dict[int, list] = {}  # (generator, stack, rate-matrix blocks or None, its list in left)
     for g, liouv in enumerate(liouvs):
         population = liouv.dim + 1
         for n, (index, stack) in enumerate(zip(liouv.indices, liouv.blocks)):
             if stack.shape[-1] == 1:
-                solutions[g].scalars = (index, abs(stack[:, 0, 0]))
-            else:
-                by_size.setdefault(stack.shape[-1], []).append((g, n, (index % population == 0).all(axis=1)))
-    for members in by_size.values():
-        rated, decompose = [], []
-        for g, n, mask in members:
+                continue
+            mask = (index % population == 0).all(axis=1)
             flags = mask.tolist()
-            if all(flags):
-                rated.append((g, n, None))
-            elif any(flags):
-                rated.append((g, n, np.flatnonzero(mask)))
-                decompose.append((g, n, np.flatnonzero(~mask)))
-            else:
-                decompose.append((g, n, None))
-        if rated:
-            decompose += _solve_rates(liouvs, rated, solutions)
-        if decompose:
-            graded = [_graded(_picked(liouvs[g].blocks[n], at), _picked(liouvs[g].indices[n], at))
-                      for g, n, at in decompose]
-            owners = [g for g, _, _ in decompose]
-            parts = _batched(_full_svd, [blocks for blocks, _ in graded], owners, results)
-            for g, (_, index), part in zip(owners, graded, parts):
-                if part is not None:
-                    solutions[g].decomposed.append((index, *part))
-    _exact_tops(solutions, results)
-    return solutions
-
-
-def _solve_rates(liouvs, rated: list, solutions: list[_Solution]) -> list:
-    """The rate-matrix blocks of one size of every generator, (generator,
-    stack, blocks) or None for all, by one GTH elimination; returns those
-    that GTH cannot solve, in the same form."""
-    stacks = [_picked(liouvs[g].blocks[n], at) for g, n, at in rated]
-    joined = _stationary_rates(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-    unsolved = []
-    for (g, n, at), stack, (p, ok, norms, residuals) in zip(rated, stacks, _split(joined, [len(x) for x in stacks])):
-        index = _picked(liouvs[g].indices[n], at)
-        if all(ok.tolist()):
-            solutions[g].rates.append((index, p, stack, norms, residuals))
-            continue
-        if ok.any():
-            solutions[g].rates.append((index[ok], p[ok], stack[ok], norms[ok], residuals[ok]))
-        where = np.flatnonzero(~ok)
-        unsolved.append((g, n, where if at is None else at[where]))
-    return unsolved
-
-
-def _exact_tops(solutions: list[_Solution], results: list) -> None:
-    """Each generator's largest singular value: that of its 1 x 1 and
-    decomposed blocks, and of each GTH-solved block whose Frobenius norm,
-    a bound on its largest singular value, exceeds it; those blocks get
-    their singular values, values alone, by one batched SVD per size."""
-    pending: dict[int, list] = {}  # (generator, blocks)
-    for g, solution in enumerate(solutions):
-        singulars = [s for _, s, _ in solution.decomposed]
-        if solution.scalars is not None:
-            singulars.insert(0, solution.scalars[1])
-        solution.top = max((float(s.max()) for s in singulars if s.size), default=0.0)
-        for _, _, blocks, frobenius, _ in solution.rates:
-            above = [norm > solution.top for norm in frobenius.tolist()]
-            if any(above):
-                pending.setdefault(blocks.shape[-1], []).append((g, blocks if all(above) else blocks[above]))
-    for members in pending.values():
-        owners = [g for g, _ in members]
-        parts = _batched(_singular_values, [blocks for _, blocks in members], owners, results)
-        for g, singulars in zip(owners, parts):
-            if singulars is not None:
-                solutions[g].top = max(solutions[g].top, float(singulars.max()))
+            parts = [] if all(flags) else [(n, np.flatnonzero(~mask) if any(flags) else None)]
+            left[g].append(parts)
+            if any(flags):
+                by_size.setdefault(stack.shape[-1], []).append(
+                    (g, n, None if all(flags) else np.flatnonzero(mask), parts))
+    for members in by_size.values():
+        stacks = [_picked(liouvs[g].blocks[n], at) for g, n, at, _ in members]
+        joined = _stationary_rates(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        for (g, n, at, parts), stack, (p, ok, norms, residuals) in zip(
+                members, stacks, _split(joined, [len(x) for x in stacks])):
+            index = _picked(liouvs[g].indices[n], at)
+            if ok.all():
+                solved[g].append((index, p, stack, norms, residuals))
+                continue
+            if ok.any():
+                solved[g].append((index[ok], p[ok], stack[ok], norms[ok], residuals[ok]))
+            where = np.flatnonzero(~ok)
+            parts.append((n, where if at is None else at[where]))
+    return [(rates, [part for parts in per_stack for part in parts]) for rates, per_stack in zip(solved, left)]
 
 
 def steady_state(liouv: Liouvillian) -> np.ndarray:
@@ -1512,7 +1411,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     largest of the other blocks.  Any other block, and a rate-matrix block
     with a zero or non-finite pivot or entry, counts its singular values
     below ``NULL_SPACE_RTOL`` times the largest singular value of the whole
-    generator, from a batched SVD of the block graded by its diagonal.
+    generator, from an SVD of the block graded by its diagonal.
     Exactly one null vector must be found: none raises SolverFailureError
     and more than one raises NonUniqueSteadyStateError reporting the
     dimension found.  The state is that null vector, mapped back to the lab
@@ -1530,65 +1429,70 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
 
 def _steady_states(liouvs) -> list[np.ndarray | Exception]:
     """The steady state of every generator of a sequence, or the error its
-    own solve raises (a QThermoError or a ValueError), as
-    :func:`steady_state` solves one.
+    own solve raises (a QThermoError or a ValueError, which LinAlgError
+    is), as :func:`steady_state` solves one.
 
-    The blocks of one size from all generators go through one batched GTH
-    elimination (rate-matrix blocks) or one batched SVD (the rest), whose
-    results are those of each block alone (:func:`_solve_blocks`).  Each
-    generator's null rule reads its own largest singular value, and its null
-    count, null vector and residual are its own; the residual of a state
-    held by a rate-matrix block is that block's alone, computed for all such
-    blocks of one size at once.  The null vectors of the
+    The rate-matrix blocks of one size from all generators go through one
+    batched GTH elimination (:func:`_rate_blocks`); every other block is
+    solved with its own generator (:func:`_null_vector`).  The residual of a
+    state held by a rate-matrix block is that block's alone, computed for
+    all such blocks of one size at once.  The null vectors of the
     generators of one dimension are made Hermitian, normalized, mapped back
     to the lab basis and checked as density matrices as one stack (one
     ``eigvalsh``), each state exactly as it would be alone, and then
-    recorded.  An SVD that fails to converge fails only the generators whose
-    blocks it holds.
+    recorded.
     """
     results: list = [None] * len(liouvs)
-    solutions = _solve_blocks(liouvs, results)
     nulls: dict[int, list] = {}  # by dimension: (generator, top, null vector entries, residual)
-    for g, (liouv, solution) in enumerate(zip(liouvs, solutions)):
-        if results[g] is None:
-            try:
-                entries, residual = _null_vector(liouv, solution)
-            except (QThermoError, ValueError) as exc:
-                results[g] = exc
-            else:
-                nulls.setdefault(liouv.dim, []).append((g, solution.top, entries, residual))
+    for g, (liouv, (rates, left)) in enumerate(zip(liouvs, _rate_blocks(liouvs))):
+        try:
+            top, entries, residual = _null_vector(liouv, rates, left)
+        except (QThermoError, ValueError) as exc:
+            results[g] = exc
+        else:
+            nulls.setdefault(liouv.dim, []).append((g, top, entries, residual))
     for dim, group in nulls.items():
         _stationary_states(liouvs, dim, group, results)
     return results
 
 
-def _null_vector(liouv: Liouvillian, solution: _Solution) -> tuple[tuple, float | None]:
-    """The null rule of one generator on its solved blocks: the (rows, cols,
-    values) of its null vector as a matrix in the eigenbasis, and its
-    residual relative to the largest singular value when a rate-matrix
-    block holds it.  A state held by a rate-matrix block sees zeros in every
-    other block, so that block's residual is the generator's."""
-    top = solution.top
+def _null_vector(liouv: Liouvillian, rates: list, left: list) -> tuple[float, tuple, float | None]:
+    """The null rule of one generator, given its GTH-solved blocks and the
+    blocks left for the SVD (:func:`_rate_blocks`): its largest singular
+    value, the (rows, cols, values) of its null vector as a matrix in the
+    eigenbasis, and its residual relative to the largest singular value
+    when a rate-matrix block holds it.  A state held by a rate-matrix block
+    sees zeros in every other block, so that block's residual is the
+    generator's."""
+    scalars = np.zeros(0)  # the entries of the 1 x 1 blocks, each null when it is zero
+    if liouv.blocks and liouv.blocks[0].shape[-1] == 1:
+        scalars = abs(liouv.blocks[0][:, 0, 0])
+    decomposed = []  # (index, singular values, right singular vectors), graded
+    for n, at in left:
+        blocks, index = _graded(_picked(liouv.blocks[n], at), _picked(liouv.indices[n], at))
+        _, singulars, right = np.linalg.svd(blocks)
+        decomposed.append((index, singulars, right))
+    singulars = [s for _, s, _ in decomposed]
+    top = others = max((float(s.max()) for s in [scalars, *singulars] if s.size), default=0.0)
+    for _, _, blocks, frobenius, _ in rates:
+        above = frobenius > others
+        if above.any():
+            values = np.linalg.svd(blocks if above.all() else blocks[above], compute_uv=False)
+            top = max(top, float(values.max()))
     if top == 0.0:
         raise SolverFailureError("generator is identically zero; every state is stationary")
     limit = NULL_SPACE_RTOL * top
-    null = [s <= limit for _, s, _ in solution.decomposed]
+    null = [s <= limit for s in singulars]
     null_dim = sum(int(np.count_nonzero(mask)) for mask in null)
     if math.isfinite(limit):
-        null_dim += sum(len(p) for _, p, _, _, _ in solution.rates)
-        if solution.scalars is not None:
-            null_dim += solution.scalars[1].size - int(np.count_nonzero(solution.scalars[1]))
+        null_dim += sum(len(p) for _, p, _, _, _ in rates) + scalars.size - int(np.count_nonzero(scalars))
     else:
         # a non-finite 1 x 1 entry: every singular value is compared with
         # the limit, which counts all of them (inf) or none (NaN)
-        null_dim += sum(p.size for _, p, _, _, _ in solution.rates) if limit > 0 else 0
-        if solution.scalars is not None:
-            null_dim += int(np.count_nonzero(solution.scalars[1] <= limit))
+        null_dim += sum(p.size for _, p, _, _, _ in rates) if limit > 0 else 0
+        null_dim += int(np.count_nonzero(scalars <= limit))
     if null_dim == 0:
-        singulars = [s for _, s, _ in solution.decomposed]
-        if solution.scalars is not None:
-            singulars.append(solution.scalars[1])
-        smallest = min(float(s.min()) for s in singulars if s.size)
+        smallest = min(float(s.min()) for s in [*singulars, scalars] if s.size)
         raise SolverFailureError(
             f"no singular value below {NULL_SPACE_RTOL:.0e} of the largest; smallest ratio "
             f"{smallest / top:.3e}"
@@ -1597,21 +1501,20 @@ def _null_vector(liouv: Liouvillian, solution: _Solution) -> tuple[tuple, float 
         raise NonUniqueSteadyStateError(
             f"steady state is not unique: null space has dimension {null_dim}", null_dim
         )
-    if solution.rates:
-        index, p, _, frobenius, residual = solution.rates[0]
+    if rates:
+        index, p, _, frobenius, residual = rates[0]
         # the population (i, i) sits at the column-stacked index i * (dim + 1)
         levels = index[0] // (liouv.dim + 1)
-        return (levels, levels, p[0]), float(residual[0]) * (float(frobenius[0]) / top)
+        return top, (levels, levels, p[0]), float(residual[0]) * (float(frobenius[0]) / top)
     # the column-stacked index i + dim * j of the block holds entry (i, j)
-    if solution.scalars is not None and not solution.scalars[1].all():
-        index, magnitude = solution.scalars
-        cols, rows = np.divmod(index[magnitude == 0.0, 0], liouv.dim)
-        return (rows, cols, np.ones(1, dtype=complex)), None
+    if not scalars.all():
+        cols, rows = np.divmod(liouv.indices[0][scalars == 0.0, 0], liouv.dim)
+        return top, (rows, cols, np.ones(1, dtype=complex)), None
     holder = next(n for n, mask in enumerate(null) if mask.any())
-    index, _, right = solution.decomposed[holder]
+    index, _, right = decomposed[holder]
     block = int(np.flatnonzero(null[holder].any(axis=1))[0])
     cols, rows = np.divmod(index[block], liouv.dim)
-    return (rows, cols, right[block, -1].conj()), None
+    return top, (rows, cols, right[block, -1].conj()), None
 
 
 def _stationary_states(liouvs, dim: int, group: list, results: list) -> None:

@@ -126,23 +126,23 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def _check_hermitian(a: np.ndarray, atol: float, name: str) -> None:
+def _check_hermitian(a: np.ndarray, name: str) -> None:
     _require_finite(a, name)
     defect = hermiticity_defect(a)
-    if defect > atol:
+    if defect > HERMITICITY_ATOL:
         raise InvariantViolationError(
-            f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {atol:.0e}"
+            f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_ATOL:.0e}"
         )
 
 
-def require_hermitian(m, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:
+def require_hermitian(m, name: str = "operator") -> np.ndarray:
     """Coerce to a square complex matrix and check that it is finite and
-    Hermitian within ``atol``.  A matrix whose exact bytes passed this check
-    at the same tolerance returns at once (:class:`_CheckRecord`)."""
+    Hermitian within ``HERMITICITY_ATOL``.  A matrix whose exact bytes
+    passed this check returns at once (:class:`_CheckRecord`)."""
     a = _as_square_complex(m, name)
-    key = _PASSED.key(a, ("hermitian", atol))
+    key = _PASSED.key(a, ("hermitian", HERMITICITY_ATOL))
     if not _PASSED.holds(key):
-        _check_hermitian(a, atol, name)
+        _check_hermitian(a, name)
         _PASSED.add(key)
     return a
 

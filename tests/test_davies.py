@@ -33,7 +33,6 @@ from qthermo.davies import (
     heat_currents,
     liouvillian,
     steady_state,
-    thermal_rate,
 )
 from qthermo.errors import (
     AccuracyError,
@@ -56,6 +55,17 @@ def devectorize(v) -> np.ndarray:
     dim = int(round(np.sqrt(vec.size)))
     assert dim * dim == vec.size
     return vec.reshape((dim, dim), order="F")
+
+
+def thermal_rate(spectral, omega: float, temperature: float) -> float:
+    """Rate attached to a nonzero-frequency component, one frequency at a
+    time: emission for omega > 0, absorption for omega < 0.  The scalar
+    oracle of the package's array rates."""
+    if omega > 0:
+        return spectral.value(omega) * (1.0 + bose_occupation(omega, temperature))
+    if omega < 0:
+        return spectral.value(-omega) * bose_occupation(-omega, temperature)
+    raise ValueError("thermal_rate is undefined at omega = 0; handled by the grouping code")
 
 
 def lambda_params(n_1: float, n_2: float, gamma: float = 1.0) -> ThreeLevelParams:
@@ -557,7 +567,13 @@ class TestDenseReference:
             return
         null_state = hermitize(devectorize(vh[-1].conj()))
         null_state /= np.trace(null_state).real
-        assert np.max(np.abs(steady_state(liouv) - null_state)) <= 1e-12
+        state = steady_state(liouv)
+        # the SVD fixes its null vector only to about eps * s_0 / s_{n-2},
+        # the gap to the second-smallest singular value; the residual of
+        # the state itself needs no such allowance
+        bound = max(1e-12, 16 * np.finfo(float).eps * singulars[0] / singulars[-2])
+        assert np.max(np.abs(state - null_state)) <= bound
+        assert np.linalg.norm(reference @ vectorize(state)) <= 1e-13 * singulars[0]
 
     @settings(max_examples=25, deadline=None)
     @given(dim=st.integers(2, 8), n_baths=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))

@@ -226,10 +226,10 @@ class TestCheckRecord:
         assert error_of(require_density_matrix, rho) == (
             "InvariantViolationError: density matrix trace 1.000001+0j differs from 1 beyond 1e-09"
         )
-        skewed = np.array([[1.0, 1e-10], [0.0, 1.0]])
-        assert error_of(require_hermitian, skewed, atol=1e-9) is None
-        assert error_of(require_hermitian, skewed) == (
-            "InvariantViolationError: operator is not Hermitian: max asymmetry 1.000e-10 exceeds 1e-12"
+        skewed = np.array([[0.5, 1e-10], [0.0, 0.5]])
+        assert error_of(require_density_matrix, skewed, herm_atol=1e-9) is None
+        assert error_of(require_density_matrix, skewed) == (
+            "InvariantViolationError: density matrix is not Hermitian: max asymmetry 1.000e-10 exceeds 1e-12"
         )
         # the stricter pass is its own entry, the looser one stays
         assert error_of(require_density_matrix, rho, trace_atol=1e-5) is None
