@@ -27,9 +27,10 @@ entry of C_k at or below ``COUPLING_RTOL`` of the Frobenius norm of V_k
 counts as absent: it is the rounding of U where the coupling is zero (a
 symmetry of H and V_k, or a chain mode with a node at the bath's site), and
 kept, at rate |C|^2 of 1e-34, it would join states that no rate links, so
-that rounding would pick which of several steady states comes out.  The eigenbasis
-model therefore holds C_k and the generator's jump entries as lists of
-nonzero entries (bath, i, j, value), never as (K, d, d) arrays.  C_k is formed
+that rounding would pick which of several steady states comes out.  C_k is
+therefore a list of nonzero entries (bath, i, j, value), never a (K, d, d)
+array; a plan keeps the generator's jump entries' places, and the eigenbasis
+model one row of their values.  C_k is formed
 from the nonzeros of V_k and the exact-zero supports of the rows of U.  The
 jump entries W_k[i, j] conj(C_k[i', j']), W_k = R_k C_k, come from one join
 of the nonzeros of W_k and C_k on (bath, group), and the terms of M_k are
@@ -62,9 +63,9 @@ no SVD.
 
 Heat currents.  J_k = -Tr[H D_k(rho)] reads the same population rows,
 E_i W_k[i, j] conj(C_k[i, j']) times rho at (j, j'), and M_k, the loss
-(E_a + E_b) M_k[a, b] / 2 times rho at (b, a).  The model keeps these
-coefficients, so the currents are one gather from U^dagger rho U and one
-sum per bath.
+(E_a + E_b) M_k[a, b] / 2 times rho at (b, a).  The plan keeps their places
+and the model their values, so the currents are one gather from
+U^dagger rho U and one sum per bath.
 
 Reuse.  The eigendecomposition, the frequency groups, the entries of C_k and
 their join on (bath, group) depend on H, the couplings and the grouping
@@ -97,9 +98,9 @@ the rates of all of them are one array expression over a leading axis of
 points, the points are grouped by plan and by pattern of K, and each group
 is scattered into its blocks by one ``bincount`` whose targets are offset
 point by point, so that every block entry sums the terms of one point in
-the order a point alone sums them.  :func:`liouvillian` is the batch of one,
-and each generator of a batch is, bit for bit, the one its point gives
-alone.
+the order a point alone sums them.  A point alone is a batch of one row
+(:func:`liouvillian`), and each generator of a batch is, bit for bit, the
+one its point gives alone.
 
 Time evolution.  The master equation d vec(rho)/dt = L vec(rho) is linear,
 so a grid interval of length tau maps the state through e^{tau L}, which in
@@ -193,8 +194,8 @@ EVOLUTION_POSITIVITY_FLOOR = -1e-7
 LAB_MAP_CHUNK_ENTRIES = 8192
 # Bytes of the arrays, keys included, that the eigenbasis structures kept
 # across systems may hold together ("Reuse" in the module docstring).  A chain
-# structure with its plan and layout holds 0.07 MiB at 10 sites, 0.6 MiB at
-# 30, 6.8 MiB at 100 and 15.3 MiB at 150, so one chain of up to about 200
+# structure with its plan and layout holds 0.06 MiB at 10 sites, 0.6 MiB at
+# 30, 6.3 MiB at 100 and 14.2 MiB at 150, so one chain of up to about 200
 # sites is kept, and hundreds of the paper's 10-site chains.
 STRUCTURE_CACHE_BYTES = 32 * 2**20
 
@@ -409,8 +410,10 @@ def _thermal_rates(
     temperatures on a leading axis).  A frequency w = 0 gets a zero
     occupation."""
     # the occupation 1 / expm1(x) is 0 above x = omega / T = 700, where exp
-    # overflows, and at T = 0: there x stays inf and expm1(inf) = inf
-    live = (omega > 0) & (omega <= 700.0 * temperature)
+    # overflows, and at T = 0: there x stays inf and expm1(inf) = inf; 700 T
+    # overflows to inf from T = 2.6e305 on, which compares as it should
+    with np.errstate(over="ignore"):
+        live = (omega > 0) & (omega <= 700.0 * temperature)
     x = np.full(live.shape, np.inf)
     np.divide(omega, temperature, out=x, where=live)
     occupation = 1.0 / np.expm1(x)
@@ -603,16 +606,15 @@ class _Plan(NamedTuple):
 
     ``jumps`` holds the jump entries' places and the factor conj(C) of each,
     whose W entry is ``w``; the decay terms are the jumps at ``population``,
-    conjugated, at ``decay``'s places, and ``damping_at`` is their flat index
-    in M.  ``currents`` holds the current entries' places and energy factors,
-    for the population jumps and then the decay terms.  ``layouts`` holds a
-    :class:`_Layout` per nonzero pattern of K = -i diag(E) - M / 2.
+    conjugated, and ``damping_at`` is their flat index in M.  ``currents``
+    holds the current entries' places and energy factors, for the population
+    jumps and then the decay terms.  ``layouts`` holds a :class:`_Layout`
+    per nonzero pattern of K = -i diag(E) - M / 2.
     """
 
     w: np.ndarray
     jumps: _Entries
     population: np.ndarray
-    decay: _Entries
     damping_at: np.ndarray
     currents: _Entries
     nbytes: int
@@ -635,37 +637,34 @@ class _Layout(NamedTuple):
     nbytes: int
 
 
-@dataclass(frozen=True)
-class _EigenModel:
+class _EigenModel(NamedTuple):
     """An open system in the eigenbasis of its Hamiltonian, at one grouping
-    tolerance; the generator and the heat currents read it.  It holds no
-    (K, d, d) array.
-
-    The temperature-free part is the shared :class:`_Structure`, and the
-    entries' places are the shared :class:`_Plan`'s.  ``rates[e]`` is the
-    rate of coupling entry e (``structure.coupling``), that of its bath at
-    its frequency group.  The per-bath matrices are entry lists
-    (:class:`_Entries`): ``jumps`` the entries of the map
-    rho -> sum_w rate A_w rho A_w^dagger at the column-stacked generator
-    indices (row, col), and ``decay`` the terms of
-    M_k = sum_w rate A_w^dagger A_w.  ``currents`` holds the coefficients of
-    the heat currents: J_k is the sum over the entries of bath k of the value
-    times the eigenbasis state U^dagger rho U at (row, col).
-    """
+    tolerance, as a batch of one point; the generator and the heat currents
+    read it.  It holds no (K, d, d) array.  The shared :class:`_Structure`
+    and :class:`_Plan` hold the entries' places, and the model their values:
+    ``jumps`` and ``population`` the rows of :func:`_jump_values`, and
+    ``currents`` the heat-current coefficients at ``plan.currents``, J_k
+    being the sum over those of bath k of the coefficient times the
+    eigenbasis state U^dagger rho U at (row, col)."""
 
     structure: _Structure
     plan: _Plan
-    rates: np.ndarray
-    jumps: _Entries
-    decay: _Entries
-    currents: _Entries
+    jumps: np.ndarray
+    population: np.ndarray
+    currents: np.ndarray
 
 
 def _eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
-    """The system's eigenbasis model, built on first use and kept on the system."""
+    """The system's eigenbasis model, built on first use and kept on the
+    system: the jump and current values at the baths' temperatures, put in
+    one row, as :func:`_liouvillians` puts a point of a batch."""
     model = system._models.get(freq_tol)
     if model is None:
-        model = system._models[freq_tol] = _build_eigen_model(system, freq_tol)
+        structure = _structure(system, freq_tol)
+        rates = _rates(system, structure, np.array([[bath.temperature for bath in system.baths]]))
+        plan, values, p = _jump_values(structure, rates * structure.coupling.values)
+        currents = plan.currents.values * np.concatenate((p[0], p[0].conj()))
+        model = system._models[freq_tol] = _EigenModel(structure, plan, values, p, currents)
     return model
 
 
@@ -757,32 +756,15 @@ def _build_plan(structure: _Structure, rated: np.ndarray) -> _Plan:
         np.concatenate((-energies[row], 0.5 * (energies[a] + energies[b]))),
     )
     damping_at = a * dim + b
-    nbytes = _seal(w, *jumps, population, bath, a, b, damping_at, *currents)
-    return _Plan(w, jumps, population, _Entries(bath, a, b, None), damping_at, currents, nbytes, {})
-
-
-def _build_eigen_model(system: OpenSystem, freq_tol: float) -> _EigenModel:
-    """Attach the baths' rates to the system's structure (:func:`_rates`),
-    and the rates' jump, decay and current entries to its plan."""
-    structure = _structure(system, freq_tol)
-    rates = _rates(system, structure, np.array([bath.temperature for bath in system.baths]))
-    plan, values, p = _jump_values(structure, rates * structure.coupling.values)
-    decay = p.conj()
-    return _EigenModel(
-        structure=structure,
-        plan=plan,
-        rates=rates,
-        jumps=_Entries(*plan.jumps[:3], values),
-        decay=_Entries(*plan.decay[:3], decay),
-        currents=_Entries(*plan.currents[:3], plan.currents.values * np.concatenate((p, decay))),
-    )
+    nbytes = _seal(w, *jumps, population, damping_at, *currents)
+    return _Plan(w, jumps, population, damping_at, currents, nbytes, {})
 
 
 def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -> np.ndarray:
     """The rate of every coupling entry of the structure, that of its bath
     at its frequency group, in one array expression.  ``temperature`` holds
-    one temperature per bath, the baths' own or checked as theirs are, for
-    one point or, on a leading axis, for many; the rates follow that axis.
+    one temperature per bath, the baths' own or checked as theirs are, a row
+    per point; the rates have a row per point.
 
     The zero-frequency component is always examined: if it vanishes its rate
     is zero, if not the rate is slope * T for an ohmic density while a flat
@@ -812,22 +794,18 @@ def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -
     rates = np.where(structure.entry_labels > zero_label, emission, absorption)
     at_zero = structure.entry_labels == zero_label
     if at_zero.any():
-        rates[..., at_zero] = np.where(present, coefficient * temperature, 0.0)[..., bath[at_zero]]
+        rates[:, at_zero] = np.where(present, coefficient * temperature, 0.0)[:, bath[at_zero]]
     return rates
 
 
 def _jump_values(structure: _Structure, w_val: np.ndarray) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """The plan of W_k = R_k C_k given at the coupling entries, for one point
-    or, a row each, for points of one nonzero pattern, and the values of the
-    jump entries and of those at the population rows, in the same layout."""
-    rated = (w_val if w_val.ndim == 1 else w_val[0]) != 0
+    """The plan of W_k = R_k C_k given at the coupling entries, a row for
+    each point of one nonzero pattern, and the values of the jump entries
+    and of those at the population rows, a row for each point."""
+    rated = w_val[0] != 0
     plan = _STRUCTURES.part(structure, structure.plans, rated.tobytes(), lambda: _build_plan(structure, rated))
-    # rows times a row: a (1, 1) by (1,) product runs numpy's scalar complex
-    # loop, which rounds otherwise than the vector loop that a point alone's
-    # (J,) by (J,) and every (n, J) by (1, J) product run
-    factor = plan.jumps.values if w_val.ndim == 1 else plan.jumps.values[None]
-    values = w_val.take(plan.w, axis=-1) * factor
-    return plan, values, values.take(plan.population, axis=-1)
+    values = w_val.take(plan.w, axis=1) * plan.jumps.values[None]
+    return plan, values, values.take(plan.population, axis=1)
 
 
 def _alike(a: np.ndarray) -> list[list[int]]:
@@ -878,12 +856,12 @@ def liouvillian(system: OpenSystem, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     """Build the generator, coherent commutator plus one dissipator per bath
     and transition frequency, from its nonzero entries in the eigenbasis and
     split into the connected components of their pattern (see the module
-    docstring).  The jump entries are the model's, kept on the system for
-    :func:`heat_currents`; the generator is the batch of one of
-    :func:`_assembled`, which a sweep runs on many points at once
-    (:func:`_liouvillians`)."""
+    docstring).  The point is a batch of one row: the model, kept on the
+    system for :func:`heat_currents`, holds its row of jump values, and the
+    generator is the one :func:`_assembled` gives for that row, as a sweep
+    gives it for many points at once (:func:`_liouvillians`)."""
     model = _eigen_model(system, freq_tol)
-    (liouv,) = _assembled(model.structure, model.plan, model.jumps.values, model.decay.values)
+    (liouv,) = _assembled(model.structure, model.plan, model.jumps, model.population)
     return liouv
 
 
@@ -900,14 +878,15 @@ def _liouvillians(system: OpenSystem, temperatures: np.ndarray, freq_tol: float)
     liouvs = [None] * len(temperatures)
     for points in _alike(w_val):
         plan, values, p = _jump_values(structure, w_val if len(points) == len(w_val) else w_val.take(points, axis=0))
-        for point, liouv in zip(points, _assembled(structure, plan, values, p.conj())):
+        for point, liouv in zip(points, _assembled(structure, plan, values, p)):
             liouvs[point] = liouv
     return liouvs
 
 
-def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.ndarray) -> list[Liouvillian]:
-    """The generators of points of one plan, from the values of their jump
-    entries and decay terms, those of one point or a row per point.
+def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, population: np.ndarray) -> list[Liouvillian]:
+    """The generators of points of one plan, a row per point, from the rows
+    of jump values and of their population entries, whose conjugates are the
+    decay terms (:func:`_jump_values`); a point alone is a batch of one row.
 
     The points are grouped by the nonzero pattern of K, whose layout places
     their entries; a group's entries go into its blocks by one ``bincount``
@@ -919,31 +898,29 @@ def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.
     energies = structure.energies
     dim = energies.size
     size = dim * dim
-    count = len(jumps) if jumps.ndim > 1 else 1
+    count = len(jumps)
 
     # rho -> K rho + rho K^dagger, K = -i diag(E) - M / 2, is 1 kron K + conj(K) kron 1
     # in column stacking: K[i, j] at ((i, l), (j, l)) and conj(K[i, j]) at
     # ((l, i), (l, j)) for every level l; K lies in the zero group (module docstring)
     at = _offset(plan.damping_at, size, count)
-    decay = decay.ravel()
+    decay = population.conj().ravel()
     damping = -0.5 * (np.bincount(at, weights=decay.real, minlength=count * size)
                       + 1j * np.bincount(at, weights=decay.imag, minlength=count * size))
-    if jumps.ndim > 1:
-        damping = damping.reshape(count, size)
-    damping[..., ::dim + 1] -= 1j * energies
+    damping = damping.reshape(count, size)
+    damping[:, ::dim + 1] -= 1j * energies
     liouvs = [None] * count
-    for members in _alike(damping) if damping.ndim > 1 else [[0]]:
+    for members in _alike(damping):
         n = len(members)
-        # the rows of the group's points; the arrays as they are when the
-        # group holds every point, and for one point, which has no rows
+        # the rows of the group's points, the arrays as they are if it holds all
         own, own_jumps = ((damping, jumps) if n == count
                           else (damping.take(members, axis=0), jumps.take(members, axis=0)))
-        k_at = np.flatnonzero(own if own.ndim == 1 else own[0])
+        k_at = np.flatnonzero(own[0])
         layout = _STRUCTURES.part(structure, plan.layouts, k_at.tobytes(),
                                   lambda: _build_layout(plan.jumps, k_at, dim))
-        k_val = own.take(k_at, axis=-1)
-        values = np.concatenate((own_jumps, np.repeat(k_val, dim, axis=-1), np.repeat(k_val.conj(), dim, axis=-1)),
-                                axis=-1)
+        k_val = own.take(k_at, axis=1)
+        values = np.concatenate((own_jumps, np.repeat(k_val, dim, axis=1), np.repeat(k_val.conj(), dim, axis=1)),
+                                axis=1)
         target = _offset(layout.target, layout.total, n)
         laid = values.ravel()
         flat = np.bincount(target, weights=laid.real, minlength=n * layout.total) + 1j * np.bincount(
@@ -956,11 +933,11 @@ def _assembled(structure: _Structure, plan: _Plan, jumps: np.ndarray, decay: np.
         if at.size:
             landed, block = np.unique(layout.target[at], return_inverse=True)
             cols, rows = np.divmod(layout.stacks[0][1][landed, 0], dim)
-            diagonal = abs(own.real[..., ::dim + 1])
-            terms = (abs(energies[rows] - energies[cols]) + diagonal.take(rows, axis=-1)
-                     + diagonal.take(cols, axis=-1)
-                     + np.bincount(_offset(block, landed.size, n), weights=abs(values.take(at, axis=-1)).ravel(),
-                                   minlength=n * landed.size).reshape(diagonal.shape[:-1] + (-1,)))
+            diagonal = abs(own.real[:, ::dim + 1])
+            terms = (abs(energies[rows] - energies[cols]) + diagonal.take(rows, axis=1)
+                     + diagonal.take(cols, axis=1)
+                     + np.bincount(_offset(block, landed.size, n), weights=abs(values.take(at, axis=1)).ravel(),
+                                   minlength=n * landed.size).reshape(n, -1))
             landed = _offset(landed, layout.total, n)
             flat[landed[abs(flat[landed]) <= NULL_SPACE_RTOL * terms.ravel()]] = 0.0
         for i, point in enumerate(members):
@@ -1402,24 +1379,26 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     decay terms whose real parts are <= 0, cannot cancel unless a jump lands
     on it, so for the null count :func:`liouvillian` clears, where a jump
     lands, an entry within ``NULL_SPACE_RTOL`` of the summed magnitudes of
-    |E_i - E_i'|, its decay terms and its jumps; :func:`evolve` steps the
-    same generator, whose cleared entries are rounding.  A rate-matrix
-    block, all of whose indices are populations (i, i), has one null vector
-    when Grassmann-Taksar-Heyman elimination finds its pivots positive
-    (every state reaches one closed class), and its largest singular value
-    is computed, values alone, only where its Frobenius norm exceeds the
-    largest of the other blocks.  Any other block, and a rate-matrix block
-    with a zero or non-finite pivot or entry, counts its singular values
-    below ``NULL_SPACE_RTOL`` times the largest singular value of the whole
-    generator, from an SVD of the block graded by its diagonal.
-    Exactly one null vector must be found: none raises SolverFailureError
-    and more than one raises NonUniqueSteadyStateError reporting the
-    dimension found.  The state is that null vector, mapped back to the lab
-    basis, checked to be stationary to ``STEADY_RESIDUAL_RTOL`` of the
-    largest singular value and checked as a density matrix in full.  A
-    block whose entries are not finite fails its generator with the SVD's
-    error.  This is the batch of one of the solve a sweep runs over many
-    generators (:func:`_steady_states`).
+    |E_i - E_i'|, its decay terms and its jumps; :func:`evolve` applies the
+    exponentials of the same blocks, whose cleared entries are rounding.  A
+    rate-matrix block, all of whose indices are populations (i, i), has one
+    null vector when Grassmann-Taksar-Heyman elimination finds its pivots
+    positive (every state reaches one closed class), and its largest
+    singular value is computed, values alone, only where its Frobenius norm
+    exceeds the largest of the other blocks.  Any other block, and a
+    rate-matrix block with a zero or non-finite pivot or entry, counts its
+    singular values below ``NULL_SPACE_RTOL`` times the largest singular
+    value of the whole generator, from an SVD of the block graded by its
+    diagonal.  Exactly one null vector must be found: none raises
+    SolverFailureError and more than one raises NonUniqueSteadyStateError
+    reporting the dimension found; a largest singular value that overflows
+    raises SolverFailureError.  The state is that null vector, mapped back
+    to the lab basis, checked to be stationary to ``STEADY_RESIDUAL_RTOL``
+    of the largest singular value and checked as a density matrix in full.
+    A block left for the SVD whose entries are not finite fails its
+    generator with the SVD's error, raised before the SVD, which never
+    returns on an infinite entry.  This is the batch of one of the solve a
+    sweep runs over many generators (:func:`_steady_states`).
     """
     (state,) = _steady_states((liouv,))
     if isinstance(state, Exception):
@@ -1470,6 +1449,9 @@ def _null_vector(liouv: Liouvillian, rates: list, left: list) -> tuple[float, tu
     decomposed = []  # (index, singular values, right singular vectors), graded
     for n, at in left:
         blocks, index = _graded(_picked(liouv.blocks[n], at), _picked(liouv.indices[n], at))
+        # LAPACK's SVD fails on a NaN entry but never returns on an infinite one
+        if not np.isfinite(blocks).all():
+            raise np.linalg.LinAlgError("SVD did not converge")
         _, singulars, right = np.linalg.svd(blocks)
         decomposed.append((index, singulars, right))
     singulars = [s for _, s, _ in decomposed]
@@ -1481,16 +1463,14 @@ def _null_vector(liouv: Liouvillian, rates: list, left: list) -> tuple[float, tu
             top = max(top, float(values.max()))
     if top == 0.0:
         raise SolverFailureError("generator is identically zero; every state is stationary")
+    if top == math.inf:
+        raise SolverFailureError("the generator's largest singular value overflows to inf")
     limit = NULL_SPACE_RTOL * top
     null = [s <= limit for s in singulars]
     null_dim = sum(int(np.count_nonzero(mask)) for mask in null)
+    # a NaN limit (a NaN 1 x 1 entry) counts nothing, as no value compares below it
     if math.isfinite(limit):
         null_dim += sum(len(p) for _, p, _, _, _ in rates) + scalars.size - int(np.count_nonzero(scalars))
-    else:
-        # a non-finite 1 x 1 entry: every singular value is compared with
-        # the limit, which counts all of them (inf) or none (NaN)
-        null_dim += sum(p.size for _, p, _, _, _ in rates) if limit > 0 else 0
-        null_dim += int(np.count_nonzero(scalars <= limit))
     if null_dim == 0:
         smallest = min(float(s.min()) for s in [*singulars, scalars] if s.size)
         raise SolverFailureError(
@@ -1615,8 +1595,8 @@ def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -
     model = _eigen_model(system, freq_tol)
     states = model.structure.states
     state_eig = states.conj().T @ state @ states
-    terms = model.currents
-    values = terms.values * state_eig[terms.rows, terms.cols]
+    terms = model.plan.currents
+    values = model.currents * state_eig[terms.rows, terms.cols]
     n_baths = len(system.baths)
     residues = np.bincount(terms.bath, weights=values.imag, minlength=n_baths)
     large = np.flatnonzero(np.abs(residues) > 1e-10)

@@ -550,11 +550,13 @@ class TestMainExitCodes:
              "error: the heat currents J_k = omega gamma [(n_k + 1) P_shared - n_k P_k] overflow at "
              "omega = 1e+200, gamma = 1e+200 and occupations n = 1, 1"),
             (["chain", "--set", "Gamma=1e300"], EXIT_OK, None),
+            (["lambda", "--set", "T_1=1e306", "--set", "T_2=1e306"], EXIT_OK, None),
             (["chain", "--set", "h=1e300"], EXIT_VALIDATION, "error: h * Gamma = "),
             (["chain", "--set", "h=1e150", "--set", "Gamma=1e150", "--set", "T_L=1e300", "--set", "T_R=1e300"],
              EXIT_VALIDATION, "error: Gamma * T_L = 1e+150 * 1e+300 is above 1e+300"),
         ],
-        ids=["dufour-capacity", "dufour-Gamma", "dufour-omega-Gamma", "chain-Gamma", "chain-h", "chain-Gamma-T"],
+        ids=["dufour-capacity", "dufour-Gamma", "dufour-omega-Gamma", "chain-Gamma", "lambda-T", "chain-h",
+             "chain-Gamma-T"],
     )
     def test_overflowing_scales_end_named_or_finite(self, args, code, named):
         # in a fresh interpreter, where a RuntimeWarning is printed, not raised
@@ -563,6 +565,7 @@ class TestMainExitCodes:
         assert result.returncode == code, result.stderr
         assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
         if named is None:
+            assert result.stderr == ""
             rows = [line.split(",") for line in body_of(result.stdout).splitlines()[1:]]
             assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[:3])
         else:
