@@ -24,9 +24,10 @@ import numpy as np
 
 from .davies import (
     DEFAULT_FREQ_TOL,
-    BathSpec,
     FlatDensity,
     OpenSystem,
+    _baths_from_nonzeros,
+    _Entries,
     _generator_bytes_bound,
     _liouvillians,
     _steady_states,
@@ -129,26 +130,19 @@ class ChainSpec:
         return self.profile.temperatures(self.n_sites)
 
 
-def _ground_index(site: int) -> int:
-    return 2 * site
-
-
-def _excited_index(site: int) -> int:
-    return 2 * site + 1
-
-
 def chain_system(spec: ChainSpec) -> OpenSystem:
     """Open system of the chain: excited levels at the site energy, hopping
-    between neighboring excited levels, one local bath per site."""
-    dim = spec.dim
-    density = FlatDensity(spec.bath_rate)
-    baths = []
-    for site, temperature in enumerate(spec.site_temperatures().tolist()):
-        coupling = np.zeros((dim, dim), dtype=complex)
-        coupling[_ground_index(site), _excited_index(site)] = 1.0
-        coupling[_excited_index(site), _ground_index(site)] = 1.0
-        baths.append(BathSpec(coupling, density, temperature))
-    return OpenSystem(hamiltonian=_chain_hamiltonian(spec), baths=tuple(baths))
+    between neighboring excited levels, one local bath per site.  Each
+    bath's coupling |e_i><g_i| + h.c. is given by its two nonzeros, so the
+    system holds no dense coupling (``BathSpec.coupling`` is formed only
+    when read)."""
+    # the basis runs (g_1, e_1, g_2, e_2, ...): row by row, bath i's entries
+    # are (g_i, e_i) and (e_i, g_i), rows 2i and 2i + 1, whose columns
+    # ``levels ^ 1`` swaps
+    levels = np.arange(spec.dim)
+    entries = _Entries(levels // 2, levels, levels ^ 1, np.ones(spec.dim, dtype=complex))
+    baths = _baths_from_nonzeros(spec.dim, entries, FlatDensity(spec.bath_rate), spec.site_temperatures().tolist())
+    return OpenSystem(hamiltonian=_chain_hamiltonian(spec), baths=baths)
 
 
 def _chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -160,13 +154,6 @@ def _chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
     h[excited[:-1], excited[1:]] = spec.tunneling
     h[excited[1:], excited[:-1]] = spec.tunneling
     return h
-
-
-def chain_system_bytes(n_sites: int) -> int:
-    """Bytes of the dense complex arrays :func:`chain_system` builds for
-    ``n_sites`` sites: the Hamiltonian and one coupling per site, each
-    2N x 2N."""
-    return 16 * (n_sites + 1) * (2 * n_sites) ** 2
 
 
 def site_populations(rho, spec: ChainSpec) -> np.ndarray:

@@ -77,8 +77,11 @@ looked up and nothing is checked again but the temperatures.  A system built
 afresh finds its structure in one module-level cache keyed on the exact
 bytes of the tolerance, H and the nonzeros of the couplings and bounded by
 the bytes it holds (``STRUCTURE_CACHE_BYTES``, least recently used out
-first), and shares it from then on; each bath keeps its coupling's nonzeros
-once they are found, so no key scans a coupling twice.  A structure keeps a
+first), and shares it from then on.  The key reads the couplings' nonzeros,
+which a bath holds: a chain's baths are built from theirs
+(:func:`_baths_from_nonzeros`) and form no dense coupling, and a bath given
+a dense coupling keeps its nonzeros once they are found, so no key scans a
+coupling twice, and a chain's key scans none.  A structure keeps a
 plan per set of nonzero W_k entries, which changes only where a rate
 vanishes (T = 0, or an occupation below the overflow cut): the pairs the
 join selects and the places of the jump, decay and current entries.  A plan
@@ -152,6 +155,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .linalg import (
+    HERMITICITY_ATOL,
     _record_density_matrices,
     components,
     stacked_order,
@@ -243,7 +247,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BathSpec:
-    """One thermal reservoir: coupling operator, spectral density, temperature."""
+    """One thermal reservoir: coupling operator, spectral density, temperature.
+
+    The coupling is kept as a checked read-only copy.  A system's baths may
+    instead be built from the nonzeros of their couplings, as a chain's are
+    (:func:`_baths_from_nonzeros`); such a bath forms its dense ``coupling``
+    only when it is read."""
 
     coupling: np.ndarray
     spectral: SpectralDensity
@@ -252,6 +261,7 @@ class BathSpec:
     def __post_init__(self):
         coupling = _frozen(require_hermitian(self.coupling, name="bath coupling"))
         object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "_dim", coupling.shape[0])
         _check_temperature(self.temperature)
 
     def _at_temperature(self, temperature: float) -> BathSpec:
@@ -262,6 +272,30 @@ class BathSpec:
         bath = object.__new__(BathSpec)
         bath.__dict__.update(self.__dict__, temperature=temperature)
         return bath
+
+
+class _FormedOnRead:
+    """``BathSpec.coupling`` of a bath built from its nonzeros: the dense
+    read-only matrix, formed on first read and kept in the bath's
+    ``_dense``, which the baths it gives at other temperatures share.  A
+    bath given a dense coupling holds it in its own ``__dict__``, which is
+    read before this."""
+
+    def __get__(self, bath, owner=None):
+        if bath is None:
+            return self
+        dense = bath._dense
+        if not dense:
+            rows, cols, values = bath._nonzeros
+            matrix = np.zeros((bath._dim, bath._dim), dtype=complex)
+            matrix[rows, cols] = values
+            matrix.flags.writeable = False
+            dense.append(matrix)
+        return dense[0]
+
+
+# set after the dataclass is made, so that the field keeps no default
+BathSpec.coupling = _FormedOnRead()
 
 
 def _check_temperature(temperature: float) -> None:
@@ -327,12 +361,13 @@ class OpenSystem:
 
 
 def _checked_hamiltonian(hamiltonian, baths: tuple[BathSpec, ...]) -> np.ndarray:
-    """A read-only copy of a Hermitian Hamiltonian of the couplings' shape."""
+    """A read-only copy of a Hermitian Hamiltonian of the couplings' shape,
+    checked against each bath's dimension, so no coupling is formed."""
     h = _frozen(require_hermitian(hamiltonian, name="hamiltonian"))
     for k, bath in enumerate(baths):
-        if bath.coupling.shape != h.shape:
+        if (bath._dim, bath._dim) != h.shape:
             raise InvariantViolationError(
-                f"bath {k} coupling shape {bath.coupling.shape} differs from hamiltonian {h.shape}"
+                f"bath {k} coupling shape {(bath._dim, bath._dim)} differs from hamiltonian {h.shape}"
             )
     return h
 
@@ -459,6 +494,69 @@ def _coupling_nonzeros(baths: tuple[BathSpec, ...]) -> list[tuple[np.ndarray, np
             kept = bath.__dict__["_nonzeros"] = (rows, cols, bath.coupling[rows, cols])
         nonzeros.append(kept)
     return nonzeros
+
+
+def _baths_from_nonzeros(dim: int, entries: _Entries, spectral: SpectralDensity,
+                         temperatures) -> tuple[BathSpec, ...]:
+    """One bath per temperature, each with the spectral density
+    ``spectral`` and a d x d coupling given by its nonzeros: that of bath k
+    holds ``entries.values[e]`` at (``entries.rows[e]``, ``entries.cols[e]``)
+    for every e with ``entries.bath[e]`` = k.  Indices are intp and values
+    complex128.
+
+    The entries of all baths are checked in one array pass, and any failure
+    raises InvariantViolationError: every index is in range, every value
+    finite and nonzero, the entries run row by row, bath by bath, each
+    (bath, row, col) once, and each has its mirror (bath, col, row), whose
+    value is its conjugate within ``HERMITICITY_ATOL``.  The temperatures
+    are checked as :class:`BathSpec` checks them.  The arrays are made
+    read-only and each bath keeps its slice of them as the nonzeros of its
+    coupling (:func:`_coupling_nonzeros`), listed as np.nonzero lists those
+    of the dense matrix, so a system of these baths and one of the same
+    couplings given dense share their structure, and their generators are
+    the same bits.  No dense coupling is formed, unless ``coupling`` is
+    read."""
+    bath, rows, cols, values = entries
+    n_baths = len(temperatures)
+
+    def fail(e: int, problem: str) -> None:
+        raise InvariantViolationError(
+            f"bath {int(bath[e])} coupling {problem} at ({int(rows[e])}, {int(cols[e])})")
+
+    # a negative index reads as a large unsigned one; each mask is counted,
+    # which on a few entries costs less than any() or all()
+    outside = ((bath.view(np.uintp) >= n_baths) | (rows.view(np.uintp) >= dim)
+               | (cols.view(np.uintp) >= dim))
+    if np.count_nonzero(outside):
+        fail(outside.argmax(), f"has an entry outside the {dim} x {dim} matrices of {n_baths} baths")
+    bad = (values == 0) | ~np.isfinite(values)
+    if np.count_nonzero(bad):
+        e = bad.argmax()
+        fail(e, "lists a zero entry" if values[e] == 0 else "has a non-finite entry")
+    key = (bath * dim + rows) * dim + cols
+    ascending = key[1:] > key[:-1]
+    if np.count_nonzero(ascending) < ascending.size:
+        e = ascending.argmin() + 1
+        fail(e, "lists an entry twice" if key[e] == key[e - 1] else "is not listed row by row, bath by bath")
+    mirror = (bath * dim + cols) * dim + rows
+    at = np.minimum(key.searchsorted(mirror), key.size - 1)
+    missing = key[at] != mirror
+    if np.count_nonzero(missing):
+        fail(missing.argmax(), "is not Hermitian: no mirror of the entry")
+    defect = np.abs(values - values[at].conj())
+    if np.count_nonzero(defect > HERMITICITY_ATOL):
+        e = defect.argmax()
+        fail(e, f"is not Hermitian: asymmetry {defect[e]:.3e} above {HERMITICITY_ATOL:.0e}")
+    _seal(*entries)
+    bounds = bath.searchsorted(np.arange(n_baths + 1)).tolist()
+    baths = []
+    for lo, hi, temperature in zip(bounds, bounds[1:], temperatures):
+        _check_temperature(temperature)
+        made = object.__new__(BathSpec)
+        made.__dict__.update(spectral=spectral, temperature=temperature, _dim=dim,
+                             _nonzeros=(rows[lo:hi], cols[lo:hi], values[lo:hi]), _dense=[])
+        baths.append(made)
+    return tuple(baths)
 
 
 def _joined_coupling_entries(states: np.ndarray, nonzeros) -> _Entries:
@@ -1592,6 +1690,12 @@ def heat_currents(system: OpenSystem, rho, freq_tol: float = DEFAULT_FREQ_TOL) -
     state = require_density_matrix(rho)
     if state.shape[0] != system.dim:
         raise InvariantViolationError(f"state dimension {state.shape[0]} differs from system {system.dim}")
+    return _heat_currents(system, state, freq_tol)
+
+
+def _heat_currents(system: OpenSystem, state: np.ndarray, freq_tol: float) -> np.ndarray:
+    """:func:`heat_currents` of a density matrix of the system's dimension
+    that is checked already, as a state :func:`steady_state` returns is."""
     model = _eigen_model(system, freq_tol)
     states = model.structure.states
     state_eig = states.conj().T @ state @ states

@@ -123,7 +123,13 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation from M = M^dagger."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if not m.size:
+        return 0.0
+    # the difference overwrites a fresh conjugate, so a check holds one
+    # complex temporary of the matrix's size, not two
+    difference = np.conjugate(m).T
+    np.subtract(m, difference, out=difference)
+    return float(np.max(np.abs(difference)))
 
 
 def _check_hermitian(a: np.ndarray, name: str) -> None:

@@ -362,12 +362,13 @@ class TestBatchedSweep:
             original = getattr(chain, name)
             monkeypatch.setattr(chain, name,
                                 lambda spec, f=original, notes=notes: notes.append(spec.tunneling) or f(spec))
-        original_bath = chain.BathSpec
-        monkeypatch.setattr(chain, "BathSpec", lambda *args: baths.append(args) or original_bath(*args))
+        original_baths = chain._baths_from_nonzeros
+        monkeypatch.setattr(chain, "_baths_from_nonzeros",
+                            lambda *args: baths.append(original_baths(*args)) or baths[-1])
         base = spec_for(n_sites=5)
         rows = population_sweep(base, (0.1, 0.5, 0.1), ((0.8, 0.4), (0.3, 0.1)),
                                 points=[(0.5, (0.6, 0.6)), (0.9, (0.6, 0.6))])
-        assert systems == [0.1] and hamiltonians == [0.1, 0.5, 0.9] and len(baths) == 5
+        assert systems == [0.1] and hamiltonians == [0.1, 0.5, 0.9] and [len(b) for b in baths] == [5]
         monkeypatch.undo()
         expected = [point_alone(base, g, pair) for pair in ((0.8, 0.4), (0.3, 0.1)) for g in (0.1, 0.5, 0.1)]
         expected += [point_alone(base, 0.5, (0.6, 0.6)), point_alone(base, 0.9, (0.6, 0.6))]

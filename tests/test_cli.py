@@ -320,7 +320,7 @@ class TestSolveCosts:
         run(config)
         solves = counting(monkeypatch, qthermo.chain, "_steady_states")
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
-        baths = counting(monkeypatch, qthermo.davies.BathSpec, "__post_init__")
+        baths = counting(monkeypatch, qthermo.chain, "_baths_from_nonzeros")
         rates = counting(monkeypatch, qthermo.davies, "_thermal_rates")
         run(config)
         assert [len(liouvs) for (liouvs,) in solves] == [18]
@@ -328,12 +328,19 @@ class TestSolveCosts:
         assert [a.shape[0] for (a,) in spectra] == [18]
         # the 10 baths are built once, and the rates of the points of each of
         # the 7 Hamiltonians are one array expression
-        assert len(baths) == 10
+        assert [len(temperatures) for _, _, _, temperatures in baths] == [10]
         assert [temperature.shape for _, _, temperature in rates] == [(6, 200)] + [(2, 200)] * 6
 
     def test_chain_run(self, monkeypatch):
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
         run(build_config("chain", overrides={"N": "12"}))
+        assert len(spectra) == 1
+
+    def test_a_long_chain_run_checks_its_state_once(self, monkeypatch):
+        # from 23 sites the record of passed checks keeps no state, so the
+        # run reads populations and currents from the state the solve checked
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        run(build_config("chain", overrides={"N": "30"}))
         assert len(spectra) == 1
 
     def test_lambda_point(self, monkeypatch):
@@ -423,6 +430,19 @@ class TestDeterminismAndRoundTrip:
         second = render(run(build_config("chain", overrides={"N": "4"})).tables[0][1])
         assert first == second
 
+    def test_identical_bytes_at_one_and_two_blas_threads(self):
+        # figure2 and an N = 60 chain, each thread count in a fresh
+        # interpreter, since OpenBLAS reads the variable when it loads
+        script = ("from qthermo import cli\n"
+                  "for name, overrides in (('figure2', {}), ('chain', {'N': '60', 'g': '1.3'})):\n"
+                  "    for _, table in cli.run(cli.build_config(name, overrides=overrides)).tables:\n"
+                  "        print(cli.render(table, 'csv'))\n")
+        outputs = [subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                                  env={**package_env(), "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        # the 4 panels' 200 rows and the chain's 60, with their headers
+        assert len(outputs[0].splitlines()) > 260 and outputs[0] == outputs[1]
+
     def test_metadata_reproduces_the_run(self):
         config = build_config("chain", overrides={"g": "0.7", "N": "4"})
         text = render(run(config).tables[0][1])
@@ -495,7 +515,7 @@ class TestMainExitCodes:
             (["chain", "--set", "N=100000"], "N"),
             (["sweep", "--set", "N=100000"], "N"),
             (["figure2", "--set", "N=100000"], "N"),
-            # an estimate of the bytes of this N overflows a float
+            # an N whose cube overflows a float
             (["chain", "--set", f"N={10**106}"], "N"),
             (["sweep", "--set", f"N={10**106}"], "N"),
             (["figure2", "--set", f"N={10**106}"], "N"),
@@ -511,9 +531,9 @@ class TestMainExitCodes:
         ],
     )
     def test_chains_that_cannot_run_stop_before_solving(self, argv, key, tmp_path, capsys, monkeypatch):
-        # an empty sweep, points that cannot classify and a chain whose
-        # dense arrays would exhaust memory are validation errors, decided
-        # before any system is built
+        # an empty sweep, points that cannot classify and a chain longer
+        # than the site limit are validation errors, decided before any
+        # system is built
         builds = []
         monkeypatch.setattr(qthermo.chain, "chain_system", lambda *args: builds.append(args))
         monkeypatch.setattr(qthermo.cli, "chain_system", lambda *args: builds.append(args))
@@ -522,19 +542,15 @@ class TestMainExitCodes:
         assert re.match(f"error: {key} ", capsys.readouterr().err)
         assert builds == [] and not out.exists()
 
-    def test_the_chain_size_budget_admits_three_hundred_sites(self):
-        # checked on the estimate, which counts the arrays chain_system builds
-        spec = qthermo.chain.ChainSpec(5, 1.0, 0.5, 0.02, qthermo.chain.LinearProfile(0.8, 0.4))
-        system = qthermo.chain.chain_system(spec)
-        built = system.hamiltonian.nbytes + sum(bath.coupling.nbytes for bath in system.baths)
-        estimate = qthermo.chain.chain_system_bytes
-        assert estimate(5) == built
-        longest = qthermo.cli.MAX_CHAIN_SITES
-        assert estimate(longest) <= qthermo.cli.MAX_CHAIN_BYTES < estimate(longest + 1)
-        assert longest >= 300
-        assert build_config("chain", overrides={"N": str(longest)}).values["N"] == longest
-        with pytest.raises(ConfigError, match=f"N = {longest + 1} "):
-            build_config("chain", overrides={"N": str(longest + 1)})
+    def test_the_chain_size_budget_admits_three_hundred_sites(self, capsys):
+        # the limit predates the sparse chain couplings and stays at 322, so
+        # that no N changes its exit code
+        assert qthermo.cli.MAX_CHAIN_SITES == 322
+        assert build_config("chain", overrides={"N": "322"}).values["N"] == 322
+        with pytest.raises(ConfigError, match="^N = 323 is above 322, the longest chain a run accepts"):
+            build_config("chain", overrides={"N": "323"})
+        assert main(["chain", "--set", "N=323"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: N = 323 is above 322")
 
     @pytest.mark.parametrize(
         "args,code,named",

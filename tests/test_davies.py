@@ -24,6 +24,7 @@ from qthermo.davies import (
     OhmicDensity,
     OpenSystem,
     _coupling_nonzeros,
+    _Entries,
     _eigen_model,
     _frequency_groups,
     _joined_coupling_entries,
@@ -42,7 +43,8 @@ from qthermo.errors import (
     SolverFailureError,
     UnsupportedModelError,
 )
-from qthermo.chain import DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, chain_system, site_populations
+from qthermo.chain import (DEFAULT_TUNNELING_SWEEP, ChainSpec, LinearProfile, _chain_hamiltonian, chain_system,
+                           default_survey_panels, site_populations)
 from qthermo.linalg import eigh, vectorize
 from qthermo.three_level import ThreeLevelParams, lambda_system, three_level_system
 from test_linalg import LAPACK_MIXING_TUNNELINGS, hermitize
@@ -1456,6 +1458,18 @@ class TestLargeChains:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_three_hundred_sites_build_no_dense_coupling(self):
+        # a dense 600 x 600 coupling per site took 1.7 GB at N = 300; the
+        # Hamiltonian, its check and its read-only copy peak at about 14 MiB
+        spec = ChainSpec(300, 1.0, 1.3, 0.01, LinearProfile(0.8, 0.4))
+        tracemalloc.start()
+        try:
+            chain_system(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 def crossed_system(t_1: float, t_2: float) -> OpenSystem:
     """A ground level and two degenerate excited ones, with baths coupling
@@ -1827,6 +1841,132 @@ class TestBatchedBuilder:
             BathSpec(b.coupling, FlatDensity(1.0), b.temperature) for b in system.baths))
         with pytest.raises(UnsupportedModelError, match="bath 0: zero-frequency"):
             davies._liouvillians(flat, np.array([[0.5, 0.5], [0.0, 1.0]]), DEFAULT_FREQ_TOL)
+
+
+def dense_chain_system(spec: ChainSpec) -> OpenSystem:
+    """The chain of :func:`chain_system` with each coupling given to
+    :class:`BathSpec` as a dense matrix."""
+    baths = []
+    for site, temperature in enumerate(spec.site_temperatures().tolist()):
+        coupling = np.zeros((spec.dim, spec.dim), dtype=complex)
+        coupling[2 * site, 2 * site + 1] = coupling[2 * site + 1, 2 * site] = 1.0
+        baths.append(BathSpec(coupling, FlatDensity(spec.bath_rate), temperature))
+    return OpenSystem(_chain_hamiltonian(spec), tuple(baths))
+
+
+def valid_entries() -> _Entries:
+    """Two baths' couplings on a 4 x 4 matrix, row by row: a real flip on
+    levels (0, 1) and a complex one with a diagonal entry on (2, 3)."""
+    return _Entries(np.array([0, 0, 1, 1, 1]), np.array([0, 1, 2, 2, 3]), np.array([1, 0, 2, 3, 2]),
+                    np.array([1.0, 1.0, 0.5, 2j, -2j]))
+
+
+class TestBathsFromNonzeros:
+    """A chain's baths are built from the nonzeros of their couplings and
+    checked in one pass: a system of them shares its structure with the same
+    chain built from dense couplings, and gives the same bits."""
+
+    @staticmethod
+    def check(spec: ChainSpec) -> None:
+        davies._STRUCTURES.clear()
+        dense = dense_chain_system(spec)
+        expected = generator_bytes(dense)
+        davies._STRUCTURES.clear()
+        sparse = chain_system(spec)
+        assert generator_bytes(sparse) == expected
+        assert [(a.dtype, a.tobytes()) for triple in _coupling_nonzeros(sparse.baths) for a in triple] == [
+            (a.dtype, a.tobytes()) for triple in _coupling_nonzeros(dense.baths) for a in triple]
+        # nothing on the run path forms a dense coupling
+        assert not any(bath._dense for bath in sparse.baths)
+        # a system built afresh from dense couplings finds this one's structure
+        assert (davies._structure(dense_chain_system(spec), DEFAULT_FREQ_TOL)
+                is davies._structure(sparse, DEFAULT_FREQ_TOL))
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 5, 10, 12, 30])
+    @pytest.mark.parametrize("tunneling", [0.1, 1.3])
+    def test_chains(self, n_sites, tunneling):
+        self.check(ChainSpec(n_sites, 1.0, tunneling, 0.01, LinearProfile(0.8, 0.4)))
+
+    @pytest.mark.parametrize("tunneling, t_left, t_right",
+                             [(0.1, 0.8, 0.4), (1.3, 0.8, 0.4), (1.3, 0.3, 0.1), (0.5, 0.6, 0.6)])
+    def test_the_scaling_runs(self, tunneling, t_left, t_right):
+        self.check(ChainSpec(12, 1.0, tunneling, 0.01, LinearProfile(t_left, t_right)))
+
+    def test_the_figure2_points(self):
+        points = dict.fromkeys((g, pair) for gs, pairs in default_survey_panels().values()
+                               for pair in pairs for g in gs)
+        assert len(points) == 18
+        for g, pair in points:
+            self.check(ChainSpec(10, 1.0, g, 0.01, LinearProfile(*pair)))
+
+    def test_coupling_is_the_dense_matrix_formed_on_read(self):
+        spec = ChainSpec(3, 1.0, 0.5, 0.01, LinearProfile(0.8, 0.4))
+        system = chain_system(spec)
+        derived = system.with_temperatures([0.1, 0.2, 0.3])
+        for bath, expected in zip(system.baths, dense_chain_system(spec).baths):
+            coupling = bath.coupling
+            assert coupling.dtype == complex and np.array_equal(coupling, expected.coupling)
+            assert not coupling.flags.writeable
+            assert bath.coupling is coupling
+        assert all(d.coupling is p.coupling for d, p in zip(derived.baths, system.baths))
+        with pytest.raises(ValueError, match="read-only"):
+            system.baths[0].coupling[0, 0] = 1.0
+
+    def test_a_hermitian_complex_coupling(self):
+        entries = valid_entries()
+        dense = np.zeros((4, 4), dtype=complex)
+        dense[entries.rows[2:], entries.cols[2:]] = entries.values[2:]
+        baths = davies._baths_from_nonzeros(4, entries, OhmicDensity(0.5), [0.3, 0.7])
+        reference = BathSpec(dense, OhmicDensity(0.5), 0.7)
+        assert np.array_equal(baths[1].coupling, dense)
+        assert [a.tobytes() for a in _coupling_nonzeros(baths[1:])[0]] == [
+            a.tobytes() for a in _coupling_nonzeros((reference,))[0]]
+        assert [bath.temperature for bath in baths] == [0.3, 0.7]
+        assert all(not a.flags.writeable for a in entries)
+
+    @pytest.mark.parametrize(
+        "field, at, value, message",
+        [
+            ("rows", 0, 4, r"bath 0 coupling has an entry outside the 4 x 4 matrices of 2 baths at \(4, 1\)"),
+            ("cols", 4, -1, r"bath 1 coupling has an entry outside .* at \(3, -1\)"),
+            ("bath", 4, 2, r"bath 2 coupling has an entry outside the 4 x 4 matrices of 2 baths"),
+            ("values", 1, math.nan, r"bath 0 coupling has a non-finite entry at \(1, 0\)"),
+            ("values", 3, complex(0, math.inf), r"bath 1 coupling has a non-finite entry at \(2, 3\)"),
+            ("values", 2, 0.0, r"bath 1 coupling lists a zero entry at \(2, 2\)"),
+            ("values", 0, 1.0 + 1e-9, r"bath 0 coupling is not Hermitian: asymmetry 1\.000e-09 above 1e-12"),
+            ("values", 4, 2j, r"bath 1 coupling is not Hermitian: asymmetry 4\.000e\+00"),
+            ("values", 2, 0.5 + 1e-9j, r"bath 1 coupling is not Hermitian: asymmetry 2\.000e-09 .* at \(2, 2\)"),
+            ("cols", 1, 2, r"bath 0 coupling is not Hermitian: no mirror of the entry at \(0, 1\)"),
+            ("bath", 1, 1, r"bath 0 coupling is not Hermitian: no mirror of the entry at \(0, 1\)"),
+        ],
+    )
+    def test_malformed_entries_raise(self, field, at, value, message):
+        entries = valid_entries()
+        getattr(entries, field)[at] = value
+        with pytest.raises(InvariantViolationError, match=message):
+            davies._baths_from_nonzeros(4, entries, FlatDensity(1.0), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [([0, 0, 1, 2, 3, 4], r"bath 0 coupling lists an entry twice at \(0, 1\)"),
+         ([1, 0, 2, 3, 4], r"bath 0 coupling is not listed row by row, bath by bath at \(0, 1\)"),
+         ([2, 3, 4, 0, 1], r"bath 0 coupling is not listed row by row, bath by bath at \(0, 1\)")],
+        ids=["duplicate", "rows", "baths"],
+    )
+    def test_duplicates_and_disorder_raise(self, order, message):
+        entries = _Entries(*(a[order] for a in valid_entries()))
+        with pytest.raises(InvariantViolationError, match=message):
+            davies._baths_from_nonzeros(4, entries, FlatDensity(1.0), [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_a_bad_temperature_raises_the_bath_error(self, bad):
+        expected = error_text(BathSpec, np.eye(4), FlatDensity(1.0), bad)
+        assert error_text(davies._baths_from_nonzeros, 4, valid_entries(), FlatDensity(1.0), [0.5, bad]) == expected
+
+    def test_no_entries(self):
+        entries = _Entries(*(np.empty(0, dtype=dtype) for dtype in (np.intp, np.intp, np.intp, complex)))
+        (bath,) = davies._baths_from_nonzeros(2, entries, FlatDensity(1.0), [0.5])
+        assert np.array_equal(bath.coupling, np.zeros((2, 2)))
 
 
 class TestBatchedSolve:
