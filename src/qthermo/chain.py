@@ -72,6 +72,11 @@ class LinearProfile:
     def temperatures(self, n_sites: int) -> np.ndarray:
         return np.linspace(self.t_left, self.t_right, n_sites)
 
+    def _ends(self, n_sites: int) -> tuple[float, float]:
+        """The temperatures of the first and the last site: those of
+        :meth:`temperatures`, up to the sign of a zero."""
+        return self.t_left, self.t_right
+
 
 @dataclass(frozen=True)
 class ExplicitProfile:
@@ -87,11 +92,19 @@ class ExplicitProfile:
             raise InvariantViolationError("temperatures must be >= 0")
 
     def temperatures(self, n_sites: int) -> np.ndarray:
+        self._check_length(n_sites)
+        return np.array(self.values)
+
+    def _ends(self, n_sites: int) -> tuple[float, float]:
+        """The temperatures of the first and the last site."""
+        self._check_length(n_sites)
+        return self.values[0], self.values[-1]
+
+    def _check_length(self, n_sites: int) -> None:
         if len(self.values) != n_sites:
             raise InvariantViolationError(
                 f"profile lists {len(self.values)} temperatures for {n_sites} sites"
             )
-        return np.array(self.values)
 
 
 TemperatureProfile = Union[LinearProfile, ExplicitProfile]
@@ -221,7 +234,7 @@ def classify(
         raise InvariantViolationError("classification needs at least 3 sites")
     if not np.all(np.isfinite(p)):
         raise InvariantViolationError("site populations must be finite")
-    temps = profile.temperatures(n)
+    first, last = profile._ends(n)
     values = p.tolist()
     # the lowest site within ARGMAX_TIE_ATOL of the maximum, so mirror-symmetric
     # profiles do not pick a site by rounding
@@ -229,11 +242,11 @@ def classify(
     argmax_site = next(i for i, value in enumerate(values) if value >= top) + 1
     symmetry = 1.0 - 0.5 * float(np.abs(p - p[::-1]).sum())
 
-    if abs(float(temps[0]) - float(temps[-1])) == 0.0:
+    if first == last:
         return ThermophoresisVerdict(NOT_APPLICABLE, argmax_site, 0, 0, symmetry)
 
     # orient hot -> cold so one code path covers both gradient directions
-    oriented = values if temps[0] > temps[-1] else values[::-1]
+    oriented = values if first > last else values[::-1]
     diffs = [b - a for a, b in zip(oriented, oriented[1:])]
     run_up = _longest_run([d > POPULATION_TOL for d in diffs])
     run_down = _longest_run([d < -POPULATION_TOL for d in diffs])
@@ -274,19 +287,45 @@ def _generator_bytes(liouv) -> int:
     return sum(block.nbytes for block in liouv.blocks) + sum(index.nbytes for index in liouv.indices)
 
 
-def _read_point(spec: ChainSpec, state) -> SweepPoint:
+def _read_point(tunneling: float, profile: LinearProfile, state) -> SweepPoint:
     """The sweep point of a solved chain, or of the error its solve raised.
     The solve has just checked the state in full, so its populations are
     read without a second check."""
-    t_left, t_right = spec.profile.t_left, spec.profile.t_right
+    t_left, t_right = profile.t_left, profile.t_right
     try:
         if isinstance(state, Exception):
             raise state
         populations = _site_populations(state)
-        verdict = classify(populations, spec.profile)
+        verdict = classify(populations, profile)
     except (QThermoError, ValueError) as exc:
-        return SweepPoint(spec.tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
-    return SweepPoint(spec.tunneling, t_left, t_right, populations, verdict, None)
+        return SweepPoint(tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
+    return SweepPoint(tunneling, t_left, t_right, populations, verdict, None)
+
+
+def _linear_temperatures(ends: np.ndarray, n_sites: int) -> np.ndarray:
+    """The site temperatures of a linear profile for every (t_left, t_right)
+    row of ``ends``, each row bit for bit that of
+    ``np.linspace(t_left, t_right, n_sites)``, as one array expression.
+
+    This is numpy's linspace arithmetic for n_sites >= 2, row by row:
+    i * step + t_left with step = (t_right - t_left) / (n_sites - 1), except
+    that a row whose step is zero (a flat profile, or a step that underflows)
+    takes (i / (n_sites - 1)) * (t_right - t_left) + t_left, and the last
+    site is t_right.  numpy's own array linspace takes the second form for
+    every row once one row needs it, which changes the other rows' last bits.
+    """
+    left, right = ends[:, :1], ends[:, 1:]
+    div = n_sites - 1
+    delta = right - left
+    step = delta / div
+    index = np.arange(n_sites, dtype=float)
+    temperatures = index * step
+    flat = step[:, 0] == 0
+    if flat.any():
+        temperatures[flat] = index / div * delta[flat]
+    temperatures += left
+    temperatures[:, -1] = right[:, 0]
+    return temperatures
 
 
 def population_sweep(
@@ -306,6 +345,8 @@ def population_sweep(
     then ``points`` as listed.  Failing points are annotated and do not
     abort the sweep.
 
+    Each point's profile is checked, and the site temperatures of the
+    points that pass are formed as one array (:func:`_linear_temperatures`).
     The baths are built and checked once per sweep, with the first
     Hamiltonian's system (:func:`chain_system`); every further distinct
     tunneling checks only its Hamiltonian and shares them.  The points are
@@ -322,60 +363,61 @@ def population_sweep(
     swept = [(float(g), (float(pair[0]), float(pair[1]))) for pair in temperature_pairs for g in tunneling_values]
     swept += [(float(g), (float(pair[0]), float(pair[1]))) for g, pair in points]
     rows: list[SweepPoint | None] = [None] * len(swept)
-    # the points of one tunneling share one system, built at the first of them
-    # and dropped after the last; keyed on the exact bits, since -0.0 and 0.0
-    # give Hamiltonians of other bytes
-    by_tunneling: dict[str, list[int]] = {}
-    for row, (tunneling, _) in enumerate(swept):
-        by_tunneling.setdefault(tunneling.hex(), []).append(row)
-    batch: list[tuple[int, ChainSpec, object]] = []
-    held = 0
-    first = None  # the first Hamiltonian's system, whose baths every other shares
 
     def fail(row: int, exc: Exception) -> None:
         tunneling, (t_left, t_right) = swept[row]
         rows[row] = SweepPoint(tunneling, t_left, t_right, None, None, f"{type(exc).__name__}: {exc}")
 
+    profiles: dict[int, LinearProfile] = {}
+    for row, (_, pair) in enumerate(swept):
+        try:
+            profiles[row] = LinearProfile(*pair)
+        except (QThermoError, ValueError) as exc:
+            fail(row, exc)
+    # the row of each point's temperatures, in the order of ``profiles``
+    at = {row: k for k, row in enumerate(profiles)}
+    temperatures = _linear_temperatures(np.array([swept[row][1] for row in profiles]).reshape(-1, 2), base.n_sites)
+    # the points of one tunneling share one system, built at the first of them
+    # and dropped after the last; keyed on the exact bits, since -0.0 and 0.0
+    # give Hamiltonians of other bytes
+    by_tunneling: dict[str, list[int]] = {}
+    for row in profiles:
+        by_tunneling.setdefault(swept[row][0].hex(), []).append(row)
+    batch: list[tuple[int, object]] = []
+    held = 0
+    first = None  # the first Hamiltonian's system, whose baths every other shares
+
     def solve_batch() -> None:
-        for (row, spec, _), state in zip(batch, _steady_states([liouv for _, _, liouv in batch])):
-            rows[row] = _read_point(spec, state)
+        for (row, _), state in zip(batch, _steady_states([liouv for _, liouv in batch])):
+            rows[row] = _read_point(swept[row][0], profiles[row], state)
         batch.clear()
 
     for group in by_tunneling.values():
-        specs = []
-        for row in group:
-            tunneling, (t_left, t_right) = swept[row]
-            try:
-                specs.append((row, replace(base, tunneling=tunneling, profile=LinearProfile(t_left, t_right))))
-            except (QThermoError, ValueError) as exc:
-                fail(row, exc)
-        if not specs:
-            continue
         try:
+            spec = replace(base, tunneling=swept[group[0]][0], profile=profiles[group[0]])
             if first is None:
-                system = first = chain_system(specs[0][1])
+                system = first = chain_system(spec)
             else:
-                system = first._with_hamiltonian(_chain_hamiltonian(specs[0][1]))
+                system = first._with_hamiltonian(_chain_hamiltonian(spec))
             bound = _generator_bytes_bound(system, freq_tol)
         except (QThermoError, ValueError) as exc:
-            for row, _ in specs:
+            for row in group:
                 fail(row, exc)
             continue
-        while specs:
+        while group:
             # the fewest points that may fill the batch
-            chunk = specs[:max(1, -(-(SWEEP_BATCH_BYTES - held) // bound))]
-            del specs[:len(chunk)]
-            temperatures = np.array([spec.site_temperatures() for _, spec in chunk])
+            chunk = group[:max(1, -(-(SWEEP_BATCH_BYTES - held) // bound))]
+            del group[:len(chunk)]
             try:
-                liouvs = _liouvillians(system, temperatures, freq_tol)
+                liouvs = _liouvillians(system, temperatures[[at[row] for row in chunk]], freq_tol)
             except (QThermoError, ValueError) as exc:
                 # beyond the structure, a build checks only the zero-frequency
                 # rule, which H and the baths fix: each point fails alone so
-                for row, _ in chunk:
+                for row in chunk:
                     fail(row, exc)
                 continue
-            for (row, spec), liouv in zip(chunk, liouvs):
-                batch.append((row, spec, liouv))
+            for row, liouv in zip(chunk, liouvs):
+                batch.append((row, liouv))
                 held += _generator_bytes(liouv)
             if held >= SWEEP_BATCH_BYTES:
                 solve_batch()

@@ -367,6 +367,18 @@ class ResultTable:
             )
         self.rows.append(tuple([coerce(value) for coerce, value in zip(self._coercers, values)]))
 
+    def _add_columns(self, *cells) -> None:
+        """Add one row per entry of the given columns, each the sequence of
+        one column's cells, in one pass: the rows ``add_row`` adds one by
+        one."""
+        if len(cells) != len(self.columns):
+            raise DimensionMismatchError(
+                f"{len(cells)} columns of cells do not match {len(self.columns)} columns"
+            )
+        if len({len(column) for column in cells}) > 1:
+            raise DimensionMismatchError("columns of cells differ in length")
+        self.rows.extend(zip(*[map(coerce, column) for coerce, column in zip(self._coercers, cells)]))
+
 
 def _csv_escape(text: str) -> str:
     if "," in text or '"' in text or "\n" in text:
@@ -374,26 +386,44 @@ def _csv_escape(text: str) -> str:
     return text
 
 
+def _written(write, cells) -> list[str]:
+    """One column's cells written, a run of one cell object once: a sweep
+    table repeats a point's g, T_L and T_R, one object each, on every row
+    of the point."""
+    written = []
+    last, text = object(), ""
+    for cell in cells:
+        if cell is not last:
+            last, text = cell, write(cell)
+        written.append(text)
+    return written
+
+
 def render(table: ResultTable, fmt: str = "csv") -> str:
     """Serialize a table; CSV uses comma separators, 17-significant-digit
-    floats, '#'-prefixed metadata lines and LF endings."""
+    floats, '#'-prefixed metadata lines and LF endings.  The cells are
+    written column by column and the rows joined in one pass."""
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
-    formatters = [_FORMATTERS.get(column.kind, _csv_escape) for column in table.columns]
-    rendered = [[write(value) for write, value in zip(formatters, row)] for row in table.rows]
+    names = [column.name for column in table.columns]
+    columns = [
+        _written(_FORMATTERS.get(column.kind, _csv_escape), cells)
+        for column, cells in zip(table.columns, zip(*table.rows))
+    ]
     if fmt == "csv":
-        lines.append(",".join(column.name for column in table.columns))
-        lines.extend(",".join(r) for r in rendered)
+        lines.append(",".join(names))
+        lines.extend(map(",".join, zip(*columns)))
     elif fmt == "text":
-        widths = [
-            max(len(column.name), *(len(r[i]) for r in rendered)) if rendered else len(column.name)
-            for i, column in enumerate(table.columns)
-        ]
-        lines.append("  ".join(column.name.ljust(w) for column, w in zip(table.columns, widths)))
-        for r in rendered:
-            lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
+        widths = [max(len(name), *map(len, cells)) for name, cells in zip(names, columns)] or list(map(len, names))
+        lines.append("  ".join(name.ljust(w) for name, w in zip(names, widths)))
+        row = "  ".join(f"%{w}s" for w in widths)
+        lines.extend(row % cells for cells in zip(*columns))
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    return "\n".join(lines) + "\n"
+    # the written cells are dropped before the lines are joined, and the
+    # final line feed joins with them, so a long table is not held twice
+    del columns
+    lines.append("")
+    return "\n".join(lines)
 
 
 def emit(table: ResultTable, fmt: str = "csv", path: str | None = None) -> str:
@@ -513,8 +543,8 @@ def _run_chain(config: RunConfig) -> list[tuple[str, ResultTable]]:
     table.metadata["verdict"] = verdict.kind
     table.metadata["argmax_site"] = str(verdict.argmax_site)
     table.metadata["symmetry"] = _fmt_float(verdict.symmetry)
-    for i in range(spec.n_sites):
-        table.add_row(i + 1, populations[i], currents[i], verdict.kind)
+    n_sites = spec.n_sites
+    table._add_columns(range(1, n_sites + 1), populations.tolist(), currents.tolist(), [verdict.kind] * n_sites)
     return [("", table)]
 
 
@@ -561,8 +591,8 @@ def _run_dufour(config: RunConfig) -> list[tuple[str, ResultTable]]:
     table.metadata["initial_current_1"] = _fmt_float(j_1)
     table.metadata["initial_current_2"] = _fmt_float(j_2)
     table.metadata["truncated"] = "true" if history.truncated else "false"
-    for row in zip(history.times, history.temp_1, history.temp_2, history.current_1, history.current_2):
-        table.add_row(*row)
+    table._add_columns(*(series.tolist() for series in (history.times, history.temp_1, history.temp_2,
+                                                        history.current_1, history.current_2)))
     return [("", table)]
 
 
@@ -579,14 +609,27 @@ def _sweep_table(config: RunConfig, points) -> ResultTable:
         ),
         metadata=_base_metadata(config),
     )
+    cells = g, t_left, t_right, site, population, verdict, error = [[] for _ in table.columns]
     warnings = 0
     for point in points:
-        if point.error is not None:
+        if point.error is None:
+            count = point.populations.size
+            site += range(1, count + 1)
+            population += point.populations.tolist()
+            verdict += [point.verdict.kind] * count
+            error += [""] * count
+        else:
             warnings += 1
-            table.add_row(point.tunneling, point.t_left, point.t_right, 0, math.nan, "", point.error)
-            continue
-        for i, population in enumerate(point.populations):
-            table.add_row(point.tunneling, point.t_left, point.t_right, i + 1, population, point.verdict.kind, "")
+            count = 1
+            site.append(0)
+            population.append(math.nan)
+            verdict.append("")
+            error.append(point.error)
+        # a point's g, T_L and T_R are one object on each of its rows
+        g += [point.tunneling] * count
+        t_left += [point.t_left] * count
+        t_right += [point.t_right] * count
+    table._add_columns(*cells)
     table.metadata["warnings"] = str(warnings)
     return table
 

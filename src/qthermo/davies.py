@@ -156,10 +156,13 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_ATOL,
-    _record_density_matrices,
+    POSITIVITY_FLOOR,
+    TRACE_ATOL,
+    _density_errors,
+    _eigh,
+    _record_density_matrix,
     components,
     stacked_order,
-    eigh,
     require_density_matrix,
     require_hermitian,
     screen_states,
@@ -199,7 +202,7 @@ LAB_MAP_CHUNK_ENTRIES = 8192
 # Bytes of the arrays, keys included, that the eigenbasis structures kept
 # across systems may hold together ("Reuse" in the module docstring).  A chain
 # structure with its plan and layout holds 0.06 MiB at 10 sites, 0.6 MiB at
-# 30, 6.3 MiB at 100 and 14.2 MiB at 150, so one chain of up to about 200
+# 30, 6.5 MiB at 100 and 14.7 MiB at 150, so one chain of up to about 200
 # sites is kept, and hundreds of the paper's 10-site chains.
 STRUCTURE_CACHE_BYTES = 32 * 2**20
 
@@ -677,9 +680,12 @@ class _Structure:
     ``labels[i, j]`` indexes ``frequencies`` with the group of E_j - E_i;
     ``coupling`` holds the entries of C_k = U^dagger V_k U above
     ``COUPLING_RTOL`` of the norm of V_k and
-    ``entry_labels`` the group of each.  ``zero_magnitude[k]`` is the largest
-    |C_k| entry in the zero group.  ``pairs`` joins every entry with every
-    entry of its bath and group, ordered by the first and then the second.
+    ``entry_labels`` the group of each; ``entry_omega`` holds each entry's
+    |frequency|, ``emitting`` marks the entries of a positive frequency and
+    ``at_zero`` those of the zero group, which the rates read.
+    ``zero_magnitude[k]`` is the largest |C_k| entry in the zero group.
+    ``pairs`` joins every entry with every entry of its bath and group,
+    ordered by the first and then the second.
     ``plans`` holds a :class:`_Plan` per set of nonzero W_k entries.  Every
     array is read-only; ``nbytes`` counts them, the key and the plans.
     """
@@ -691,6 +697,9 @@ class _Structure:
     labels: np.ndarray
     coupling: _Entries
     entry_labels: np.ndarray
+    entry_omega: np.ndarray
+    emitting: np.ndarray
+    at_zero: np.ndarray
     zero_magnitude: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray]
     nbytes: int = 0
@@ -790,8 +799,10 @@ def _cached_structure(system: OpenSystem, freq_tol: float) -> _Structure:
 def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) -> _Structure:
     """Decompose H, group its transition frequencies, form the coupling
     entries from the couplings' nonzeros, drop those at rounding level
-    (``COUPLING_RTOL``), and join those of one bath and one group."""
-    eig = eigh(system.hamiltonian)
+    (``COUPLING_RTOL``), and join those of one bath and one group.  H was
+    checked as the system took it, so it is decomposed without a second
+    check."""
+    eig = _eigh(system.hamiltonian)
     energies, states = eig.energies, eig.states
     _check_grouping_tolerance(energies, freq_tol)
     frequencies, labels = _frequency_groups(energies, freq_tol)
@@ -804,14 +815,16 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) 
         coupling = _Entries(*(a[coupled] for a in coupling))
         magnitude = magnitude[coupled]
     entry_labels = labels[coupling.rows, coupling.cols]
+    entry_omega = np.abs(frequencies)[entry_labels]
     # the groups mirror under negation about the zero group, at the middle
+    emitting = entry_labels > n_groups // 2
     at_zero = entry_labels == n_groups // 2
     zero_magnitude = np.zeros(len(system.baths))
     np.maximum.at(zero_magnitude, coupling.bath[at_zero], magnitude[at_zero])
     group_key = coupling.bath * n_groups + entry_labels
     pairs = _equal_key_pairs(group_key, group_key)
-    nbytes = _seal(energies, states, frequencies, labels, *coupling, entry_labels, zero_magnitude,
-                   *pairs)
+    nbytes = _seal(energies, states, frequencies, labels, *coupling, entry_labels, entry_omega, emitting,
+                   at_zero, zero_magnitude, *pairs)
     return _Structure(
         key=key,
         energies=energies,
@@ -820,6 +833,9 @@ def _build_structure(system: OpenSystem, freq_tol: float, key: tuple, nonzeros) 
         labels=labels,
         coupling=coupling,
         entry_labels=entry_labels,
+        entry_omega=entry_omega,
+        emitting=emitting,
+        at_zero=at_zero,
         zero_magnitude=zero_magnitude,
         pairs=pairs,
         nbytes=nbytes + len(key[1]) + sum(map(len, key[2])),
@@ -883,14 +899,12 @@ def _rates(system: OpenSystem, structure: _Structure, temperature: np.ndarray) -
             "use an ohmic density or a model whose zero-frequency component vanishes"
         )
     bath = structure.coupling.bath
-    # the groups mirror under negation about the zero group, at the middle
-    zero_label = structure.frequencies.size // 2
-    omega = np.abs(structure.frequencies)[structure.entry_labels]
+    omega = structure.entry_omega
     emission, absorption = _thermal_rates(
         coefficient[bath] * np.where(ohmic[bath], omega, 1.0), omega, temperature.take(bath, axis=-1)
     )
-    rates = np.where(structure.entry_labels > zero_label, emission, absorption)
-    at_zero = structure.entry_labels == zero_label
+    rates = np.where(structure.emitting, emission, absorption)
+    at_zero = structure.at_zero
     if at_zero.any():
         rates[:, at_zero] = np.where(present, coefficient * temperature, 0.0)[:, bath[at_zero]]
     return rates
@@ -1492,8 +1506,9 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     reporting the dimension found; a largest singular value that overflows
     raises SolverFailureError.  The state is that null vector, mapped back
     to the lab basis, checked to be stationary to ``STEADY_RESIDUAL_RTOL``
-    of the largest singular value and checked as a density matrix in full.
-    A block left for the SVD whose entries are not finite fails its
+    of the largest singular value and checked as a density matrix in full,
+    and the check is recorded, so the observables that read the state skip
+    it.  A block left for the SVD whose entries are not finite fails its
     generator with the SVD's error, raised before the SVD, which never
     returns on an infinite entry.  This is the batch of one of the solve a
     sweep runs over many generators (:func:`_steady_states`).
@@ -1501,6 +1516,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     (state,) = _steady_states((liouv,))
     if isinstance(state, Exception):
         raise state
+    _record_density_matrix(state)
     return state
 
 
@@ -1516,8 +1532,9 @@ def _steady_states(liouvs) -> list[np.ndarray | Exception]:
     all such blocks of one size at once.  The null vectors of the
     generators of one dimension are made Hermitian, normalized, mapped back
     to the lab basis and checked as density matrices as one stack (one
-    ``eigvalsh``), each state exactly as it would be alone, and then
-    recorded.
+    ``eigvalsh``), each state exactly as it would be alone.  No state is
+    recorded as checked: a sweep reads each once, and :func:`steady_state`
+    records the one it returns.
     """
     results: list = [None] * len(liouvs)
     nulls: dict[int, list] = {}  # by dimension: (generator, top, null vector entries, residual)
@@ -1659,7 +1676,8 @@ def _stationary_states(liouvs, dim: int, group: list, results: list) -> None:
     del stacks  # before the check allocates its own stacks
     states += states.conj().swapaxes(1, 2)
     states *= 0.5
-    for g, state, error in zip(kept, states, _record_density_matrices(states, name="steady state")):
+    errors = _density_errors(states, HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR, name="steady state")
+    for g, state, error in zip(kept, states, errors):
         results[g] = state if error is None else error
 
 

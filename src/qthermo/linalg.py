@@ -215,18 +215,11 @@ def require_density_matrix(
     return a
 
 
-def _record_density_matrices(states: np.ndarray, name: str) -> list[InvariantViolationError | None]:
-    """:func:`require_density_matrix` at its default tolerances for a stack of
-    states just computed: each checked in full whatever the record holds, in
-    one batched pass, and each that passes recorded, so the observables that
-    read it skip the repeat.  Returns the error of each state, None where it
-    passes."""
-    errors = _density_errors(states, HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR, name)
-    check = ("density", HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR)
-    for state, error in zip(states, errors):
-        if error is None:
-            _PASSED.add(_PASSED.key(state, check))
-    return errors
+def _record_density_matrix(state: np.ndarray) -> None:
+    """Record a state just checked in full as :func:`require_density_matrix`
+    checks it at its default tolerances, so the observables that read it
+    skip the repeat."""
+    _PASSED.add(_PASSED.key(state, ("density", HERMITICITY_ATOL, TRACE_ATOL, POSITIVITY_FLOOR)))
 
 
 # Matrix entries screened per batch, so the temporaries of a screen stay a few
@@ -340,7 +333,12 @@ def eigh(m) -> EigenDecomposition:
     Raises InvariantViolationError naming the maximum asymmetry when the
     input is not Hermitian within ``HERMITICITY_ATOL``.
     """
-    a = require_hermitian(m, name="eigh input")
+    return _eigh(require_hermitian(m, name="eigh input"))
+
+
+def _eigh(a: np.ndarray) -> EigenDecomposition:
+    """:func:`eigh` of a square complex matrix already checked to be
+    Hermitian."""
     dim = a.shape[0]
     order, sorted_extent, edges = stacked_order(components(dim, *np.nonzero(a)))
     energies = np.empty(dim)

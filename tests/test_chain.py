@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo import chain
+from qthermo import chain, linalg
 from qthermo.chain import (
     ARGMAX_TIE_ATOL,
     DELOCALIZED,
@@ -180,6 +180,23 @@ class TestClassify:
         verdict = classify(p, profile)
         fields = (verdict.kind, verdict.argmax_site, verdict.run_up, verdict.run_down, verdict.symmetry)
         assert fields == array_classify(p, profile.temperatures(p.size))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1e-7, 0.05, 0.1, 0.2, 0.3]), min_size=3, max_size=8),
+        temperatures=st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.4, 0.8]), min_size=9, max_size=9),
+    )
+    def test_an_explicit_profile_is_read_at_its_ends(self, values, temperatures):
+        # classify reads a profile's two end temperatures, and an explicit
+        # profile still checks its length
+        p = np.array(values)
+        profile = ExplicitProfile(temperatures[:p.size])
+        verdict = classify(p, profile)
+        fields = (verdict.kind, verdict.argmax_site, verdict.run_up, verdict.run_down, verdict.symmetry)
+        assert fields == array_classify(p, profile.temperatures(p.size))
+        for wrong in (p.size - 1, p.size + 1):
+            with pytest.raises(InvariantViolationError, match=f"^profile lists {wrong} temperatures for {p.size} sites$"):
+                classify(p, ExplicitProfile(temperatures[:wrong]))
 
     def test_strictly_increasing_toward_cold(self):
         populations = np.linspace(0.05, 0.3, 5)
@@ -425,6 +442,52 @@ class TestBatchedSweep:
         assert len(checks) == 4
         with pytest.raises(InvariantViolationError, match="trace"):
             site_populations(np.eye(10) / 5.0, base)
+
+    # flat rows among sloped ones, T = 0 and -0.0 ends, a step that underflows
+    MIXED_ENDS = ((0.8, 0.4), (0.6, 0.6), (0.0, 0.5), (0.3, 0.0), (-0.0, -0.0), (-0.0, 0.4), (0.5, -0.0),
+                  (0.0, 0.0), (1.1, 0.7), (5e-324, 0.0), (1e-310, 2e-310), (1e300, 0.0), (0.1, 0.1))
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 5, 10, 31])
+    def test_chunk_temperatures_are_each_points_own(self, n_sites):
+        # one array for a chunk of points, bit for bit each point's
+        # site_temperatures, whichever rows of the chunk are flat
+        for lo in range(len(self.MIXED_ENDS)):
+            ends = self.MIXED_ENDS[lo:] + self.MIXED_ENDS[:lo]
+            for count in (1, 2, 5, len(ends)):
+                chunk = chain._linear_temperatures(np.array(ends[:count]), n_sites)
+                own = np.array([spec_for(n_sites=n_sites, t_left=a, t_right=b).site_temperatures() for a, b in ends[:count]])
+                assert chunk.tobytes() == own.tobytes()
+
+    def test_a_sweep_builds_each_point_at_its_own_temperatures(self, monkeypatch):
+        built = []
+        original = chain._liouvillians
+        monkeypatch.setattr(chain, "_liouvillians",
+                            lambda system, temperatures, tol: built.extend(temperatures) or original(system, temperatures, tol))
+        points = [(g, pair) for pair in self.MIXED_ENDS[:9] for g in (0.1, 0.7)]
+        base = spec_for(n_sites=5)
+        population_sweep(base, (), (), points=points)
+        # the points of one tunneling are built together, in the order listed
+        order = [(g, pair) for g in (0.1, 0.7) for pair in self.MIXED_ENDS[:9]]
+        assert len(built) == len(order)
+        for row, (g, pair) in zip(built, order):
+            assert row.tobytes() == spec_for(n_sites=5, t_left=pair[0], t_right=pair[1]).site_temperatures().tobytes()
+
+    def test_sweep_states_are_not_recorded(self, monkeypatch):
+        # a sweep checks its states in full and reads them once, so it keeps
+        # no record of them; steady_state records the state it returns, for
+        # the observables that read it
+        monkeypatch.setattr(linalg, "_PASSED", linalg._CheckRecord(linalg.CHECK_RECORD_BYTES))
+        states = []
+        original = chain._steady_states
+        monkeypatch.setattr(chain, "_steady_states", lambda liouvs: states.extend(original(liouvs)) or states[-len(liouvs):])
+        base = spec_for(n_sites=5)
+        rows = population_sweep(base, (0.1, 1.3), ((0.8, 0.4), (0.3, 0.1)))
+        assert len(states) == 4 and all(row.error is None for row in rows)
+        check = ("density", linalg.HERMITICITY_ATOL, linalg.TRACE_ATOL, linalg.POSITIVITY_FLOOR)
+        assert not any(linalg._PASSED.holds(linalg._PASSED.key(state, check)) for state in states)
+        state = steady_state(liouvillian(chain_system(replace(base, tunneling=1.3, profile=LinearProfile(0.3, 0.1)))))
+        assert state.tobytes() == states[3].tobytes()
+        assert linalg._PASSED.holds(linalg._PASSED.key(state, check))
 
     def test_the_paper_survey_fits_one_batch(self, monkeypatch):
         batches = []

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qthermo
 import qthermo.chain
@@ -29,7 +31,7 @@ from qthermo.cli import (
     render,
     run,
 )
-from qthermo.errors import ConfigError, DegenerateInputError
+from qthermo.errors import ConfigError, DegenerateInputError, DimensionMismatchError
 
 
 def package_env() -> dict[str, str]:
@@ -343,6 +345,14 @@ class TestSolveCosts:
         run(build_config("chain", overrides={"N": "30"}))
         assert len(spectra) == 1
 
+    def test_a_cold_long_chain_checks_its_hamiltonian_once(self, monkeypatch):
+        # from 23 sites the record of passed checks keeps no Hamiltonian, so
+        # the structure decomposes the one the system has checked
+        qthermo.davies._STRUCTURES.clear()
+        defects = counting(monkeypatch, qthermo.linalg, "hermiticity_defect")
+        run(build_config("chain", overrides={"N": "30"}))
+        assert [a.shape for (a,) in defects] == [(60, 60)]
+
     def test_lambda_point(self, monkeypatch):
         params = qthermo.ThreeLevelParams.from_occupations("lambda", 1.7, 0.4)
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
@@ -422,6 +432,140 @@ class TestEmit:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot write"):
             emit(self.make_table(), "csv", str(tmp_path / "no" / "such" / "dir.csv"))
+
+
+def cell_by_cell_render(table: ResultTable, fmt: str = "csv") -> str:
+    """``render`` as it was when it wrote every cell with a call of its own,
+    row by row: the reference for the writer by columns."""
+
+    def fmt_float(value: float) -> str:
+        return f"{value + 0.0:.17g}"
+
+    def csv_escape(text: str) -> str:
+        if "," in text or '"' in text or "\n" in text:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
+    formatters = [{"int": str, "float": fmt_float}.get(column.kind, csv_escape) for column in table.columns]
+    rendered = [[write(value) for write, value in zip(formatters, row)] for row in table.rows]
+    if fmt == "csv":
+        lines.append(",".join(column.name for column in table.columns))
+        lines.extend(",".join(r) for r in rendered)
+    else:
+        widths = [
+            max(len(column.name), *(len(r[i]) for r in rendered)) if rendered else len(column.name)
+            for i, column in enumerate(table.columns)
+        ]
+        lines.append("  ".join(column.name.ljust(w) for column, w in zip(table.columns, widths)))
+        for r in rendered:
+            lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
+    return "\n".join(lines) + "\n"
+
+
+KINDS = ("int", "float", "str")
+
+
+def table_by_rows(kinds, rows) -> ResultTable:
+    table = ResultTable(columns=tuple(Column(f"c{i}", kind) for i, kind in enumerate(kinds)),
+                        metadata={"qthermo": "0.1.0", "note": "a, b"})
+    for row in rows:
+        table.add_row(*row)
+    return table
+
+
+def table_by_columns(kinds, rows) -> ResultTable:
+    table = ResultTable(columns=tuple(Column(f"c{i}", kind) for i, kind in enumerate(kinds)),
+                        metadata={"qthermo": "0.1.0", "note": "a, b"})
+    table._add_columns(*([row[i] for row in rows] for i in range(len(kinds))))
+    return table
+
+
+cell_values = {
+    "int": st.integers(min_value=-10**20, max_value=10**20),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "str": st.text(alphabet=st.sampled_from('ab ,"%\n-é0.'), max_size=6),
+}
+
+
+@st.composite
+def random_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
+    # rows drawn from a few cells per column, so cells repeat as in a sweep
+    pools = [draw(st.lists(cell_values[kind], min_size=1, max_size=4)) for kind in kinds]
+    count = draw(st.integers(min_value=0, max_value=12))
+    rows = [tuple(draw(st.sampled_from(pool)) for pool in pools) for _ in range(count)]
+    return kinds, rows
+
+
+class TestRenderByColumns:
+    """``render`` writes each column's cells in one pass and the rows in one
+    join, with the bytes of the writer that took one call per cell."""
+
+    EDGE_KINDS = ("float", "int", "str", "float")
+    EDGE_ROWS = [
+        (-0.0, 0, "", 0.0),
+        (math.nan, -7, "with, comma", float("nan")),
+        (math.inf, 10**30, 'a "quoted" cell', -math.inf),
+        (5e-324, True, "100% sure", -5e-324),
+        (1.0 / 3.0, np.int64(3), "two\nlines", np.float64(-0.0)),
+        (1e300, 2, "%s %d %%", 2.5e-308),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_edge_cells(self, fmt):
+        for build in (table_by_rows, table_by_columns):
+            table = build(self.EDGE_KINDS, self.EDGE_ROWS)
+            assert render(table, fmt) == cell_by_cell_render(table, fmt)
+        text = render(table_by_columns(self.EDGE_KINDS, self.EDGE_ROWS), "csv")
+        assert text.split("\n")[3:5] == ["0,0,,0", "nan,-7,\"with, comma\",nan"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_an_empty_table(self, fmt):
+        for build in (table_by_rows, table_by_columns):
+            table = build(self.EDGE_KINDS, [])
+            assert render(table, fmt) == cell_by_cell_render(table, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=random_tables())
+    def test_random_tables(self, drawn):
+        kinds, rows = drawn
+        by_rows, by_columns = table_by_rows(kinds, rows), table_by_columns(kinds, rows)
+        for fmt in ("csv", "text"):
+            expected = cell_by_cell_render(by_rows, fmt)
+            assert render(by_rows, fmt) == expected
+            assert render(by_columns, fmt) == expected
+
+    def test_columns_must_match_the_schema(self):
+        table = table_by_rows(("int", "float"), [])
+        with pytest.raises(DimensionMismatchError, match="columns"):
+            table._add_columns([1, 2])
+        with pytest.raises(DimensionMismatchError, match="length"):
+            table._add_columns([1, 2], [0.5])
+        assert table.rows == []
+
+    # the nine runs that earlier changes kept byte-identical, a long chain and
+    # a Dufour history
+    RUNS = [
+        ("figure2", {}),
+        ("chain", {}),
+        ("chain", {"N": "30", "g": "1.3"}),
+        ("chain", {"N": "6", "T_L": "0.1", "T_R": "0.03"}),
+        ("lambda", {}),
+        ("vee", {"n_1": "0", "n_2": "0.5"}),
+        ("sweep", {}),
+        ("sweep", {"T_L": "0"}),
+        ("dufour", {}),
+        ("chain", {"N": "100", "g": "0.5"}),
+        ("dufour", {"samples": "1001"}),
+    ]
+
+    @pytest.mark.parametrize("experiment,overrides", RUNS, ids=["-".join([e, *(f"{k}={v}" for k, v in o.items())]) for e, o in RUNS])
+    def test_cli_runs(self, experiment, overrides):
+        for fmt in ("csv", "text"):
+            outcome = run(build_config(experiment, overrides={**overrides, "format": fmt}))
+            for _, table in outcome.tables:
+                assert render(table, fmt) == cell_by_cell_render(table, fmt)
 
 
 class TestDeterminismAndRoundTrip:

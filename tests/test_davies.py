@@ -1498,7 +1498,8 @@ def kept_array_bytes(structure) -> int:
     _, h, couplings = structure.key
     total = len(h) + sum(map(len, couplings))
     arrays = [structure.energies, structure.states, structure.frequencies, structure.labels,
-              *structure.coupling, structure.entry_labels, structure.zero_magnitude, *structure.pairs]
+              *structure.coupling, structure.entry_labels, structure.entry_omega, structure.emitting,
+              structure.at_zero, structure.zero_magnitude, *structure.pairs]
     for mask, plan in structure.plans.items():
         total += len(mask)
         arrays += [plan.w, *plan.jumps, plan.population, plan.damping_at, *plan.currents]
@@ -1638,7 +1639,7 @@ class TestReuse:
     def test_a_warm_call_builds_nothing(self, monkeypatch):
         # no eigendecomposition, grouping, join, components or sort on a hit
         generator_bytes(gradient_chain(5, 0.7, 0.8, 0.4))
-        for name in ("eigh", "_frequency_groups", "_joined_coupling_entries", "_equal_key_pairs", "components"):
+        for name in ("_eigh", "_frequency_groups", "_joined_coupling_entries", "_equal_key_pairs", "components"):
             monkeypatch.setattr(davies, name, None)
         monkeypatch.setattr(davies.np, "lexsort", None)
         generator_bytes(gradient_chain(5, 0.7, 0.6, 0.1))
@@ -1765,8 +1766,8 @@ class TestWithTemperatures:
         # the structure is shared by reference, not found again in the cache
         davies._STRUCTURES.clear()
         calls = []
-        original = davies.eigh
-        monkeypatch.setattr(davies, "eigh", lambda m: calls.append(m) or original(m))
+        original = davies._eigh
+        monkeypatch.setattr(davies, "_eigh", lambda m: calls.append(m) or original(m))
         for pair in ((0.3, 0.1), (0.5, 0.5), (0.0, 0.4)):
             system = parent.with_temperatures(np.linspace(*pair, 10))
             heat_currents(system, steady_state(liouvillian(system)))
